@@ -2,7 +2,7 @@
 cognitive-radio network with a massive-MIMO secondary base station.
 
 Modules:
-    network: configuration, channel generation, SINR/interference evaluators.
+    network: configuration, channel generation, the link evaluator.
     beamforming: maximum-eigenmode and zero-forcing beam computation.
     power: feasibility-driven and equal-rate power allocation.
     simplex: phase-1 feasibility solver used by the LF program.
@@ -19,10 +19,6 @@ from .network import (
     db_to_linear,
     linear_to_db,
     generate_channels,
-    true_interference_to_pu,
-    estimated_interference_to_pu,
-    true_sinr,
-    estimated_sinr,
     evaluate_links,
 )
 from .beamforming import (
@@ -33,6 +29,7 @@ from .beamforming import (
     IllConditionedError,
     compute_meb,
     compute_zfb,
+    compute_beams,
 )
 from .power import (
     PowerAllocation,
@@ -40,7 +37,7 @@ from .power import (
     ZeroGainError,
     solve_lf_meb,
     solve_lf_zfb,
-    equal_rate_zfb,
+    solve_lf,
     verify_allocation,
 )
 from .analytics import (

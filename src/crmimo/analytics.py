@@ -219,8 +219,6 @@ def save_wishart_cache(path, cache: dict):
 
 
 def _get_cache() -> dict:
-    # initialized once on first use; see the concurrency note in the
-    # module docstring of montecarlo (init completes before trials fan out)
     global _cache
     if _cache is None:
         ref = resources.files("crmimo").joinpath("data/wishart_means.txt")
@@ -325,12 +323,13 @@ def zfb_sinr_params(config: NetworkConfig, p_eq: float) -> ZfbSinrModel:
     The numerator gain concentrates on a gamma with shape
     k_n = m_b - k_su - l_rx + 1 (the ZF null-space dimension) and the
     denominator noise-plus-PU power on a gamma with shape k_d; their
-    ratio is generalized F.  Without transmitting PUs the denominator
-    is the constant sigma2_w and the SINR is the plain scaled gamma.
+    ratio is generalized F.  Without transmitting PUs (l_tx = 0, or
+    p_p = 0) the denominator is the constant sigma2_w and the SINR is
+    the plain scaled gamma.
     """
     k_n, e = _zfb_numerator(config, p_eq)
     theta_n = p_eq * e / config.m_b
-    if config.l_tx == 0:
+    if config.l_tx == 0 or config.p_p == 0.0:
         return ZfbSinrModel(genf=None,
                             gamma=GammaParams(shape=float(k_n), scale=theta_n / config.sigma2_w))
     pu_mean = config.l_tx * config.p_p * config.sigma2_h

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ChannelRealization
+from .network import ChannelRealization, _cross_gains
 
 __all__ = [
     "MEB",
@@ -25,6 +25,7 @@ __all__ = [
     "IllConditionedError",
     "compute_meb",
     "compute_zfb",
+    "compute_beams",
     "nulling_residuals",
     "export_diagnostics",
 ]
@@ -132,6 +133,19 @@ def compute_zfb(real: ChannelRealization) -> BeamformingSolution:
     )
 
 
+def compute_beams(real: ChannelRealization, scheme: str) -> BeamformingSolution:
+    """Beams of the named scheme.
+
+    Raises:
+        ValueError: if scheme is neither MEB nor ZFB.
+    """
+    if scheme == MEB:
+        return compute_meb(real)
+    if scheme == ZFB:
+        return compute_zfb(real)
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
 def nulling_residuals(real: ChannelRealization, beams: BeamformingSolution):
     """Residual leakage of the transmit beams, for diagnostics and audits.
 
@@ -146,7 +160,7 @@ def nulling_residuals(real: ChannelRealization, beams: BeamformingSolution):
         pu_res = (np.abs(beams.v.conj() @ hhat_rx.T) ** 2).max(axis=1)
     else:
         pu_res = np.zeros(k)
-    eff = np.abs(np.einsum("ku,kub,jb->kj", beams.u.conj(), real.h_su, beams.v)) ** 2
+    eff = _cross_gains(real, beams.v, beams.u)
     np.fill_diagonal(eff, 0.0)
     return pu_res, eff.max(axis=1)
 

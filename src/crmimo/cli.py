@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import MEB, ZFB, compute_meb, compute_zfb
+from .beamforming import MEB, ZFB, compute_beams
 from .montecarlo import (
     POLICY_EQUAL_POWER,
     POLICY_EQUAL_POWER_OPT,
@@ -30,7 +30,7 @@ from .montecarlo import (
     run_trials,
 )
 from .network import NetworkConfig, _DB_KEYS, db_to_linear, generate_channels, linear_to_db
-from .power import equal_power, solve_lf_meb, solve_lf_zfb, verify_allocation
+from .power import equal_power, solve_lf, verify_allocation
 from . import analytics
 
 __all__ = ["ExperimentSpec", "build_spec", "run", "emit_plot_data", "main"]
@@ -66,8 +66,7 @@ _DEFAULT_SWEEPS = {
     "single_solve": None,
 }
 
-_CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(NetworkConfig)}
-_INT_FIELDS = {f.name for f in dataclasses.fields(NetworkConfig) if f.type == "int"}
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(NetworkConfig)}
 
 
 @dataclass(frozen=True)
@@ -110,18 +109,6 @@ class ExperimentSpec:
             raise ValueError("trials must be positive")
 
 
-def _apply_overrides(config: NetworkConfig, items: dict) -> NetworkConfig:
-    merged = {name: getattr(config, name) for name in _CONFIG_FIELDS}
-    for key, raw in items.items():
-        if key in _DB_KEYS:
-            merged[_DB_KEYS[key]] = float(db_to_linear(float(raw)))
-        elif key in _CONFIG_FIELDS:
-            merged[key] = int(raw) if key in _INT_FIELDS else float(raw)
-        else:
-            raise ValueError(f"unknown config key {key!r}")
-    return NetworkConfig(**merged)
-
-
 def _parse_set_args(pairs) -> dict:
     items = {}
     for pair in pairs:
@@ -134,11 +121,9 @@ def _parse_set_args(pairs) -> dict:
 
 def build_spec(args) -> ExperimentSpec:
     """Turn parsed CLI arguments into a validated ExperimentSpec."""
-    config = NetworkConfig()
-    if args.config:
-        config = NetworkConfig.from_file(args.config)
+    config = NetworkConfig.from_file(args.config) if args.config else NetworkConfig()
     overrides = _parse_set_args(args.overrides)
-    config = _apply_overrides(config, overrides)
+    config = config.with_items(overrides)
 
     sweep = _DEFAULT_SWEEPS[args.experiment]
     if args.sweep:
@@ -234,11 +219,12 @@ def _fig2(spec: ExperimentSpec):
     return "fig2_eq_power_sweep.csv", header, rows
 
 
-def _fig_compare(spec: ExperimentSpec, scheme: str):
+def _fig_compare(spec: ExperimentSpec):
+    scheme = spec.schemes[0]
     name, values = spec.sweep
     rows = []
     for value in values:
-        config = _apply_overrides(spec.config, {name: value})
+        config = spec.config.with_items({name: value})
         for policy in spec.policies:
             p_eq = spec.p_eq
             analytic = ""
@@ -281,32 +267,32 @@ def _cdf_validation(spec: ExperimentSpec):
     p_eq = spec.p_eq if spec.p_eq is not None else config.p0 / config.k_su
     p_eq_db = float(linear_to_db(p_eq))
     rows = []
-    dumps = []
     for scheme in spec.schemes:
         res = run_trials(config, scheme, POLICY_EQUAL_POWER, spec.n_trials,
                          spec.seed, p_eq=p_eq, n_workers=spec.n_workers)
         if scheme == MEB:
             sinr_model = analytics.meb_sinr_params(config, p_eq)
-            sinr_cdf = lambda s: analytics.meb_sinr_cdf(sinr_model, max(s, 1e-300))
-            int_cdf = lambda x: analytics.meb_interference_cdf(config, p_eq, x)
+            laws = [("sinr", res.sinr_true,
+                     lambda s: analytics.meb_sinr_cdf(sinr_model, max(s, 1e-300))),
+                    ("interference", res.int_to_pu_true,
+                     lambda x: analytics.meb_interference_cdf(config, p_eq, x))]
         else:
             sinr_model = analytics.zfb_sinr_params(config, p_eq)
-            sinr_cdf = lambda s: analytics.zfb_sinr_cdf(sinr_model, s)
-            int_cdf = lambda x: analytics.zfb_interference_cdf(config, p_eq, x)
-        for quantity, samples, cdf in (
-            ("sinr", res.sinr_true, sinr_cdf),
-            ("interference", res.int_to_pu_true, int_cdf),
-        ):
+            laws = [("sinr", res.sinr_true, lambda s: analytics.zfb_sinr_cdf(sinr_model, s)),
+                    ("sinr_exact", res.sinr_true,
+                     lambda s: analytics.zfb_sinr_exact_cdf(config, p_eq, s)),
+                    ("interference", res.int_to_pu_true,
+                     lambda x: analytics.zfb_interference_cdf(config, p_eq, x))]
+        for quantity, samples, cdf in laws:
             if samples.size == 0:
                 continue
             ks = empirical_cdf(samples).ks_distance(cdf)
             rows.append([scheme, quantity, _fmt(ks), samples.size,
                          res.n_trials, _fmt(p_eq_db)])
             print(f"cdf_validation scheme={scheme} quantity={quantity} ks={ks:.4f}")
-            if spec.dump_samples:
-                dump = os.path.join(spec.out_dir, f"samples_{scheme}_{quantity}.txt")
-                np.savetxt(dump, np.sort(samples))
-                dumps.append(dump)
+            if spec.dump_samples and quantity != "sinr_exact":  # same samples as sinr
+                np.savetxt(os.path.join(spec.out_dir, f"samples_{scheme}_{quantity}.txt"),
+                           np.sort(samples))
     header = ["scheme", "quantity", "ks_distance", "n_samples", "n_trials", "p_eq_db"]
     return "cdf_validation.csv", header, rows
 
@@ -316,9 +302,9 @@ def _single_solve(spec: ExperimentSpec):
     scheme = spec.schemes[0]
     policy = spec.policies[0]
     real = generate_channels(config, spec.seed)
-    beams = compute_meb(real) if scheme == MEB else compute_zfb(real)
+    beams = compute_beams(real, scheme)
     if policy == POLICY_LF:
-        alloc = (solve_lf_meb if scheme == MEB else solve_lf_zfb)(real, beams, config)
+        alloc = solve_lf(real, beams, config)
         p, feasible = alloc.p, alloc.feasible
     else:
         p_eq = spec.p_eq
@@ -344,10 +330,8 @@ def run(spec: ExperimentSpec) -> int:
     os.makedirs(spec.out_dir, exist_ok=True)
     if spec.experiment == "fig2_eq_power_sweep":
         out = _fig2(spec)
-    elif spec.experiment == "fig3_meb_compare":
-        out = _fig_compare(spec, spec.schemes[0])
-    elif spec.experiment == "fig4_zfb_compare":
-        out = _fig_compare(spec, spec.schemes[0])
+    elif spec.experiment in ("fig3_meb_compare", "fig4_zfb_compare"):
+        out = _fig_compare(spec)
     elif spec.experiment == "fig5_max_sus":
         out = _fig5(spec)
     elif spec.experiment == "cdf_validation":

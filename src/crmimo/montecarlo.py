@@ -19,16 +19,9 @@ from dataclasses import dataclass, fields as dataclass_fields
 import numpy as np
 
 from .analytics import optimize_equal_power
-from .beamforming import (
-    MEB,
-    AntennaShortageError,
-    BeamformingSolution,
-    IllConditionedError,
-    compute_meb,
-    compute_zfb,
-)
+from .beamforming import AntennaShortageError, IllConditionedError, compute_beams
 from .network import NetworkConfig, evaluate_links, generate_channels
-from .power import equal_power, slack_from_links, solve_lf_meb, solve_lf_zfb
+from .power import equal_power, slack_from_links, solve_lf
 
 __all__ = [
     "POLICY_LF",
@@ -101,9 +94,7 @@ def _run_trial(config, scheme, policy, p_eq, master_seed, index) -> TrialOutcome
     real = generate_channels(config, trial_seed(master_seed, index))
     k, l_rx = config.k_su, config.l_rx
     try:
-        beams: BeamformingSolution = (
-            compute_meb(real) if scheme == MEB else compute_zfb(real)
-        )
+        beams = compute_beams(real, scheme)
     except (AntennaShortageError, IllConditionedError) as exc:
         nan_k = np.full(k, np.nan)
         nan_l = np.full(l_rx, np.nan)
@@ -115,9 +106,8 @@ def _run_trial(config, scheme, policy, p_eq, master_seed, index) -> TrialOutcome
         )
 
     if policy == POLICY_LF:
-        alloc = (solve_lf_meb if scheme == MEB else solve_lf_zfb)(real, beams, config)
-        p = alloc.p
-        solver_ok = alloc.feasible
+        alloc = solve_lf(real, beams, config)
+        p, solver_ok = alloc.p, alloc.feasible
     else:
         p = equal_power(config, p_eq)
         solver_ok = True
@@ -147,7 +137,7 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
 
     Args:
         config: scenario.
-        scheme: MEB or ZFB.
+        scheme: MEB or ZFB; anything else raises ValueError.
         policy: POLICY_LF (solve the scheme's feasibility program per
             trial), POLICY_EQUAL_POWER (fixed p_eq, required argument),
             or POLICY_EQUAL_POWER_OPT (p_eq from optimize_equal_power,

@@ -4,8 +4,8 @@ A secondary base station (SBS) with m_b antennas serves k_su secondary
 users (SUs, m_u antennas each) on the same band as l_tx transmitting and
 l_rx receiving single-antenna primary users (PUs).  Channels are flat
 Rayleigh fading.  The SBS knows the SU channels exactly but only noisy
-estimates of the PU channels; all interference and SINR evaluators come
-in a true and an estimated flavor.
+estimates of the PU channels; evaluate_links reports every interference
+and SINR figure in a true and an estimated flavor.
 
 Complex Gaussian convention: CN(0, s2) means total variance s2, i.e.
 each real part has variance s2/2.
@@ -25,12 +25,7 @@ __all__ = [
     "db_to_linear",
     "linear_to_db",
     "generate_channels",
-    "true_interference_to_pu",
-    "estimated_interference_to_pu",
     "interference_from_pu",
-    "inter_stream_interference",
-    "true_sinr",
-    "estimated_sinr",
     "evaluate_links",
 ]
 
@@ -120,35 +115,31 @@ class NetworkConfig:
 
     @classmethod
     def from_file(cls, path) -> "NetworkConfig":
-        """Read a flat key = value config file.
+        """Read a flat key = value config file over the defaults (see with_items)."""
+        with open(path) as fh:
+            return cls().with_items(_parse_kv_lines(fh))
+
+    def with_items(self, items: dict) -> "NetworkConfig":
+        """Return a copy with {key: value} items applied, values as strings or numbers.
 
         Power fields also accept dB forms p0_db, i0_db, pp_db with
         linear = 10^(dB/10).  Giving both forms of one field is an error.
         """
-        with open(path) as fh:
-            return cls.from_items(_parse_kv_lines(fh))
-
-    @classmethod
-    def from_items(cls, items: dict) -> "NetworkConfig":
-        """Build a config from a {key: string value} mapping."""
-        field_map = {f.name: f for f in dataclasses.fields(cls)}
-        kwargs = {}
+        field_types = {f.name: f.type for f in dataclasses.fields(self)}
+        updates = {}
         for key, raw in items.items():
             if key in _DB_KEYS:
                 target = _DB_KEYS[key]
                 value = float(db_to_linear(float(raw)))
-            elif key in field_map:
+            elif key in field_types:
                 target = key
-                if field_map[key].type == "int":
-                    value = int(raw)
-                else:
-                    value = float(raw)
+                value = int(raw) if field_types[key] == "int" else float(raw)
             else:
                 raise ValueError(f"unknown config key {key!r}")
-            if target in kwargs:
+            if target in updates:
                 raise ValueError(f"config sets {target!r} twice (dB and linear forms?)")
-            kwargs[target] = value
-        return cls(**kwargs)
+            updates[target] = value
+        return self.replace(**updates)
 
 
 def _parse_kv_lines(lines) -> dict:
@@ -268,52 +259,6 @@ def generate_channels(config: NetworkConfig, seed) -> ChannelRealization:
     return ChannelRealization(**arrays)
 
 
-def _check_beams(real: ChannelRealization, v, u=None, p=None):
-    k, mu, mb = real.k_su, real.m_u, real.m_b
-    v = np.asarray(v)
-    if v.shape != (k, mb):
-        raise ValueError(f"v must have shape {(k, mb)}, got {v.shape}")
-    out = [v]
-    if u is not None:
-        u = np.asarray(u)
-        if u.shape != (k, mu):
-            raise ValueError(f"u must have shape {(k, mu)}, got {u.shape}")
-        out.append(u)
-    if p is not None:
-        p = np.asarray(p, dtype=float)
-        if p.shape != (k,):
-            raise ValueError(f"p must have shape {(k,)}, got {p.shape}")
-        out.append(p)
-    return out
-
-
-def true_interference_to_pu(real: ChannelRealization, v, p) -> np.ndarray:
-    """Interference sum_k p_k |v_k^H h_l0|^2 at each receiving PU."""
-    v, p = _check_beams(real, v, p=p)
-    h_rx = real.h_pu_sbs[real.pu_rx]
-    cross = np.abs(v.conj() @ h_rx.T) ** 2
-    return cross.T @ p
-
-
-def estimated_interference_to_pu(real: ChannelRealization, v, p, config: NetworkConfig) -> np.ndarray:
-    """SBS-side interference estimate sum_k p_k (|v_k^H hhat_l0|^2 + sigma2_delta)."""
-    v, p = _check_beams(real, v, p=p)
-    hhat_rx = real.hhat_pu_sbs[real.pu_rx]
-    cross = np.abs(v.conj() @ hhat_rx.T) ** 2 + config.sigma2_delta
-    return cross.T @ p
-
-
-def _interference_from_pu(real, u, config, use_estimates):
-    if use_estimates:
-        ch = real.hhat_pu_su[real.pu_tx]
-        floor = config.sigma2_delta
-    else:
-        ch = real.h_pu_su[real.pu_tx]
-        floor = 0.0
-    cross = np.abs(np.einsum("ku,lku->lk", u.conj(), ch)) ** 2
-    return config.p_p * (cross + floor).sum(axis=0)
-
-
 def interference_from_pu(real: ChannelRealization, u, config: NetworkConfig, use_estimates: bool) -> np.ndarray:
     """PU-to-SU interference power per SU after receive beamforming.
 
@@ -323,53 +268,50 @@ def interference_from_pu(real: ChannelRealization, u, config: NetworkConfig, use
     u = np.asarray(u)
     if u.shape != (real.k_su, real.m_u):
         raise ValueError(f"u must have shape {(real.k_su, real.m_u)}, got {u.shape}")
-    return _interference_from_pu(real, u, config, use_estimates)
+    if use_estimates:
+        ch, floor = real.hhat_pu_su[real.pu_tx], config.sigma2_delta
+    else:
+        ch, floor = real.h_pu_su[real.pu_tx], 0.0
+    cross = np.abs(np.einsum("ku,lku->lk", u.conj(), ch)) ** 2
+    return config.p_p * (cross + floor).sum(axis=0)
 
 
-def inter_stream_interference(real: ChannelRealization, v, u, p) -> np.ndarray:
-    """Per-SU interference from the other SUs' streams, sum_{j!=k} p_j |u_k^H H_k v_j|^2."""
-    v, u, p = _check_beams(real, v, u, p)
-    eff = np.einsum("ku,kub,jb->kj", u.conj(), real.h_su, v)
-    cross = np.abs(eff) ** 2
-    own = np.diagonal(cross).copy()
-    return cross @ p - own * p
-
-
-def _sinr(real, v, u, p, config, use_estimates):
-    v, u, p = _check_beams(real, v, u, p)
-    eff = np.einsum("ku,kub,jb->kj", u.conj(), real.h_su, v)
-    cross = np.abs(eff) ** 2
-    own = np.diagonal(cross).copy()
-    inter = cross @ p - own * p
-    pu = _interference_from_pu(real, u, config, use_estimates)
-    return (p * own) / (config.sigma2_w + pu + inter)
-
-
-def true_sinr(real: ChannelRealization, v, u, p, config: NetworkConfig) -> np.ndarray:
-    """Per-SU SINR with true PU channels in the denominator."""
-    return _sinr(real, v, u, p, config, use_estimates=False)
-
-
-def estimated_sinr(real: ChannelRealization, v, u, p, config: NetworkConfig) -> np.ndarray:
-    """Per-SU SINR as the SBS estimates it (hhat plus the error floor)."""
-    return _sinr(real, v, u, p, config, use_estimates=True)
+def _cross_gains(real: ChannelRealization, v, u) -> np.ndarray:
+    """(k_su, k_su) matrix of |u_k^H H_k v_j|^2: SU k's receiver, stream j."""
+    g = np.einsum("ku,kub->kb", u.conj(), real.h_su)
+    return np.abs(g @ v.T) ** 2
 
 
 def evaluate_links(real: ChannelRealization, v, u, p, config: NetworkConfig) -> LinkMetrics:
-    """Compute every link metric once for a given beam/power choice."""
-    v, u, p = _check_beams(real, v, u, p)
-    eff = np.einsum("ku,kub,jb->kj", u.conj(), real.h_su, v)
-    cross = np.abs(eff) ** 2
-    own = np.diagonal(cross).copy()
+    """Compute every link metric once for a given beam/power choice.
+
+    Args:
+        v: (k_su, m_b) transmit beams.
+        u: (k_su, m_u) receive beams.
+        p: (k_su,) per-SU powers.
+
+    Raises:
+        ValueError: if a shape does not match the realization.
+    """
+    v, u, p = np.asarray(v), np.asarray(u), np.asarray(p, dtype=float)
+    k = real.k_su
+    for name, arr, shape in (("v", v, (k, real.m_b)), ("u", u, (k, real.m_u)), ("p", p, (k,))):
+        if arr.shape != shape:
+            raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
+    cross = _cross_gains(real, v, u)
+    own = np.diagonal(cross)
     inter = cross @ p - own * p
-    pu_true = _interference_from_pu(real, u, config, use_estimates=False)
-    pu_est = _interference_from_pu(real, u, config, use_estimates=True)
+    pu_true = interference_from_pu(real, u, config, use_estimates=False)
+    pu_est = interference_from_pu(real, u, config, use_estimates=True)
     sig = p * own
+    # per-stream leakage |v_k^H h_l0|^2 into each receiving PU
+    leak_true = np.abs(v.conj() @ real.h_pu_sbs[real.pu_rx].T) ** 2
+    leak_est = np.abs(v.conj() @ real.hhat_pu_sbs[real.pu_rx].T) ** 2 + config.sigma2_delta
     return LinkMetrics(
         sinr_true=sig / (config.sigma2_w + pu_true + inter),
         sinr_est=sig / (config.sigma2_w + pu_est + inter),
-        int_to_pu_true=true_interference_to_pu(real, v, p),
-        int_to_pu_est=estimated_interference_to_pu(real, v, p, config),
+        int_to_pu_true=leak_true.T @ p,
+        int_to_pu_est=leak_est.T @ p,
         int_from_pu_est=pu_est,
         int_inter_stream=inter,
     )

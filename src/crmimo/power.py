@@ -1,13 +1,13 @@
 """Power allocation under interference, rate and budget constraints.
 
-Three entry points.  solve_lf_meb runs a phase-1 simplex on the linear
-feasibility system induced by the MEB beams (interference caps at the
-receiving PUs, per-SU rate floors, total power budget).  equal_rate_zfb
-computes the closed-form powers that make every SU's estimated rate
-exactly r0 under ZF beams, which is feasible iff the total stays inside
-min(p0, i0/sigma2_delta); solve_lf_zfb decides LF ZFB through exactly
-that allocation.  verify_allocation audits any powers against the
-original constraints, on estimated or true channels.
+solve_lf_meb runs a phase-1 simplex on the linear feasibility system
+induced by the MEB beams (interference caps at the receiving PUs,
+per-SU rate floors, total power budget).  solve_lf_zfb computes the
+closed-form powers that make every SU's estimated rate exactly r0 under
+ZF beams, which is feasible iff the total stays inside min(p0,
+i0/sigma2_delta).  solve_lf picks the solver by the beams' scheme.
+verify_allocation audits any powers against the original constraints,
+on estimated or true channels.
 """
 
 from __future__ import annotations
@@ -18,13 +18,7 @@ import numpy as np
 
 from . import simplex
 from .beamforming import MEB, ZFB, BeamformingSolution
-from .network import (
-    ChannelRealization,
-    NetworkConfig,
-    estimated_interference_to_pu,
-    evaluate_links,
-    interference_from_pu,
-)
+from .network import ChannelRealization, NetworkConfig, evaluate_links, interference_from_pu
 
 __all__ = [
     "LF_MEB",
@@ -37,8 +31,8 @@ __all__ = [
     "export_constraints",
     "load_constraints",
     "solve_lf_meb",
-    "equal_rate_zfb",
     "solve_lf_zfb",
+    "solve_lf",
     "equal_power",
     "slack_from_links",
     "verify_allocation",
@@ -79,17 +73,17 @@ class SlackReport:
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Solver output: powers, verdict and constraint margins.
+    """Solver output: powers and verdict.
 
-    blocking names the constraint family (interference, rate, power)
-    with the largest violation at the phase-1 optimum when the LF MEB
-    system is infeasible; None otherwise.
+    Audit the powers with verify_allocation.  blocking names the
+    constraint family (interference, rate, power) with the largest
+    violation at the phase-1 optimum when the LF MEB system is
+    infeasible; None otherwise.
     """
 
     p: np.ndarray
     feasible: bool
     scheme: str
-    slack: SlackReport
     blocking: str | None = None
 
 
@@ -176,15 +170,12 @@ def solve_lf_meb(real: ChannelRealization, beams: BeamformingSolution, config: N
     """
     a, b, labels = lf_meb_constraints(real, beams, config)
     result = simplex.find_feasible(a, b)
-    slack = verify_allocation(real, beams, result.x, config, use_estimates=True)
     blocking = None if result.feasible else _blocking_family(labels, result.row_violation)
-    return PowerAllocation(
-        p=result.x, feasible=result.feasible, scheme=LF_MEB, slack=slack, blocking=blocking
-    )
+    return PowerAllocation(p=result.x, feasible=result.feasible, scheme=LF_MEB, blocking=blocking)
 
 
-def equal_rate_zfb(real: ChannelRealization, beams: BeamformingSolution, config: NetworkConfig) -> PowerAllocation:
-    """Equal-rate powers under ZF beams, with the simple feasibility test.
+def solve_lf_zfb(real: ChannelRealization, beams: BeamformingSolution, config: NetworkConfig) -> PowerAllocation:
+    """Decide LF ZFB through the equal-rate powers, which decide it exactly.
 
     p_k = (2^r0 - 1)(sigma2_w + estimated PU-to-SU interference) / gain_k
     makes every estimated rate exactly r0 (ZF removes the inter-stream
@@ -206,16 +197,19 @@ def equal_rate_zfb(real: ChannelRealization, beams: BeamformingSolution, config:
     if config.sigma2_delta > 0.0:
         budget = min(budget, config.i0 / config.sigma2_delta)
     feasible = bool(p.sum() <= budget)
-    slack = verify_allocation(real, beams, p, config, use_estimates=True)
     return PowerAllocation(
-        p=p, feasible=feasible, scheme=LF_ZFB_EQUAL_RATE, slack=slack,
+        p=p, feasible=feasible, scheme=LF_ZFB_EQUAL_RATE,
         blocking=None if feasible else ("power" if p.sum() > config.p0 else "interference"),
     )
 
 
-def solve_lf_zfb(real: ChannelRealization, beams: BeamformingSolution, config: NetworkConfig) -> PowerAllocation:
-    """Decide LF ZFB; equal-rate allocation decides it exactly."""
-    return equal_rate_zfb(real, beams, config)
+def solve_lf(real: ChannelRealization, beams: BeamformingSolution, config: NetworkConfig) -> PowerAllocation:
+    """Decide the LF problem with the solver of the beams' scheme."""
+    if beams.scheme == MEB:
+        return solve_lf_meb(real, beams, config)
+    if beams.scheme == ZFB:
+        return solve_lf_zfb(real, beams, config)
+    raise ValueError(f"unknown scheme {beams.scheme!r}")
 
 
 def equal_power(config: NetworkConfig, p_eq: float) -> np.ndarray:

@@ -33,7 +33,6 @@ from crmimo.montecarlo import (
 )
 from crmimo.network import NetworkConfig, db_to_linear, generate_channels, linear_to_db
 from crmimo.power import (
-    equal_rate_zfb,
     export_constraints,
     lf_meb_constraints,
     load_constraints,
@@ -210,7 +209,8 @@ class TestCriterion6:
             verdicts.append((real, beams, alloc.feasible))
             if alloc.feasible:
                 n_feasible += 1
-                if not alloc.slack.all_met(tol=-1e-9):
+                slack = verify_allocation(real, beams, alloc, BASELINE, use_estimates=True)
+                if not slack.all_met(tol=-1e-9):
                     audit_fails += 1
         lp_mismatches = 0
         for n, (real, beams, feasible) in enumerate(verdicts[:20]):

@@ -358,6 +358,22 @@ class TestZfbSinrExactLaw:
             assert zfb_sinr_exact_cdf(cfg, 0.4, float(s)) == pytest.approx(expect, abs=1e-13)
             assert zfb_sinr_exact_cdf(silent, 0.4, float(s)) == pytest.approx(expect, abs=1e-13)
 
+    def test_mute_pus_paper_law_and_q_k(self):
+        # l_tx > 0 with p_p = 0 is valid: the paper's law, and so q_k and
+        # the optimizer, reduce to the exact law's plain gamma there
+        cfg = NetworkConfig(l_tx=2, l_rx=1, p_p=0.0)
+        p_eq = 0.015
+        model = zfb_sinr_params(cfg, p_eq)
+        for s in np.logspace(-2, 2, 30):
+            assert zfb_sinr_cdf(model, float(s)) == pytest.approx(
+                zfb_sinr_exact_cdf(cfg, p_eq, float(s)), abs=1e-13)
+        thr = 2.0 ** cfg.r0 - 1.0
+        expect = ((1.0 - zfb_sinr_exact_cdf(cfg, p_eq, thr)) ** cfg.k_su
+                  * zfb_interference_cdf(cfg, p_eq, cfg.i0) ** cfg.l_rx)
+        assert 0.01 < expect < 0.99
+        assert q_k(ZFB, cfg, p_eq) == pytest.approx(expect, abs=1e-12)
+        assert 0.0 <= optimize_equal_power(ZFB, cfg).q <= 1.0
+
     @pytest.mark.parametrize("m_b,l_tx", [(64, 0), (64, 1), (128, 3), (1024, 2)])
     def test_cdf_properties(self, m_b, l_tx):
         cfg = NetworkConfig(m_b=m_b, l_tx=l_tx)

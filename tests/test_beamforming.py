@@ -11,6 +11,7 @@ from crmimo.beamforming import (
     AntennaShortageError,
     BeamformingSolution,
     IllConditionedError,
+    compute_beams,
     compute_meb,
     compute_zfb,
     export_diagnostics,
@@ -166,6 +167,15 @@ class TestZfb:
         )
         with pytest.raises(IllConditionedError):
             compute_zfb(clone)
+
+
+class TestComputeBeams:
+    def test_dispatch_and_unknown_scheme(self):
+        _, real = make()
+        assert np.array_equal(compute_beams(real, MEB).v, compute_meb(real).v)
+        assert np.array_equal(compute_beams(real, ZFB).v, compute_zfb(real).v)
+        with pytest.raises(ValueError, match="unknown scheme"):
+            compute_beams(real, "meb")
 
 
 class TestDiagnostics:

@@ -78,6 +78,12 @@ class TestMainExitCodes:
         assert code == EXIT_CONFIG
         assert "unknown config key" in capsys.readouterr().err
 
+    def test_set_db_and_linear_conflict(self, tmp_path, capsys):
+        code = main(["--experiment", "single_solve", "--set", "p0=10", "--set", "p0_db=10",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "twice" in capsys.readouterr().err
+
     def test_fig2_rejects_foreign_sweep(self, tmp_path, capsys):
         code = main(["--experiment", "fig2_eq_power_sweep", "--sweep", "r0=1,2",
                      "--out", str(tmp_path)])
@@ -194,7 +200,7 @@ class TestSweepExperiments:
         assert header[:3] == ["scheme", "quantity", "ks_distance"]
         assert {(row[0], row[1]) for row in body} == {
             ("MEB", "sinr"), ("MEB", "interference"),
-            ("ZFB", "sinr"), ("ZFB", "interference"),
+            ("ZFB", "sinr"), ("ZFB", "sinr_exact"), ("ZFB", "interference"),
         }
         for row in body:
             assert 0.0 <= float(row[2]) <= 1.0

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+import crmimo.montecarlo
+import crmimo.power
 from crmimo.analytics import GammaParams
 from crmimo.beamforming import MEB, ZFB
 from crmimo.montecarlo import (
@@ -119,6 +121,27 @@ class TestServingLogic:
             run_trials(SMALL, MEB, "GREEDY", 5, seed=0)
         with pytest.raises(ValueError):
             run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 5, seed=0)  # missing p_eq
+
+    @pytest.mark.parametrize("scheme", ["meb", "bogus"])
+    @pytest.mark.parametrize("policy", [POLICY_LF, POLICY_EQUAL_POWER])
+    def test_unknown_scheme_rejected(self, scheme, policy):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            run_trials(SMALL, scheme, policy, 3, seed=0, p_eq=0.5)
+
+    @pytest.mark.parametrize("scheme", [MEB, ZFB])
+    def test_lf_evaluates_links_once_per_trial(self, scheme, monkeypatch):
+        calls = []
+        for module in (crmimo.montecarlo, crmimo.power):
+            original = module.evaluate_links
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(1)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "evaluate_links", counted)
+        res = run_trials(SMALL, scheme, POLICY_LF, 7, seed=4)
+        assert res.n_failed == 0
+        assert len(calls) == 7
 
 
 class TestMaxSus:

@@ -1,4 +1,4 @@
-"""Config, channel generation and the exact link evaluators."""
+"""Config, channel generation and the exact link evaluator."""
 
 import numpy as np
 import pytest
@@ -6,14 +6,10 @@ import pytest
 from crmimo.network import (
     NetworkConfig,
     db_to_linear,
-    estimated_interference_to_pu,
-    estimated_sinr,
     evaluate_links,
     generate_channels,
     interference_from_pu,
     linear_to_db,
-    true_interference_to_pu,
-    true_sinr,
 )
 
 
@@ -141,23 +137,22 @@ class TestEvaluators:
 
     def test_zero_power(self, setup):
         cfg, real, v, u, p = setup
-        zero = np.zeros(cfg.k_su)
-        assert np.all(true_interference_to_pu(real, v, zero) == 0)
-        assert np.all(true_sinr(real, v, u, zero, cfg) == 0)
-        assert np.all(estimated_sinr(real, v, u, zero, cfg) == 0)
+        links = evaluate_links(real, v, u, np.zeros(cfg.k_su), cfg)
+        assert np.all(links.int_to_pu_true == 0)
+        assert np.all(links.sinr_true == 0)
+        assert np.all(links.sinr_est == 0)
 
     def test_aligned_beam(self):
         cfg = small_config(k_su=1, l_tx=0, l_rx=1, m_u=1)
         real = generate_channels(cfg, 2)
         h = real.h_pu_sbs[real.pu_rx][0]
         v = (h / np.linalg.norm(h))[None, :]
-        out = true_interference_to_pu(real, v, np.ones(1))
+        out = evaluate_links(real, v, np.ones((1, 1)), np.ones(1), cfg).int_to_pu_true
         assert out[0] == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-12)
 
     def test_interference_oracle(self, setup):
         cfg, real, v, u, p = setup
-        got_true = true_interference_to_pu(real, v, p)
-        got_est = estimated_interference_to_pu(real, v, p, cfg)
+        links = evaluate_links(real, v, u, p, cfg)
         for i, l in enumerate(real.pu_rx):
             acc_t = acc_e = 0.0
             for k in range(cfg.k_su):
@@ -165,13 +160,12 @@ class TestEvaluators:
                 dot_e = sum(np.conj(v[k][b]) * real.hhat_pu_sbs[l][b] for b in range(cfg.m_b))
                 acc_t += p[k] * abs(dot_t) ** 2
                 acc_e += p[k] * (abs(dot_e) ** 2 + cfg.sigma2_delta)
-            assert got_true[i] == pytest.approx(acc_t, rel=1e-12)
-            assert got_est[i] == pytest.approx(acc_e, rel=1e-12)
+            assert links.int_to_pu_true[i] == pytest.approx(acc_t, rel=1e-12)
+            assert links.int_to_pu_est[i] == pytest.approx(acc_e, rel=1e-12)
 
     def test_sinr_oracle(self, setup):
         cfg, real, v, u, p = setup
-        got_t = true_sinr(real, v, u, p, cfg)
-        got_e = estimated_sinr(real, v, u, p, cfg)
+        links = evaluate_links(real, v, u, p, cfg)
         for k in range(cfg.k_su):
             hk = real.h_su[k]
             sig = p[k] * abs(np.conj(u[k]) @ hk @ v[k]) ** 2
@@ -182,12 +176,16 @@ class TestEvaluators:
             pu_e = sum(cfg.p_p * (abs(np.conj(u[k]) @ real.hhat_pu_su[l, k]) ** 2
                                   + cfg.sigma2_delta)
                        for l in real.pu_tx)
-            assert got_t[k] == pytest.approx(sig / (cfg.sigma2_w + pu_t + inter), rel=1e-12)
-            assert got_e[k] == pytest.approx(sig / (cfg.sigma2_w + pu_e + inter), rel=1e-12)
+            assert links.int_inter_stream[k] == pytest.approx(inter, rel=1e-12)
+            assert links.int_from_pu_est[k] == pytest.approx(pu_e, rel=1e-12)
+            assert links.sinr_true[k] == pytest.approx(sig / (cfg.sigma2_w + pu_t + inter),
+                                                       rel=1e-12)
+            assert links.sinr_est[k] == pytest.approx(sig / (cfg.sigma2_w + pu_e + inter),
+                                                      rel=1e-12)
 
     def test_error_floor(self, setup):
         cfg, real, v, u, p = setup
-        est = estimated_interference_to_pu(real, v, p, cfg)
+        est = evaluate_links(real, v, u, p, cfg).int_to_pu_est
         assert np.all(est >= p.sum() * cfg.sigma2_delta - 1e-15)
 
     def test_perfect_csi_collapse(self):
@@ -197,31 +195,30 @@ class TestEvaluators:
         v = unit_rows(rng, (cfg.k_su, cfg.m_b))
         u = unit_rows(rng, (cfg.k_su, cfg.m_u))
         p = rng.uniform(0.1, 1.0, cfg.k_su)
-        assert np.allclose(true_interference_to_pu(real, v, p),
-                           estimated_interference_to_pu(real, v, p, cfg), rtol=0, atol=0)
-        assert np.allclose(true_sinr(real, v, u, p, cfg),
-                           estimated_sinr(real, v, u, p, cfg), rtol=0, atol=0)
+        links = evaluate_links(real, v, u, p, cfg)
+        assert np.array_equal(links.int_to_pu_true, links.int_to_pu_est)
+        assert np.array_equal(links.sinr_true, links.sinr_est)
 
     def test_dimension_mismatch(self, setup):
         cfg, real, v, u, p = setup
         with pytest.raises(ValueError):
-            true_interference_to_pu(real, v[:, :-1], p)
+            evaluate_links(real, v[:, :-1], u, p, cfg)
         with pytest.raises(ValueError):
-            true_sinr(real, v, u[:-1], p, cfg)
+            evaluate_links(real, v, u[:-1], p, cfg)
         with pytest.raises(ValueError):
-            estimated_sinr(real, v, u, p[:-1], cfg)
+            evaluate_links(real, v, u, p[:-1], cfg)
         with pytest.raises(ValueError):
             interference_from_pu(real, u[:, :-1], cfg, True)
 
     def test_evaluate_links_consistent(self, setup):
+        # both flavors share the signal and the inter-stream term
         cfg, real, v, u, p = setup
         links = evaluate_links(real, v, u, p, cfg)
-        assert np.allclose(links.sinr_true, true_sinr(real, v, u, p, cfg), rtol=1e-14)
-        assert np.allclose(links.sinr_est, estimated_sinr(real, v, u, p, cfg), rtol=1e-14)
-        assert np.allclose(links.int_to_pu_true, true_interference_to_pu(real, v, p), rtol=1e-14)
-        assert np.allclose(links.int_to_pu_est,
-                           estimated_interference_to_pu(real, v, p, cfg), rtol=1e-14)
-        assert np.allclose(links.int_from_pu_est,
-                           interference_from_pu(real, u, cfg, True), rtol=1e-14)
+        pu_true = interference_from_pu(real, u, cfg, False)
+        assert np.array_equal(links.int_from_pu_est, interference_from_pu(real, u, cfg, True))
+        sig_true = links.sinr_true * (cfg.sigma2_w + pu_true + links.int_inter_stream)
+        sig_est = links.sinr_est * (cfg.sigma2_w + links.int_from_pu_est
+                                    + links.int_inter_stream)
+        assert np.allclose(sig_true, sig_est, rtol=1e-14)
         assert np.all(links.int_inter_stream >= 0)
         assert np.all(np.isfinite(links.int_inter_stream))

@@ -13,10 +13,10 @@ from crmimo.power import (
     PowerAllocation,
     ZeroGainError,
     equal_power,
-    equal_rate_zfb,
     export_constraints,
     lf_meb_constraints,
     load_constraints,
+    solve_lf,
     solve_lf_meb,
     solve_lf_zfb,
     verify_allocation,
@@ -69,7 +69,7 @@ class TestLfMebConstraints:
         with pytest.raises(ValueError, match="MEB"):
             lf_meb_constraints(real, compute_zfb(real), cfg)
         with pytest.raises(ValueError, match="ZFB"):
-            equal_rate_zfb(real, compute_meb(real), cfg)
+            solve_lf_zfb(real, compute_meb(real), cfg)
 
     def test_export_load_round_trip(self, tmp_path):
         cfg, real = scenario()
@@ -101,7 +101,7 @@ class TestSolveLfMeb:
             alloc = solve_lf_meb(real, beams, cfg)
             if alloc.feasible:
                 hits += 1
-                assert alloc.slack.all_met()
+                assert verify_allocation(real, beams, alloc, cfg, use_estimates=True).all_met()
                 assert np.all(alloc.p >= 0)
                 assert alloc.p.sum() <= cfg.p0 + 1e-9
                 assert alloc.blocking is None
@@ -141,7 +141,7 @@ class TestEqualRateZfb:
     def test_rates_exact(self):
         cfg, real = scenario()
         beams = compute_zfb(real)
-        alloc = equal_rate_zfb(real, beams, cfg)
+        alloc = solve_lf_zfb(real, beams, cfg)
         slack = verify_allocation(real, beams, alloc.p, cfg, use_estimates=True)
         assert np.max(np.abs(slack.rate)) < 1e-9
         assert alloc.scheme == LF_ZFB_EQUAL_RATE
@@ -151,7 +151,7 @@ class TestEqualRateZfb:
         cfg, real = scenario(l_tx=0, r0=2.0, sigma2_w=3.0)
         beams = compute_zfb(real)
         expect = 3.0 * 3.0 / beams.gain
-        alloc = equal_rate_zfb(real, beams, cfg)
+        alloc = solve_lf_zfb(real, beams, cfg)
         assert np.allclose(alloc.p, expect, rtol=1e-12)
 
     def test_feasibility_is_exact_budget_test(self):
@@ -165,7 +165,7 @@ class TestEqualRateZfb:
     def test_perfect_csi_budget_is_p0_only(self):
         cfg, real = scenario(sigma2_delta=0.0, r0=6.0)
         beams = compute_zfb(real)
-        alloc = equal_rate_zfb(real, beams, cfg)
+        alloc = solve_lf_zfb(real, beams, cfg)
         assert alloc.feasible == (alloc.p.sum() <= cfg.p0)
         # true nulling is exact here, so the interference slack is full
         true_slack = verify_allocation(real, beams, alloc.p, cfg, use_estimates=False)
@@ -173,10 +173,10 @@ class TestEqualRateZfb:
 
     def test_blocking_attribution(self):
         cfg, real = scenario(i0=1e-6, sigma2_delta=0.1)
-        alloc = equal_rate_zfb(real, compute_zfb(real), cfg)
+        alloc = solve_lf_zfb(real, compute_zfb(real), cfg)
         assert not alloc.feasible and alloc.blocking == "interference"
         cfg2, real2 = scenario(p0=1e-6, i0=100.0, sigma2_delta=1e-6)
-        alloc2 = equal_rate_zfb(real2, compute_zfb(real2), cfg2)
+        alloc2 = solve_lf_zfb(real2, compute_zfb(real2), cfg2)
         assert not alloc2.feasible and alloc2.blocking == "power"
 
     def test_zero_gain_rejected(self):
@@ -186,7 +186,24 @@ class TestEqualRateZfb:
                              sigma2_k1=beams.sigma2_k1,
                              gain=np.zeros_like(beams.gain))
         with pytest.raises(ZeroGainError):
-            equal_rate_zfb(real, broken, cfg)
+            solve_lf_zfb(real, broken, cfg)
+
+
+class TestSolveLf:
+    def test_dispatch_follows_beam_scheme(self):
+        cfg, real = scenario()
+        for beams, solver in ((compute_meb(real), solve_lf_meb), (compute_zfb(real), solve_lf_zfb)):
+            got, want = solve_lf(real, beams, cfg), solver(real, beams, cfg)
+            assert got.scheme == want.scheme and got.feasible == want.feasible
+            assert np.array_equal(got.p, want.p)
+
+    def test_unknown_scheme_rejected(self):
+        cfg, real = scenario()
+        beams = compute_meb(real)
+        bogus = type(beams)(scheme="MRT", v=beams.v, u=beams.u,
+                            sigma2_k1=beams.sigma2_k1, gain=beams.gain)
+        with pytest.raises(ValueError, match="unknown scheme"):
+            solve_lf(real, bogus, cfg)
 
 
 class TestAudits:
@@ -225,7 +242,7 @@ class TestAudits:
     def test_accepts_allocation_object(self):
         cfg, real = scenario()
         beams = compute_zfb(real)
-        alloc = equal_rate_zfb(real, beams, cfg)
+        alloc = solve_lf_zfb(real, beams, cfg)
         direct = verify_allocation(real, beams, alloc.p, cfg, use_estimates=True)
         via_alloc = verify_allocation(real, beams, alloc, cfg, use_estimates=True)
         assert np.array_equal(direct.interference, via_alloc.interference)
@@ -244,6 +261,7 @@ class TestAudits:
 
     def test_allocation_dataclass(self):
         cfg, real = scenario()
-        alloc = solve_lf_meb(real, compute_meb(real), cfg)
+        beams = compute_meb(real)
+        alloc = solve_lf_meb(real, beams, cfg)
         assert isinstance(alloc, PowerAllocation)
-        assert alloc.slack.use_estimates
+        assert verify_allocation(real, beams, alloc, cfg, use_estimates=True).use_estimates
