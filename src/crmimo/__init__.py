@@ -44,7 +44,7 @@ from .analytics import (
     GammaParams,
     InverseGammaParams,
     GenFParams,
-    MebSinrInputs,
+    PointMassParams,
     expected_max_eig,
     meb_sinr_params,
     meb_sinr_cdf,

@@ -32,9 +32,7 @@ __all__ = [
     "GammaParams",
     "InverseGammaParams",
     "GenFParams",
-    "MebSinrInputs",
-    "MebSinrModel",
-    "ZfbSinrModel",
+    "PointMassParams",
     "EqualPowerOptimum",
     "WISHART_SAMPLES",
     "expected_max_eig",
@@ -125,43 +123,18 @@ class GenFParams:
 
 
 @dataclass(frozen=True)
-class MebSinrInputs:
-    """Moment aggregates behind the MEB SINR model.
+class PointMassParams:
+    """Unit point mass at value: the MEB SINR when its denominator is
+    deterministic (k_su = 1 with no transmitting PU)."""
 
-    The reciprocal SINR is c + x where x collects the PU and
-    inter-stream terms with mean a and second moment b; x alone is
-    matched by Gamma(k_z, theta_z) and the full denominator c + x by
-    Gamma(k_prime, theta_prime), whose reciprocal is the SINR model.
-    Identities k_prime*theta_prime = c + a and
-    k_prime*theta_prime^2 = b hold by construction.
-    """
+    value: float
 
-    a: float
-    b: float
-    c: float
-    k_z: float
-    theta_z: float
-    k_prime: float
-    theta_prime: float
+    def __post_init__(self):
+        if not math.isfinite(self.value) or self.value <= 0:
+            raise ValueError(f"value must be finite and positive, got {self.value!r}")
 
-
-@dataclass(frozen=True)
-class MebSinrModel:
-    """MEB SINR distribution: inverse gamma, or a point mass when the
-    denominator is deterministic (k_su = 1 with no transmitting PU)."""
-
-    params: InverseGammaParams | None
-    inputs: MebSinrInputs
-    point_mass: float | None = None
-
-
-@dataclass(frozen=True)
-class ZfbSinrModel:
-    """ZFB SINR distribution: generalized F, or a plain gamma when no
-    transmitting PU randomizes the denominator."""
-
-    genf: GenFParams | None
-    gamma: GammaParams | None = None
+    def cdf(self, s: float) -> float:
+        return 1.0 if s >= self.value else 0.0
 
 
 WISHART_SAMPLES = 100_000
@@ -247,14 +220,18 @@ def expected_max_eig(m_u: int, m_b: int, sigma2_h: float = 1.0) -> float:
     return sigma2_h * cache[key][0]
 
 
-def meb_sinr_params(config: NetworkConfig, p_eq: float) -> MebSinrModel:
-    """Moment-matched MEB SINR model at equal power p_eq.
+def meb_sinr_params(config: NetworkConfig, p_eq: float) -> InverseGammaParams | PointMassParams:
+    """Moment-matched MEB SINR law at equal power p_eq.
 
-    With e = E[sigma2_k1], the reciprocal SINR aggregates are
+    With e = E[sigma2_k1], the reciprocal SINR is c + x, where x
+    collects the PU and inter-stream terms with mean a and second
+    moment b:
     a = l_tx p_p sigma2_h/(p_eq e) + (k_su - 1)/m_b,
     b = l_tx p_p^2 sigma2_h^2/(p_eq e)^2 + (k_su - 1)/m_b^2,
-    c = sigma2_w/(p_eq e), giving the inverse-gamma shape
-    (c + a)^2/b and reciprocal scale b/(c + a).
+    c = sigma2_w/(p_eq e).  The gamma with shape (c + a)^2/b and scale
+    b/(c + a) has the mean c + a and variance b of c + x, so the SINR
+    law is the inverse gamma with those values.  When b = 0 (k_su = 1
+    with no transmitting PU) the SINR is the constant 1/c.
     """
     if not (p_eq > 0.0) or not math.isfinite(p_eq):
         raise ValueError(f"p_eq must be positive and finite, got {p_eq!r}")
@@ -265,28 +242,15 @@ def meb_sinr_params(config: NetworkConfig, p_eq: float) -> MebSinrModel:
     b = pu2 + (config.k_su - 1) / config.m_b ** 2
     c = config.sigma2_w / (p_eq * e)
     if b == 0.0:
-        inputs = MebSinrInputs(a=a, b=b, c=c, k_z=0.0, theta_z=0.0,
-                               k_prime=0.0, theta_prime=0.0)
-        return MebSinrModel(params=None, inputs=inputs, point_mass=1.0 / c)
-    k_prime = (c + a) ** 2 / b
-    theta_prime = b / (c + a)
-    k_z = a ** 2 / b
-    theta_z = b / a
-    inputs = MebSinrInputs(a=a, b=b, c=c, k_z=k_z, theta_z=theta_z,
-                           k_prime=k_prime, theta_prime=theta_prime)
-    return MebSinrModel(params=InverseGammaParams(shape=k_prime, theta=theta_prime),
-                        inputs=inputs)
+        return PointMassParams(value=1.0 / c)
+    return InverseGammaParams(shape=(c + a) ** 2 / b, theta=b / (c + a))
 
 
-def meb_sinr_cdf(model, s: float) -> float:
-    """Pr(MEB SINR <= s); accepts a MebSinrModel or InverseGammaParams."""
+def meb_sinr_cdf(law: InverseGammaParams | PointMassParams, s: float) -> float:
+    """Pr(MEB SINR <= s) under a law from meb_sinr_params."""
     if not (s > 0.0):
         raise ValueError(f"s must be positive, got {s!r}")
-    if isinstance(model, InverseGammaParams):
-        return model.cdf(s)
-    if model.point_mass is not None:
-        return 1.0 if s >= model.point_mass else 0.0
-    return model.params.cdf(s)
+    return law.cdf(s)
 
 
 def meb_interference_cdf(config: NetworkConfig, p_eq: float, x: float) -> float:
@@ -317,8 +281,8 @@ def _zfb_numerator(config: NetworkConfig, p_eq: float) -> tuple[int, float]:
     return k_n, expected_max_eig(config.m_u, config.m_b, config.sigma2_h)
 
 
-def zfb_sinr_params(config: NetworkConfig, p_eq: float) -> ZfbSinrModel:
-    """Moment-matched ZFB SINR model at equal power p_eq (the paper's law).
+def zfb_sinr_params(config: NetworkConfig, p_eq: float) -> GenFParams | GammaParams:
+    """Moment-matched ZFB SINR law at equal power p_eq (the paper's law).
 
     The numerator gain concentrates on a gamma with shape
     k_n = m_b - k_su - l_rx + 1 (the ZF null-space dimension) and the
@@ -330,24 +294,19 @@ def zfb_sinr_params(config: NetworkConfig, p_eq: float) -> ZfbSinrModel:
     k_n, e = _zfb_numerator(config, p_eq)
     theta_n = p_eq * e / config.m_b
     if config.l_tx == 0 or config.p_p == 0.0:
-        return ZfbSinrModel(genf=None,
-                            gamma=GammaParams(shape=float(k_n), scale=theta_n / config.sigma2_w))
+        return GammaParams(shape=float(k_n), scale=theta_n / config.sigma2_w)
     pu_mean = config.l_tx * config.p_p * config.sigma2_h
     pu_var = config.l_tx * (config.p_p * config.sigma2_h) ** 2
     k_d = (config.sigma2_w + pu_mean) ** 2 / pu_var
     lam = pu_mean * config.m_b / (p_eq * e * (config.sigma2_w + pu_mean))
-    return ZfbSinrModel(genf=GenFParams(k_n=float(k_n), k_d=k_d, lam=lam))
+    return GenFParams(k_n=float(k_n), k_d=k_d, lam=lam)
 
 
-def zfb_sinr_cdf(model, s: float) -> float:
-    """Pr(ZFB SINR <= s); accepts a ZfbSinrModel or GenFParams."""
+def zfb_sinr_cdf(law: GenFParams | GammaParams, s: float) -> float:
+    """Pr(ZFB SINR <= s) under a law from zfb_sinr_params."""
     if not (s >= 0.0):
         raise ValueError(f"s must be nonnegative, got {s!r}")
-    if isinstance(model, GenFParams):
-        return model.cdf(s)
-    if model.genf is not None:
-        return model.genf.cdf(s)
-    return model.gamma.cdf(s)
+    return law.cdf(s)
 
 
 def zfb_interference_cdf(config: NetworkConfig, p_eq: float, x: float) -> float:

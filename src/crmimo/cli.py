@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,36 +36,9 @@ from . import analytics
 
 __all__ = ["ExperimentSpec", "build_spec", "run", "emit_plot_data", "main"]
 
-EXPERIMENTS = (
-    "fig2_eq_power_sweep",
-    "fig3_meb_compare",
-    "fig4_zfb_compare",
-    "fig5_max_sus",
-    "cdf_validation",
-    "single_solve",
-)
-
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-_DEFAULT_TRIALS = {
-    "fig2_eq_power_sweep": 1000,
-    "fig3_meb_compare": 1000,
-    "fig4_zfb_compare": 1000,
-    "fig5_max_sus": 500,
-    "cdf_validation": 10_000,
-    "single_solve": 1,
-}
-
-_DEFAULT_SWEEPS = {
-    "fig2_eq_power_sweep": ("p_eq_db", tuple(float(x) for x in range(-20, 1, 2))),
-    "fig3_meb_compare": ("sigma2_delta", (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)),
-    "fig4_zfb_compare": ("sigma2_delta", (0.01, 0.02, 0.05, 0.1, 0.2, 0.5)),
-    "fig5_max_sus": ("r0", (1.0, 2.0, 3.0, 4.0)),
-    "cdf_validation": None,
-    "single_solve": None,
-}
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(NetworkConfig)}
 
@@ -125,7 +99,8 @@ def build_spec(args) -> ExperimentSpec:
     overrides = _parse_set_args(args.overrides)
     config = config.with_items(overrides)
 
-    sweep = _DEFAULT_SWEEPS[args.experiment]
+    preset = _PRESETS[args.experiment]
+    sweep = preset.sweep
     if args.sweep:
         if "=" not in args.sweep:
             raise ValueError(f"--sweep expects FIELD=V1,V2,..., got {args.sweep!r}")
@@ -143,25 +118,18 @@ def build_spec(args) -> ExperimentSpec:
     else:
         m_b_list = (64, 128) + ((512, 1024) if args.large_mb else ())
 
+    schemes = preset.schemes
     if args.schemes:
         schemes = tuple(s.strip().upper() for s in args.schemes.split(","))
-    elif args.experiment == "fig3_meb_compare":
-        schemes = (MEB,)
-    elif args.experiment == "fig4_zfb_compare":
-        schemes = (ZFB,)
-    else:
-        schemes = (MEB, ZFB)
-
+    policies = preset.policies
     if args.policies:
         policies = tuple(s.strip().upper() for s in args.policies.split(","))
-    elif args.experiment in ("fig3_meb_compare", "fig4_zfb_compare"):
-        policies = (POLICY_EQUAL_POWER_OPT, POLICY_LF)
-    elif args.experiment == "single_solve":
-        policies = (POLICY_LF,)
-    elif args.experiment == "fig5_max_sus":
-        policies = (POLICY_EQUAL_POWER_OPT,)
-    else:
-        policies = (POLICY_EQUAL_POWER,)
+    if preset.fixed_policy and set(policies) != set(preset.policies):
+        raise ValueError(f"{args.experiment} runs only {preset.policies[0]}, "
+                         f"got --policies {args.policies}")
+    if not preset.policy_column and len(policies) > 1:
+        raise ValueError(f"{args.experiment} runs one policy (its CSV has no "
+                         f"policy column), got --policies {args.policies}")
 
     p_eq = None
     if args.p_eq_db is not None:
@@ -173,7 +141,7 @@ def build_spec(args) -> ExperimentSpec:
         sweep=sweep,
         schemes=schemes,
         policies=policies,
-        n_trials=args.trials if args.trials else _DEFAULT_TRIALS[args.experiment],
+        n_trials=args.trials if args.trials else preset.trials,
         seed=args.seed,
         out_dir=args.out,
         m_b_list=m_b_list,
@@ -220,24 +188,22 @@ def _fig2(spec: ExperimentSpec):
 
 
 def _fig_compare(spec: ExperimentSpec):
-    scheme = spec.schemes[0]
     name, values = spec.sweep
     rows = []
     for value in values:
         config = spec.config.with_items({name: value})
-        for policy in spec.policies:
-            p_eq = spec.p_eq
-            analytic = ""
-            if policy == POLICY_EQUAL_POWER_OPT:
-                opt = analytics.optimize_equal_power(scheme, config)
-                analytic = _fmt(opt.q)
-            res = run_trials(config, scheme, policy, spec.n_trials, spec.seed,
-                             p_eq=p_eq, n_workers=spec.n_workers)
-            p_eq_db = "" if res.p_eq is None else _fmt(float(linear_to_db(res.p_eq)))
-            rows.append([_fmt(float(value)), scheme, policy, _fmt(res.p_served),
-                         _fmt(res.stderr), analytic, p_eq_db, res.n_trials])
-            print(f"{spec.experiment} {name}={value} policy={policy} "
-                  f"p_served={res.p_served:.4f}")
+        for scheme in spec.schemes:
+            for policy in spec.policies:
+                res = run_trials(config, scheme, policy, spec.n_trials, spec.seed,
+                                 p_eq=spec.p_eq, n_workers=spec.n_workers)
+                analytic = ""
+                if policy == POLICY_EQUAL_POWER_OPT:
+                    analytic = _fmt(analytics.q_k(scheme, config, res.p_eq))
+                p_eq_db = "" if res.p_eq is None else _fmt(float(linear_to_db(res.p_eq)))
+                rows.append([_fmt(float(value)), scheme, policy, _fmt(res.p_served),
+                             _fmt(res.stderr), analytic, p_eq_db, res.n_trials])
+                print(f"{spec.experiment} {name}={value} scheme={scheme} policy={policy} "
+                      f"p_served={res.p_served:.4f}")
     header = [name, "scheme", "policy", "p_served", "stderr",
               "q_analytical", "p_eq_db", "n_trials"]
     return f"{spec.experiment}.csv", header, rows
@@ -271,14 +237,11 @@ def _cdf_validation(spec: ExperimentSpec):
         res = run_trials(config, scheme, POLICY_EQUAL_POWER, spec.n_trials,
                          spec.seed, p_eq=p_eq, n_workers=spec.n_workers)
         if scheme == MEB:
-            sinr_model = analytics.meb_sinr_params(config, p_eq)
-            laws = [("sinr", res.sinr_true,
-                     lambda s: analytics.meb_sinr_cdf(sinr_model, max(s, 1e-300))),
+            laws = [("sinr", res.sinr_true, analytics.meb_sinr_params(config, p_eq).cdf),
                     ("interference", res.int_to_pu_true,
                      lambda x: analytics.meb_interference_cdf(config, p_eq, x))]
         else:
-            sinr_model = analytics.zfb_sinr_params(config, p_eq)
-            laws = [("sinr", res.sinr_true, lambda s: analytics.zfb_sinr_cdf(sinr_model, s)),
+            laws = [("sinr", res.sinr_true, analytics.zfb_sinr_params(config, p_eq).cdf),
                     ("sinr_exact", res.sinr_true,
                      lambda s: analytics.zfb_sinr_exact_cdf(config, p_eq, s)),
                     ("interference", res.int_to_pu_true,
@@ -299,46 +262,76 @@ def _cdf_validation(spec: ExperimentSpec):
 
 def _single_solve(spec: ExperimentSpec):
     config = spec.config
-    scheme = spec.schemes[0]
-    policy = spec.policies[0]
     real = generate_channels(config, spec.seed)
-    beams = compute_beams(real, scheme)
-    if policy == POLICY_LF:
-        alloc = solve_lf(real, beams, config)
-        p, feasible = alloc.p, alloc.feasible
-    else:
-        p_eq = spec.p_eq
-        if p_eq is None and policy == POLICY_EQUAL_POWER_OPT:
-            p_eq = analytics.optimize_equal_power(scheme, config).p_eq
-        if p_eq is None:
-            p_eq = config.p0 / config.k_su
-        p = equal_power(config, p_eq)
-        feasible = verify_allocation(real, beams, p, config, use_estimates=True).all_met()
-    print(f"single_solve scheme={scheme} policy={policy} feasible={feasible}")
     rows = []
-    for k, pk in enumerate(p):
-        db = float(linear_to_db(pk)) if pk > 0 else float("-inf")
-        rows.append([k, _fmt(float(pk)), _fmt(db), scheme, policy, feasible])
-        print(f"  P_{k} = {pk:.6e} ({db:+.2f} dB)" if pk > 0
-              else f"  P_{k} = {pk:.6e}")
+    for scheme in spec.schemes:
+        beams = compute_beams(real, scheme)
+        for policy in spec.policies:
+            if policy == POLICY_LF:
+                alloc = solve_lf(real, beams, config)
+                p, feasible = alloc.p, alloc.feasible
+            else:
+                p_eq = spec.p_eq
+                if p_eq is None and policy == POLICY_EQUAL_POWER_OPT:
+                    p_eq = analytics.optimize_equal_power(scheme, config).p_eq
+                if p_eq is None:
+                    p_eq = config.p0 / config.k_su
+                p = equal_power(config, p_eq)
+                feasible = verify_allocation(real, beams, p, config,
+                                             use_estimates=True).all_met()
+            print(f"single_solve scheme={scheme} policy={policy} feasible={feasible}")
+            for k, pk in enumerate(p):
+                db = float(linear_to_db(pk)) if pk > 0 else float("-inf")
+                rows.append([k, _fmt(float(pk)), _fmt(db), scheme, policy, feasible])
+                print(f"  P_{k} = {pk:.6e} ({db:+.2f} dB)" if pk > 0
+                      else f"  P_{k} = {pk:.6e}")
     header = ["su", "p", "p_db", "scheme", "policy", "feasible"]
     return "single_solve.csv", header, rows
+
+
+@dataclass(frozen=True)
+class _Preset:
+    """What an experiment runs by default, and which policies it can take.
+
+    An experiment whose CSV has no policy column runs one policy; a
+    fixed-policy experiment runs only its default policy.
+    """
+
+    runner: Callable[[ExperimentSpec], tuple]
+    trials: int
+    sweep: tuple[str, tuple[float, ...]] | None
+    schemes: tuple[str, ...]
+    policies: tuple[str, ...]
+    policy_column: bool = False
+    fixed_policy: bool = False
+
+
+_SIGMA2_DELTA_SWEEP = ("sigma2_delta", (0.01, 0.02, 0.05, 0.1, 0.2, 0.5))
+_COMPARED = (POLICY_EQUAL_POWER_OPT, POLICY_LF)
+
+_PRESETS = {
+    "fig2_eq_power_sweep": _Preset(
+        _fig2, 1000, ("p_eq_db", tuple(float(x) for x in range(-20, 1, 2))),
+        (MEB, ZFB), (POLICY_EQUAL_POWER,), fixed_policy=True),
+    "fig3_meb_compare": _Preset(_fig_compare, 1000, _SIGMA2_DELTA_SWEEP, (MEB,), _COMPARED,
+                                policy_column=True),
+    "fig4_zfb_compare": _Preset(_fig_compare, 1000, _SIGMA2_DELTA_SWEEP, (ZFB,), _COMPARED,
+                                policy_column=True),
+    "fig5_max_sus": _Preset(_fig5, 500, ("r0", (1.0, 2.0, 3.0, 4.0)), (MEB, ZFB),
+                            (POLICY_EQUAL_POWER_OPT,)),
+    "cdf_validation": _Preset(_cdf_validation, 10_000, None, (MEB, ZFB),
+                              (POLICY_EQUAL_POWER,), fixed_policy=True),
+    "single_solve": _Preset(_single_solve, 1, None, (MEB, ZFB), (POLICY_LF,),
+                            policy_column=True),
+}
+
+EXPERIMENTS = tuple(_PRESETS)
 
 
 def run(spec: ExperimentSpec) -> int:
     """Execute one experiment spec; returns a process exit status."""
     os.makedirs(spec.out_dir, exist_ok=True)
-    if spec.experiment == "fig2_eq_power_sweep":
-        out = _fig2(spec)
-    elif spec.experiment in ("fig3_meb_compare", "fig4_zfb_compare"):
-        out = _fig_compare(spec)
-    elif spec.experiment == "fig5_max_sus":
-        out = _fig5(spec)
-    elif spec.experiment == "cdf_validation":
-        out = _cdf_validation(spec)
-    else:
-        out = _single_solve(spec)
-    filename, header, rows = out
+    filename, header, rows = _PRESETS[spec.experiment].runner(spec)
     path = os.path.join(spec.out_dir, filename)
     _write_csv(path, header, rows)
     print(f"wrote {path}")

@@ -14,9 +14,8 @@ from crmimo.analytics import (
     GammaParams,
     GenFParams,
     InverseGammaParams,
-    MebSinrModel,
+    PointMassParams,
     WISHART_SAMPLES,
-    ZfbSinrModel,
     equal_power_bounds,
     expected_max_eig,
     load_wishart_cache,
@@ -135,62 +134,66 @@ class TestWishartMeans:
             expected_max_eig(2, 4, sigma2_h=0.0)
 
 
+def meb_aggregates(cfg, p_eq):
+    """Mean a, second moment b and constant c of the MEB reciprocal SINR."""
+    pe = p_eq * expected_max_eig(cfg.m_u, cfg.m_b, cfg.sigma2_h)
+    a = cfg.l_tx * cfg.p_p * cfg.sigma2_h / pe + (cfg.k_su - 1) / cfg.m_b
+    b = cfg.l_tx * (cfg.p_p * cfg.sigma2_h / pe) ** 2 + (cfg.k_su - 1) / cfg.m_b ** 2
+    return a, b, cfg.sigma2_w / pe
+
+
 class TestMebSinrModel:
     def test_moment_identities(self):
-        model = meb_sinr_params(BASE, 0.5)
-        inp = model.inputs
-        assert inp.k_prime * inp.theta_prime == pytest.approx(inp.c + inp.a, rel=1e-12)
-        assert inp.k_prime * inp.theta_prime ** 2 == pytest.approx(inp.b, rel=1e-12)
-        assert inp.k_z * inp.theta_z == pytest.approx(inp.a, rel=1e-12)
-        assert inp.k_z * inp.theta_z ** 2 == pytest.approx(inp.b, rel=1e-12)
+        law = meb_sinr_params(BASE, 0.5)
+        a, b, c = meb_aggregates(BASE, 0.5)
+        assert law.shape * law.theta == pytest.approx(c + a, rel=1e-12)
+        assert law.shape * law.theta ** 2 == pytest.approx(b, rel=1e-12)
 
     def test_aggregates_closed_form(self):
         cfg = NetworkConfig(m_b=64, m_u=4, k_su=10, l_tx=1, p_p=1.0, sigma2_h=1.0)
         p_eq = 0.25
         e = expected_max_eig(4, 64)
-        model = meb_sinr_params(cfg, p_eq)
-        assert model.inputs.a == pytest.approx(1.0 / (p_eq * e) + 9 / 64, rel=1e-12)
-        assert model.inputs.b == pytest.approx(1.0 / (p_eq * e) ** 2 + 9 / 64 ** 2, rel=1e-12)
-        assert model.inputs.c == pytest.approx(1.0 / (p_eq * e), rel=1e-12)
-
-    def test_single_su_single_pu(self):
-        # k_su = 1: a = b^(1/2) so k_z = 1 (exponential interference term)
-        cfg = NetworkConfig(k_su=1, l_tx=1)
-        model = meb_sinr_params(cfg, 1.0)
-        assert model.inputs.k_z == pytest.approx(1.0, rel=1e-12)
+        a = 1.0 / (p_eq * e) + 9 / 64
+        b = 1.0 / (p_eq * e) ** 2 + 9 / 64 ** 2
+        c = 1.0 / (p_eq * e)
+        assert meb_aggregates(cfg, p_eq) == pytest.approx((a, b, c), rel=1e-12)
+        law = meb_sinr_params(cfg, p_eq)
+        assert law.shape == pytest.approx((c + a) ** 2 / b, rel=1e-12)
+        assert law.theta == pytest.approx(b / (c + a), rel=1e-12)
 
     def test_point_mass_branch(self):
         cfg = NetworkConfig(k_su=1, l_tx=0)
-        model = meb_sinr_params(cfg, 2.0)
-        assert model.point_mass is not None
+        law = meb_sinr_params(cfg, 2.0)
+        assert isinstance(law, PointMassParams)
         e = expected_max_eig(4, 64)
-        assert model.point_mass == pytest.approx(2.0 * e / cfg.sigma2_w, rel=1e-12)
-        assert meb_sinr_cdf(model, model.point_mass * 0.99) == 0.0
-        assert meb_sinr_cdf(model, model.point_mass) == 1.0
+        assert law.value == pytest.approx(2.0 * e / cfg.sigma2_w, rel=1e-12)
+        assert meb_sinr_cdf(law, law.value * 0.99) == 0.0
+        assert meb_sinr_cdf(law, law.value) == 1.0
 
     def test_cdf_sampling_oracle(self):
-        # draw the modeled quantity itself: 1/(c + z), z ~ Gamma(k_z, theta_z)
-        model = meb_sinr_params(BASE, 0.5)
-        inp = model.inputs
+        # draw the modeled quantity itself: 1/(c + z), z ~ Gamma(a^2/b, b/a)
+        law = meb_sinr_params(BASE, 0.5)
+        a, b, c = meb_aggregates(BASE, 0.5)
         rng = np.random.default_rng(8)
-        z = rng.gamma(inp.k_z, inp.theta_z, 400_000)
-        sinr = 1.0 / (inp.c + z)
-        # the model gammafies c + z; verify its CDF matches the two-moment fit
-        ks = ks_against(np.sort(sinr)[::400], lambda s: meb_sinr_cdf(model, s))
+        z = rng.gamma(a ** 2 / b, b / a, 400_000)
+        sinr = 1.0 / (c + z)
+        # the law gammafies c + z; verify its CDF matches the two-moment fit
+        ks = ks_against(np.sort(sinr)[::400], lambda s: meb_sinr_cdf(law, s))
         assert ks < 0.05  # moment matching, not exact: loose bar
 
     def test_cdf_monotone(self):
-        model = meb_sinr_params(BASE, 0.5)
+        law = meb_sinr_params(BASE, 0.5)
         ss = np.logspace(-3, 2, 40)
-        vals = [meb_sinr_cdf(model, float(s)) for s in ss]
+        vals = [meb_sinr_cdf(law, float(s)) for s in ss]
         assert all(b >= a - 1e-14 for a, b in zip(vals, vals[1:]))
         assert vals[0] >= 0 and vals[-1] <= 1
 
     def test_accepts_raw_params(self):
-        model = meb_sinr_params(BASE, 0.5)
-        assert meb_sinr_cdf(model.params, 1.0) == meb_sinr_cdf(model, 1.0)
+        law = meb_sinr_params(BASE, 0.5)
+        raw = InverseGammaParams(shape=law.shape, theta=law.theta)
+        assert meb_sinr_cdf(raw, 1.0) == meb_sinr_cdf(law, 1.0) == law.cdf(1.0)
         with pytest.raises(ValueError):
-            meb_sinr_cdf(model, 0.0)
+            meb_sinr_cdf(law, 0.0)
 
 
 class TestInterferenceModels:
@@ -237,30 +240,30 @@ class TestZfbSinrModel:
                             sigma2_h=1.0, sigma2_w=1.0)
         p_eq = 0.5
         e = expected_max_eig(4, 64)
-        model = zfb_sinr_params(cfg, p_eq)
-        assert model.genf.k_n == 64 - 10 - 1 + 1
+        law = zfb_sinr_params(cfg, p_eq)
+        assert law.k_n == 64 - 10 - 1 + 1
         # k_d = (1 + 1)^2 / 1 = 4 for one unit-power PU in unit noise
-        assert model.genf.k_d == pytest.approx(4.0, rel=1e-12)
-        assert model.genf.lam == pytest.approx(64 / (p_eq * e * 2.0), rel=1e-12)
+        assert law.k_d == pytest.approx(4.0, rel=1e-12)
+        assert law.lam == pytest.approx(64 / (p_eq * e * 2.0), rel=1e-12)
         # ZF nulls the other k_su - 1 streams and the l_rx receiving PUs,
         # so k_n counts l_rx; the transmitting PUs only shape the denominator
-        model = zfb_sinr_params(NetworkConfig(l_tx=2, l_rx=0), p_eq)
-        assert model.genf.k_n == 64 - 10 - 0 + 1
+        law = zfb_sinr_params(NetworkConfig(l_tx=2, l_rx=0), p_eq)
+        assert law.k_n == 64 - 10 - 0 + 1
         # k_d = (1 + 2)^2 / 2 for two unit-power PUs in unit noise
-        assert model.genf.k_d == pytest.approx(4.5, rel=1e-12)
-        assert model.genf.lam == pytest.approx(2 * 64 / (p_eq * e * 3.0), rel=1e-12)
-        model = zfb_sinr_params(NetworkConfig(l_tx=1, l_rx=3), p_eq)
-        assert model.genf.k_n == 64 - 10 - 3 + 1
-        assert model.genf.k_d == pytest.approx(4.0, rel=1e-12)
+        assert law.k_d == pytest.approx(4.5, rel=1e-12)
+        assert law.lam == pytest.approx(2 * 64 / (p_eq * e * 3.0), rel=1e-12)
+        law = zfb_sinr_params(NetworkConfig(l_tx=1, l_rx=3), p_eq)
+        assert law.k_n == 64 - 10 - 3 + 1
+        assert law.k_d == pytest.approx(4.0, rel=1e-12)
 
     def test_no_pu_reduces_to_gamma(self):
         cfg = NetworkConfig(l_tx=0)  # l_rx stays 1: one PU estimate is nulled
-        model = zfb_sinr_params(cfg, 0.5)
-        assert model.genf is None
+        law = zfb_sinr_params(cfg, 0.5)
+        assert isinstance(law, GammaParams)
         e = expected_max_eig(4, 64)
-        assert model.gamma.shape == 64 - 10 - 1 + 1
-        assert model.gamma.scale == pytest.approx(0.5 * e / 64, rel=1e-12)
-        assert zfb_sinr_cdf(model, 1e9) == pytest.approx(1.0, abs=1e-12)
+        assert law.shape == 64 - 10 - 1 + 1
+        assert law.scale == pytest.approx(0.5 * e / 64, rel=1e-12)
+        assert zfb_sinr_cdf(law, 1e9) == pytest.approx(1.0, abs=1e-12)
 
     def test_antenna_floor(self):
         with pytest.raises(ValueError):
@@ -282,13 +285,13 @@ class TestZfbSinrModel:
                 assert compute_zfb(real).v.shape == (10, m_b)
 
     def test_cdf_sampling_oracle(self):
-        model = zfb_sinr_params(BASE, 0.5).genf
+        law = zfb_sinr_params(BASE, 0.5)
         rng = np.random.default_rng(10)
         n = 1_000_000
-        w = rng.gamma(model.k_n, 1.0, n)
-        d = rng.gamma(model.k_d, model.lam, n)
+        w = rng.gamma(law.k_n, 1.0, n)
+        d = rng.gamma(law.k_d, law.lam, n)
         samples = np.sort(w / d)
-        ks = ks_against(samples[::1000], model.cdf)
+        ks = ks_against(samples[::1000], law.cdf)
         assert ks < 0.01
 
     def test_monotone_in_lambda(self):
@@ -299,8 +302,10 @@ class TestZfbSinrModel:
             assert cdf_hi.cdf(s) > cdf_lo.cdf(s)
 
     def test_model_types(self):
-        assert isinstance(zfb_sinr_params(BASE, 1.0), ZfbSinrModel)
-        assert isinstance(meb_sinr_params(BASE, 1.0), MebSinrModel)
+        assert type(zfb_sinr_params(BASE, 1.0)) is GenFParams
+        assert type(zfb_sinr_params(NetworkConfig(l_tx=0), 1.0)) is GammaParams
+        assert type(meb_sinr_params(BASE, 1.0)) is InverseGammaParams
+        assert type(meb_sinr_params(NetworkConfig(k_su=1, l_tx=0), 1.0)) is PointMassParams
 
 
 def exact_law_oracle(cfg, p_eq, s):
@@ -423,6 +428,19 @@ class TestServingProbability:
     def test_unknown_scheme(self):
         with pytest.raises(ValueError):
             q_k("MRT", BASE, 1.0)
+
+    @pytest.mark.parametrize("cfg", [BASE, NetworkConfig(l_tx=0), NetworkConfig(k_su=1, l_tx=0)])
+    def test_product_of_law_cdfs(self, cfg):
+        # generalized F / gamma for ZFB; inverse gamma, and a point mass
+        # at k_su = 1 with l_tx = 0, for MEB
+        thr = 2.0 ** cfg.r0 - 1.0
+        for p_eq in (0.005, 0.05, 0.5):
+            for scheme, law, interference_cdf in (
+                    (MEB, meb_sinr_params(cfg, p_eq), meb_interference_cdf),
+                    (ZFB, zfb_sinr_params(cfg, p_eq), zfb_interference_cdf)):
+                expect = ((1.0 - law.cdf(thr)) ** cfg.k_su
+                          * interference_cdf(cfg, p_eq, cfg.i0) ** cfg.l_rx)
+                assert q_k(scheme, cfg, p_eq) == pytest.approx(expect, abs=1e-15)
 
     def test_in_unit_interval(self):
         for p_db in (-20, -10, 0, 10):

@@ -106,6 +106,17 @@ class TestMainExitCodes:
         code = main(["--emit-plot-data", str(tmp_path / "absent.csv")])
         assert code == EXIT_IO
 
+    def test_policy_the_csv_cannot_record(self, tmp_path, capsys):
+        # fig5 writes no policy column; fig2 and cdf_validation run equal power
+        for experiment, policies in (("fig5_max_sus", "EQUAL_POWER_OPT,LF"),
+                                     ("fig2_eq_power_sweep", "LF"),
+                                     ("cdf_validation", "EQUAL_POWER_OPT")):
+            code = main(["--experiment", experiment, "--policies", policies,
+                         "--out", str(tmp_path)])
+            assert code == EXIT_CONFIG
+            assert experiment in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_experiment_names_stable(self):
         assert EXPERIMENTS == (
             "fig2_eq_power_sweep", "fig3_meb_compare", "fig4_zfb_compare",
@@ -126,6 +137,20 @@ class TestSingleSolve:
         assert {row[3] for row in body} == {"ZFB"}
         with open(tmp_path / "single_solve.csv") as fh:
             assert fh.readline() == "# schema=1\n"
+
+    def test_default_runs_every_scheme_and_policy(self, tmp_path, capsys):
+        code = main(["--experiment", "single_solve", *TINY, "--seed", "7",
+                     "--policies", "LF,EQUAL_POWER", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        _, body = read_csv(tmp_path / "single_solve.csv")
+        pairs = [(row[3], row[4]) for row in body]
+        assert pairs == [(scheme, policy) for scheme in ("MEB", "ZFB")
+                         for policy in ("LF", "EQUAL_POWER") for _ in range(3)]
+        # every pair solves the same realization as a run of that pair alone
+        main(["--experiment", "single_solve", *TINY, "--seed", "7",
+              "--schemes", "ZFB", "--out", str(tmp_path / "zfb")])
+        _, alone = read_csv(tmp_path / "zfb" / "single_solve.csv")
+        assert body[6:9] == alone
 
     def test_equal_power_policy(self, tmp_path, capsys):
         code = main(["--experiment", "single_solve", *TINY,
@@ -170,6 +195,16 @@ class TestSweepExperiments:
         assert len(body) == 2
         assert {row[1] for row in body} == {"MEB"}
         assert {row[2] for row in body} == {"LF"}
+
+    def test_fig3_every_scheme(self, tmp_path, capsys):
+        code = main(["--experiment", "fig3_meb_compare", *TINY,
+                     "--sweep", "sigma2_delta=0.05", "--trials", "4",
+                     "--schemes", "MEB,ZFB", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        _, body = read_csv(tmp_path / "fig3_meb_compare.csv")
+        assert [(row[1], row[2]) for row in body] == [
+            ("MEB", "EQUAL_POWER_OPT"), ("MEB", "LF"),
+            ("ZFB", "EQUAL_POWER_OPT"), ("ZFB", "LF")]
 
     def test_fig4_compare_policies(self, tmp_path):
         code = main(["--experiment", "fig4_zfb_compare", *TINY,
@@ -224,7 +259,8 @@ class TestSweepExperiments:
                      "--set", "k_su=2", "--out", str(tmp_path)])
         assert code == EXIT_OK
         _, body = read_csv(tmp_path / "single_solve.csv")
-        assert len(body) == 2  # override wins over the file
+        # override wins over the file: 2 SUs for each default scheme
+        assert [row[3] for row in body] == ["MEB", "MEB", "ZFB", "ZFB"]
 
 
 class TestEmitPlotData:
