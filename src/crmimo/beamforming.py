@@ -1,11 +1,14 @@
 """Transmit/receive beamforming for the secondary downlink.
 
 Two schemes.  MEB points each SU's transmit and receive beams along the
-principal singular pair of its own channel and ignores the PUs.  ZFB
-keeps the MEB receive beams but picks transmit beams from the
+principal singular pair of its own channel and ignores the PUs; the pair
+comes from the top eigenpair of the m_u x m_u Gram matrix H_k H_k^H.
+ZFB keeps the MEB receive beams but picks transmit beams from the
 pseudo-inverse of the stacked equivalent SU channels and estimated
 receiving-PU channels, so each stream nulls the other SUs and the PU
 estimates.  ZFB needs m_b > k_su - 1 + l_rx spatial degrees of freedom.
+Its stacking matrix keeps an SVD: a Gram form would square the condition
+number, and the 1e-10 rank cutoff could no longer be resolved.
 """
 
 from __future__ import annotations
@@ -52,8 +55,9 @@ class BeamformingSolution:
     Attributes:
         scheme: MEB or ZFB.
         v: (k_su, m_b) unit-norm transmit beams.
-        u: (k_su, m_u) unit-norm receive beams (principal left singular
-            vectors under both schemes).
+        u: (k_su, m_u) unit-norm receive beams under both schemes: the
+            principal left singular vectors, i.e. the top eigenvectors of
+            each H_k H_k^H.
         sigma2_k1: squared principal singular value of each SU channel.
         gain: effective link gain |u_k^H H_k v_k|^2.
     """
@@ -76,17 +80,25 @@ def _fix_phase(v, u):
 def compute_meb(real: ChannelRealization) -> BeamformingSolution:
     """Maximum eigenmode beamforming: principal singular pair per SU.
 
+    The pair comes from the top eigenpair (lambda, u_k) of the m_u x m_u
+    Gram matrix H_k H_k^H, then v_k = H_k^H u_k / sqrt(lambda): one
+    batched eigh of k_su tiny matrices instead of an SVD of each
+    m_u x m_b channel.  lambda is the squared principal singular value.
+
     Args:
         real: channel realization.
 
     Returns:
         BeamformingSolution with gain equal to sigma2_k1.
     """
-    un, s, vh = np.linalg.svd(real.h_su, full_matrices=False)
-    u = un[:, :, 0]
-    v = vh[:, 0, :].conj()
+    h = real.h_su
+    lam, vec = np.linalg.eigh(h @ h.conj().transpose(0, 2, 1))
+    sigma2_k1 = lam[:, -1]
+    u = vec[:, :, -1]
+    # scale the short u side: dividing the long complex v costs more
+    w = u.conj() / np.sqrt(sigma2_k1)[:, None]
+    v = (w[:, None, :] @ h)[:, 0, :].conj()
     v, u = _fix_phase(v, u)
-    sigma2_k1 = s[:, 0] ** 2
     for a in (v, u, sigma2_k1):
         a.setflags(write=False)
     return BeamformingSolution(scheme=MEB, v=v, u=u, sigma2_k1=sigma2_k1, gain=sigma2_k1)
@@ -111,7 +123,8 @@ def compute_zfb(real: ChannelRealization) -> BeamformingSolution:
             f"ZFB needs m_b > k_su - 1 + l_rx, got m_b={mb}, k_su={k}, l_rx={l_rx}"
         )
     meb = compute_meb(real)
-    g = np.einsum("kub,ku->bk", real.h_su.conj(), meb.u)
+    # g_k = H_k^H u_k = sqrt(sigma2_k1) v_k, phase fix included
+    g = meb.v.T * np.sqrt(meb.sigma2_k1)
     cols = [g]
     if l_rx:
         cols.append(real.hhat_pu_sbs[real.pu_rx].T)
@@ -122,10 +135,12 @@ def compute_zfb(real: ChannelRealization) -> BeamformingSolution:
         raise IllConditionedError(
             f"ZF stacking matrix has condition number {s[0] / s[-1]:.3e}"
         )
-    # columns of pinv(G)^H, restricted to the SU streams
-    w = (un / s) @ vh
-    v = (w[:, :k] / np.linalg.norm(w[:, :k], axis=0)).T
-    gain = np.abs(np.einsum("ku,kub,kb->k", meb.u.conj(), real.h_su, v)) ** 2
+    # the SU-stream columns of pinv(G)^H = un diag(1/s) vh, normalized on
+    # the small side: un has orthonormal columns, so it keeps their norms
+    c = vh[:, :k] / s[:, None]
+    c /= np.linalg.norm(c, axis=0)
+    v = (un @ c).T
+    gain = np.abs(np.einsum("bk,kb->k", g.conj(), v)) ** 2
     for a in (v, gain):
         a.setflags(write=False)
     return BeamformingSolution(

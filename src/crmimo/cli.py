@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import MEB, ZFB, compute_beams
+from .beamforming import MEB, ZFB, AntennaShortageError, IllConditionedError, compute_beams
 from .montecarlo import (
     POLICY_EQUAL_POWER,
     POLICY_EQUAL_POWER_OPT,
@@ -130,6 +130,9 @@ def build_spec(args) -> ExperimentSpec:
     if not preset.policy_column and len(policies) > 1:
         raise ValueError(f"{args.experiment} runs one policy (its CSV has no "
                          f"policy column), got --policies {args.policies}")
+    if POLICY_EQUAL_POWER in policies and args.p_eq_db is None and not preset.own_p_eq:
+        raise ValueError(f"{args.experiment} --policies {POLICY_EQUAL_POWER} "
+                         "needs --p-eq-db")
 
     p_eq = None
     if args.p_eq_db is not None:
@@ -265,7 +268,13 @@ def _single_solve(spec: ExperimentSpec):
     real = generate_channels(config, spec.seed)
     rows = []
     for scheme in spec.schemes:
-        beams = compute_beams(real, scheme)
+        try:
+            beams = compute_beams(real, scheme)
+        except (AntennaShortageError, IllConditionedError) as exc:
+            print(f"single_solve scheme={scheme} error={type(exc).__name__}: {exc}")
+            rows.extend(["", "", "", scheme, policy, "", type(exc).__name__]
+                        for policy in spec.policies)
+            continue
         for policy in spec.policies:
             if policy == POLICY_LF:
                 alloc = solve_lf(real, beams, config)
@@ -282,10 +291,10 @@ def _single_solve(spec: ExperimentSpec):
             print(f"single_solve scheme={scheme} policy={policy} feasible={feasible}")
             for k, pk in enumerate(p):
                 db = float(linear_to_db(pk)) if pk > 0 else float("-inf")
-                rows.append([k, _fmt(float(pk)), _fmt(db), scheme, policy, feasible])
+                rows.append([k, _fmt(float(pk)), _fmt(db), scheme, policy, feasible, ""])
                 print(f"  P_{k} = {pk:.6e} ({db:+.2f} dB)" if pk > 0
                       else f"  P_{k} = {pk:.6e}")
-    header = ["su", "p", "p_db", "scheme", "policy", "feasible"]
+    header = ["su", "p", "p_db", "scheme", "policy", "feasible", "error"]
     return "single_solve.csv", header, rows
 
 
@@ -294,7 +303,8 @@ class _Preset:
     """What an experiment runs by default, and which policies it can take.
 
     An experiment whose CSV has no policy column runs one policy; a
-    fixed-policy experiment runs only its default policy.
+    fixed-policy experiment runs only its default policy.  One without
+    its own p_eq needs --p-eq-db to run EQUAL_POWER.
     """
 
     runner: Callable[[ExperimentSpec], tuple]
@@ -304,6 +314,7 @@ class _Preset:
     policies: tuple[str, ...]
     policy_column: bool = False
     fixed_policy: bool = False
+    own_p_eq: bool = False
 
 
 _SIGMA2_DELTA_SWEEP = ("sigma2_delta", (0.01, 0.02, 0.05, 0.1, 0.2, 0.5))
@@ -312,7 +323,7 @@ _COMPARED = (POLICY_EQUAL_POWER_OPT, POLICY_LF)
 _PRESETS = {
     "fig2_eq_power_sweep": _Preset(
         _fig2, 1000, ("p_eq_db", tuple(float(x) for x in range(-20, 1, 2))),
-        (MEB, ZFB), (POLICY_EQUAL_POWER,), fixed_policy=True),
+        (MEB, ZFB), (POLICY_EQUAL_POWER,), fixed_policy=True, own_p_eq=True),
     "fig3_meb_compare": _Preset(_fig_compare, 1000, _SIGMA2_DELTA_SWEEP, (MEB,), _COMPARED,
                                 policy_column=True),
     "fig4_zfb_compare": _Preset(_fig_compare, 1000, _SIGMA2_DELTA_SWEEP, (ZFB,), _COMPARED,
@@ -320,9 +331,9 @@ _PRESETS = {
     "fig5_max_sus": _Preset(_fig5, 500, ("r0", (1.0, 2.0, 3.0, 4.0)), (MEB, ZFB),
                             (POLICY_EQUAL_POWER_OPT,)),
     "cdf_validation": _Preset(_cdf_validation, 10_000, None, (MEB, ZFB),
-                              (POLICY_EQUAL_POWER,), fixed_policy=True),
+                              (POLICY_EQUAL_POWER,), fixed_policy=True, own_p_eq=True),
     "single_solve": _Preset(_single_solve, 1, None, (MEB, ZFB), (POLICY_LF,),
-                            policy_column=True),
+                            policy_column=True, own_p_eq=True),
 }
 
 EXPERIMENTS = tuple(_PRESETS)
@@ -343,7 +354,8 @@ def emit_plot_data(csv_path, out_dir=None) -> list:
 
     One file per distinct (scheme, policy) pair when those columns
     exist, otherwise a single file.  Values are copied verbatim, so a
-    round trip preserves them exactly.  Idempotent.
+    round trip preserves them exactly; an empty field is written as nan,
+    which keeps the whitespace-delimited columns aligned.  Idempotent.
     """
     with open(csv_path, newline="") as fh:
         lines = [ln for ln in fh if not ln.lstrip().startswith("#")]
@@ -373,7 +385,7 @@ def emit_plot_data(csv_path, out_dir=None) -> list:
             fh.write("# schema=1\n")
             fh.write("# " + " ".join(header) + "\n")
             for row in rows:
-                fh.write(" ".join(row) + "\n")
+                fh.write(" ".join(field or "nan" for field in row) + "\n")
         written.append(path)
     return written
 

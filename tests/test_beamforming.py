@@ -27,6 +27,16 @@ def make(seed=0, **kw):
     return cfg, generate_channels(cfg, seed)
 
 
+def assert_principal_pair(hk, sigma2, u, v):
+    """sigma2, u, v are the principal singular triple of hk, up to one unit phase."""
+    un, s, vh = np.linalg.svd(hk)
+    assert sigma2 == pytest.approx(s[0] ** 2, rel=1e-12)
+    phase = np.vdot(un[:, 0], u)
+    phase /= abs(phase)
+    assert np.abs(u - phase * un[:, 0]).max() < 1e-10
+    assert np.abs(v - phase * vh[0].conj()).max() < 1e-10
+
+
 class TestMeb:
     def test_unit_norms(self):
         _, real = make()
@@ -35,15 +45,16 @@ class TestMeb:
         assert np.allclose(np.linalg.norm(beams.u, axis=1), 1.0, atol=1e-10)
 
     def test_gain_is_principal_eigenvalue(self):
-        _, real = make()
-        beams = compute_meb(real)
-        for k in range(real.k_su):
-            hk = real.h_su[k]
-            lam = np.linalg.eigvalsh(hk @ hk.conj().T)[-1]
-            assert beams.sigma2_k1[k] == pytest.approx(lam, rel=1e-9)
-            got = abs(np.conj(beams.u[k]) @ hk @ beams.v[k]) ** 2
-            assert got == pytest.approx(beams.sigma2_k1[k], rel=1e-9)
-        assert np.array_equal(beams.gain, beams.sigma2_k1)
+        # oracle: a per-SU SVD, independent of the Gram eigensolver under test
+        for shape in ({}, dict(m_u=4, m_b=3), dict(m_u=1)):
+            _, real = make(**shape)
+            beams = compute_meb(real)
+            for k in range(real.k_su):
+                hk = real.h_su[k]
+                assert_principal_pair(hk, beams.sigma2_k1[k], beams.u[k], beams.v[k])
+                got = abs(np.conj(beams.u[k]) @ hk @ beams.v[k]) ** 2
+                assert got == pytest.approx(beams.sigma2_k1[k], rel=1e-9)
+            assert np.array_equal(beams.gain, beams.sigma2_k1)
 
     def test_optimality_over_random_probes(self):
         _, real = make(seed=7)

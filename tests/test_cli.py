@@ -117,6 +117,19 @@ class TestMainExitCodes:
             assert experiment in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
+    def test_equal_power_without_p_eq_runs_nothing(self, tmp_path, capsys):
+        # fig3/fig4/fig5 have no p_eq of their own for EQUAL_POWER
+        for experiment, policies in (("fig3_meb_compare", "EQUAL_POWER_OPT,EQUAL_POWER"),
+                                     ("fig4_zfb_compare", "EQUAL_POWER_OPT,EQUAL_POWER"),
+                                     ("fig5_max_sus", "EQUAL_POWER")):
+            code = main(["--experiment", experiment, *TINY, "--policies", policies,
+                         "--sweep", "r0=1", "--trials", "2", "--out", str(tmp_path)])
+            assert code == EXIT_CONFIG
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "--p-eq-db" in err
+        assert not list(tmp_path.iterdir())
+
     def test_experiment_names_stable(self):
         assert EXPERIMENTS == (
             "fig2_eq_power_sweep", "fig3_meb_compare", "fig4_zfb_compare",
@@ -132,7 +145,7 @@ class TestSingleSolve:
         out = capsys.readouterr().out
         assert "single_solve scheme=ZFB policy=LF feasible=" in out
         header, body = read_csv(tmp_path / "single_solve.csv")
-        assert header == ["su", "p", "p_db", "scheme", "policy", "feasible"]
+        assert header == ["su", "p", "p_db", "scheme", "policy", "feasible", "error"]
         assert len(body) == 3
         assert {row[3] for row in body} == {"ZFB"}
         with open(tmp_path / "single_solve.csv") as fh:
@@ -151,6 +164,28 @@ class TestSingleSolve:
               "--schemes", "ZFB", "--out", str(tmp_path / "zfb")])
         _, alone = read_csv(tmp_path / "zfb" / "single_solve.csv")
         assert body[6:9] == alone
+
+    def test_failed_scheme_keeps_the_others(self, tmp_path, capsys):
+        # m_b = 3 leaves ZFB no null space for k_su = 3 and one receiving PU
+        code = main(["--experiment", "single_solve", "--set", "m_b=3", "--set", "m_u=2",
+                     "--set", "k_su=3", "--policies", "LF,EQUAL_POWER",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert "scheme=ZFB error=AntennaShortageError" in capsys.readouterr().out
+        header, body = read_csv(tmp_path / "single_solve.csv")
+        assert header[-1] == "error"
+        assert [(row[3], row[4]) for row in body[:6]] == [
+            ("MEB", policy) for policy in ("LF", "EQUAL_POWER") for _ in range(3)]
+        assert all(row[1] != "" and row[-1] == "" for row in body[:6])
+        assert body[6:] == [["", "", "", "ZFB", policy, "", "AntennaShortageError"]
+                            for policy in ("LF", "EQUAL_POWER")]
+        written = emit_plot_data(str(tmp_path / "single_solve.csv"))
+        assert sorted(os.path.basename(p) for p in written) == [
+            f"single_solve_{scheme}_{policy}.dat"
+            for scheme in ("meb", "zfb") for policy in ("equal_power", "lf")]
+        with open(tmp_path / "single_solve_zfb_lf.dat") as fh:
+            (line,) = [ln.split() for ln in fh if not ln.startswith("#")]
+        assert line == ["nan", "nan", "nan", "ZFB", "LF", "nan", "AntennaShortageError"]
 
     def test_equal_power_policy(self, tmp_path, capsys):
         code = main(["--experiment", "single_solve", *TINY,
@@ -371,6 +406,15 @@ class TestBuildSpec:
         spec = self.parse({"schemes": "meb", "policies": "equal_power_opt"})
         assert spec.schemes == ("MEB",)
         assert spec.policies == ("EQUAL_POWER_OPT",)
+
+    def test_equal_power_p_eq_sources(self):
+        # fig2 sweeps p_eq, cdf_validation and single_solve fall back to p0/k_su
+        for experiment in ("fig2_eq_power_sweep", "cdf_validation", "single_solve"):
+            assert self.parse({"experiment": experiment,
+                               "policies": "EQUAL_POWER"}).p_eq is None
+        spec = self.parse({"experiment": "fig3_meb_compare",
+                           "policies": "EQUAL_POWER", "p_eq_db": -10.0})
+        assert spec.p_eq == pytest.approx(0.1)
 
     def test_p_eq_db_conversion(self):
         spec = self.parse({"p_eq_db": -10.0})
