@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import MEB, ZFB, AntennaShortageError, IllConditionedError, compute_beams
+from .beamforming import MEB, ZFB, IllConditionedError, compute_beams
 from .montecarlo import (
     POLICY_EQUAL_POWER,
     POLICY_EQUAL_POWER_OPT,
@@ -30,8 +30,9 @@ from .montecarlo import (
     empirical_cdf,
     run_trials,
 )
-from .network import NetworkConfig, _DB_KEYS, db_to_linear, generate_channels, linear_to_db
-from .power import equal_power, solve_lf, verify_allocation
+from .network import (NetworkConfig, _DB_KEYS, db_to_linear, evaluate_links, generate_channels,
+                      linear_to_db)
+from .power import equal_power, slack_from_links, solve_lf
 from . import analytics
 
 __all__ = ["ExperimentSpec", "build_spec", "run", "emit_plot_data", "main"]
@@ -169,24 +170,41 @@ def _fmt(x):
     return x
 
 
+def _rows_or_error(prefix, rows, failed_rows):
+    """The rows an iterable yields, or failed_rows with the exception name appended.
+
+    A model-domain error of one scheme or point (a ValueError such as
+    AntennaShortageError, or IllConditionedError) is printed and recorded
+    in the trailing error column instead of losing the rest of the run.
+    """
+    try:
+        return list(rows)
+    except (ValueError, IllConditionedError) as exc:
+        print(f"{prefix} error={type(exc).__name__}: {exc}")
+        return [row + [type(exc).__name__] for row in failed_rows]
+
+
 def _fig2(spec: ExperimentSpec):
     name, values = spec.sweep
-    rows = []
-    for m_b in spec.m_b_list:
-        config = spec.config.replace(m_b=m_b)
-        for scheme in spec.schemes:
-            for value in values:
-                p_eq = float(db_to_linear(value)) if name == "p_eq_db" else float(value)
-                p_eq_db = float(linear_to_db(p_eq))
-                analytic = analytics.q_k(scheme, config, p_eq)
-                res = run_trials(config, scheme, POLICY_EQUAL_POWER, spec.n_trials,
-                                 spec.seed, p_eq=p_eq, n_workers=spec.n_workers)
-                rows.append([m_b, p_eq_db, scheme, _fmt(analytic), _fmt(res.p_served),
-                             _fmt(res.stderr), res.n_trials])
-                print(f"fig2 m_b={m_b} scheme={scheme} p_eq={p_eq_db:+.1f}dB "
-                      f"analytic={analytic:.4f} empirical={res.p_served:.4f}")
+
+    def sweep(config, scheme):
+        for value in values:
+            p_eq = float(db_to_linear(value)) if name == "p_eq_db" else float(value)
+            p_eq_db = float(linear_to_db(p_eq))
+            analytic = analytics.q_k(scheme, config, p_eq)
+            res = run_trials(config, scheme, POLICY_EQUAL_POWER, spec.n_trials,
+                             spec.seed, p_eq=p_eq, n_workers=spec.n_workers)
+            print(f"fig2 m_b={config.m_b} scheme={scheme} p_eq={p_eq_db:+.1f}dB "
+                  f"analytic={analytic:.4f} empirical={res.p_served:.4f}")
+            yield [config.m_b, p_eq_db, scheme, _fmt(analytic), _fmt(res.p_served),
+                   _fmt(res.stderr), res.n_trials, ""]
+
+    rows = [row for m_b in spec.m_b_list for scheme in spec.schemes
+            for row in _rows_or_error(f"fig2 m_b={m_b} scheme={scheme}",
+                                      sweep(spec.config.replace(m_b=m_b), scheme),
+                                      [[m_b, "", scheme, "", "", "", ""]])]
     header = ["m_b", "p_eq_db", "scheme", "p_served_analytical",
-              "p_served_empirical", "stderr", "n_trials"]
+              "p_served_empirical", "stderr", "n_trials", "error"]
     return "fig2_eq_power_sweep.csv", header, rows
 
 
@@ -235,8 +253,8 @@ def _cdf_validation(spec: ExperimentSpec):
     config = spec.config
     p_eq = spec.p_eq if spec.p_eq is not None else config.p0 / config.k_su
     p_eq_db = float(linear_to_db(p_eq))
-    rows = []
-    for scheme in spec.schemes:
+
+    def validate(scheme):
         res = run_trials(config, scheme, POLICY_EQUAL_POWER, spec.n_trials,
                          spec.seed, p_eq=p_eq, n_workers=spec.n_workers)
         if scheme == MEB:
@@ -253,31 +271,29 @@ def _cdf_validation(spec: ExperimentSpec):
             if samples.size == 0:
                 continue
             ks = empirical_cdf(samples).ks_distance(cdf)
-            rows.append([scheme, quantity, _fmt(ks), samples.size,
-                         res.n_trials, _fmt(p_eq_db)])
             print(f"cdf_validation scheme={scheme} quantity={quantity} ks={ks:.4f}")
             if spec.dump_samples and quantity != "sinr_exact":  # same samples as sinr
                 np.savetxt(os.path.join(spec.out_dir, f"samples_{scheme}_{quantity}.txt"),
                            np.sort(samples))
-    header = ["scheme", "quantity", "ks_distance", "n_samples", "n_trials", "p_eq_db"]
+            yield [scheme, quantity, _fmt(ks), samples.size, res.n_trials, _fmt(p_eq_db), ""]
+
+    rows = [row for scheme in spec.schemes
+            for row in _rows_or_error(f"cdf_validation scheme={scheme}", validate(scheme),
+                                      [[scheme, "", "", "", "", _fmt(p_eq_db)]])]
+    header = ["scheme", "quantity", "ks_distance", "n_samples", "n_trials", "p_eq_db", "error"]
     return "cdf_validation.csv", header, rows
 
 
 def _single_solve(spec: ExperimentSpec):
     config = spec.config
     real = generate_channels(config, spec.seed)
-    rows = []
-    for scheme in spec.schemes:
-        try:
-            beams = compute_beams(real, scheme)
-        except (AntennaShortageError, IllConditionedError) as exc:
-            print(f"single_solve scheme={scheme} error={type(exc).__name__}: {exc}")
-            rows.extend(["", "", "", scheme, policy, "", type(exc).__name__]
-                        for policy in spec.policies)
-            continue
+
+    def solve(scheme):
+        beams = compute_beams(real, scheme)
+        links = evaluate_links(real, beams.v, beams.u, config)
         for policy in spec.policies:
             if policy == POLICY_LF:
-                alloc = solve_lf(real, beams, config)
+                alloc = solve_lf(links, scheme, config)
                 p, feasible = alloc.p, alloc.feasible
             else:
                 p_eq = spec.p_eq
@@ -286,14 +302,18 @@ def _single_solve(spec: ExperimentSpec):
                 if p_eq is None:
                     p_eq = config.p0 / config.k_su
                 p = equal_power(config, p_eq)
-                feasible = verify_allocation(real, beams, p, config,
-                                             use_estimates=True).all_met()
+                feasible = slack_from_links(links, p, config, use_estimates=True).all_met()
             print(f"single_solve scheme={scheme} policy={policy} feasible={feasible}")
             for k, pk in enumerate(p):
                 db = float(linear_to_db(pk)) if pk > 0 else float("-inf")
-                rows.append([k, _fmt(float(pk)), _fmt(db), scheme, policy, feasible, ""])
                 print(f"  P_{k} = {pk:.6e} ({db:+.2f} dB)" if pk > 0
                       else f"  P_{k} = {pk:.6e}")
+                yield [k, _fmt(float(pk)), _fmt(db), scheme, policy, feasible, ""]
+
+    rows = [row for scheme in spec.schemes
+            for row in _rows_or_error(f"single_solve scheme={scheme}", solve(scheme),
+                                      [["", "", "", scheme, policy, ""]
+                                       for policy in spec.policies])]
     header = ["su", "p", "p_db", "scheme", "policy", "feasible", "error"]
     return "single_solve.csv", header, rows
 

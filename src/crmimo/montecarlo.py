@@ -105,23 +105,23 @@ def _run_trial(config, scheme, policy, p_eq, master_seed, index) -> TrialOutcome
             p=np.zeros(k), error=type(exc).__name__,
         )
 
+    links = evaluate_links(real, beams.v, beams.u, config)
     if policy == POLICY_LF:
-        alloc = solve_lf(real, beams, config)
+        alloc = solve_lf(links, scheme, config)
         p, solver_ok = alloc.p, alloc.feasible
     else:
         p = equal_power(config, p_eq)
         solver_ok = True
 
-    links = evaluate_links(real, beams.v, beams.u, p, config)
     est = slack_from_links(links, p, config, use_estimates=True)
     true = slack_from_links(links, p, config, use_estimates=False)
     return TrialOutcome(
         served=bool(solver_ok and est.all_met()),
         served_true=bool(solver_ok and true.all_met()),
-        sinr_est=links.sinr_est,
-        sinr_true=links.sinr_true,
-        int_to_pu_est=links.int_to_pu_est,
-        int_to_pu_true=links.int_to_pu_true,
+        sinr_est=est.sinr,
+        sinr_true=true.sinr,
+        int_to_pu_est=est.int_to_pu,
+        int_to_pu_true=true.int_to_pu,
         p=p,
     )
 

@@ -4,8 +4,10 @@ A secondary base station (SBS) with m_b antennas serves k_su secondary
 users (SUs, m_u antennas each) on the same band as l_tx transmitting and
 l_rx receiving single-antenna primary users (PUs).  Channels are flat
 Rayleigh fading.  The SBS knows the SU channels exactly but only noisy
-estimates of the PU channels; evaluate_links reports every interference
-and SINR figure in a true and an estimated flavor.
+estimates of the PU channels.  evaluate_links computes the
+power-independent gains of one beam choice, with every PU term in a true
+and an estimated flavor; LinkMetrics turns them into SINRs and PU
+interference at any power vector.
 
 Complex Gaussian convention: CN(0, s2) means total variance s2, i.e.
 each real part has variance s2/2.
@@ -25,7 +27,6 @@ __all__ = [
     "db_to_linear",
     "linear_to_db",
     "generate_channels",
-    "interference_from_pu",
     "evaluate_links",
 ]
 
@@ -195,21 +196,39 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class LinkMetrics:
-    """All interference and SINR figures for one (beams, powers) choice.
+    """Power-independent link gains of one beam choice.
 
-    int_from_pu_est and the SINR denominators follow the SBS view: the
-    PU-to-SU term uses estimated channels plus the sigma2_delta floor in
-    the *_est fields and true channels in the *_true fields.
-    int_inter_stream is the exact inter-stream term (SU channels are
-    known exactly, so it has no estimated counterpart).
+    sinr and int_to_pu evaluate them at a power vector.  The *_est
+    fields follow the SBS view: estimated PU channels plus the
+    sigma2_delta error floor.  SU channels are known exactly.
+
+    Attributes:
+        cross: (k_su, k_su) |u_k^H H_k v_j|^2, SU k's receiver, stream j.
+        pu_to_su_true, pu_to_su_est: (k_su,) PU-to-SU interference per
+            SU, sum over transmitting PUs l of p_p |u_k^H h_lk|^2.
+        leak_true, leak_est: (k_su, l_rx) |v_k^H h_l|^2 of unit-power
+            stream k at receiving PU l.
+        noise: receiver noise power sigma2_w.
     """
 
-    sinr_true: np.ndarray
-    sinr_est: np.ndarray
-    int_to_pu_true: np.ndarray
-    int_to_pu_est: np.ndarray
-    int_from_pu_est: np.ndarray
-    int_inter_stream: np.ndarray
+    cross: np.ndarray
+    pu_to_su_true: np.ndarray
+    pu_to_su_est: np.ndarray
+    leak_true: np.ndarray
+    leak_est: np.ndarray
+    noise: float
+
+    def sinr(self, p, use_estimates: bool) -> np.ndarray:
+        """Per-SU SINR at powers p; the inter-stream term is exact."""
+        own = np.diagonal(self.cross)
+        inter = self.cross @ p - own * p
+        pu = self.pu_to_su_est if use_estimates else self.pu_to_su_true
+        return own * p / (self.noise + pu + inter)
+
+    def int_to_pu(self, p, use_estimates: bool) -> np.ndarray:
+        """Interference at each receiving PU at powers p."""
+        leak = self.leak_est if use_estimates else self.leak_true
+        return leak.T @ p
 
 
 def _cgauss(rng, shape, var):
@@ -259,59 +278,35 @@ def generate_channels(config: NetworkConfig, seed) -> ChannelRealization:
     return ChannelRealization(**arrays)
 
 
-def interference_from_pu(real: ChannelRealization, u, config: NetworkConfig, use_estimates: bool) -> np.ndarray:
-    """PU-to-SU interference power per SU after receive beamforming.
-
-    The estimated flavor is sum_l p_p (|u_k^H hhat_lk|^2 + sigma2_delta),
-    the true flavor sum_l p_p |u_k^H h_lk|^2, over transmitting PUs.
-    """
-    u = np.asarray(u)
-    if u.shape != (real.k_su, real.m_u):
-        raise ValueError(f"u must have shape {(real.k_su, real.m_u)}, got {u.shape}")
-    if use_estimates:
-        ch, floor = real.hhat_pu_su[real.pu_tx], config.sigma2_delta
-    else:
-        ch, floor = real.h_pu_su[real.pu_tx], 0.0
-    cross = np.abs(np.einsum("ku,lku->lk", u.conj(), ch)) ** 2
-    return config.p_p * (cross + floor).sum(axis=0)
-
-
 def _cross_gains(real: ChannelRealization, v, u) -> np.ndarray:
     """(k_su, k_su) matrix of |u_k^H H_k v_j|^2: SU k's receiver, stream j."""
-    g = np.einsum("ku,kub->kb", u.conj(), real.h_su)
+    g = (u.conj()[:, None, :] @ real.h_su)[:, 0, :]
     return np.abs(g @ v.T) ** 2
 
 
-def evaluate_links(real: ChannelRealization, v, u, p, config: NetworkConfig) -> LinkMetrics:
-    """Compute every link metric once for a given beam/power choice.
+def evaluate_links(real: ChannelRealization, v, u, config: NetworkConfig) -> LinkMetrics:
+    """Compute the power-independent gains of a beam choice once.
 
     Args:
         v: (k_su, m_b) transmit beams.
         u: (k_su, m_u) receive beams.
-        p: (k_su,) per-SU powers.
 
     Raises:
         ValueError: if a shape does not match the realization.
     """
-    v, u, p = np.asarray(v), np.asarray(u), np.asarray(p, dtype=float)
+    v, u = np.asarray(v), np.asarray(u)
     k = real.k_su
-    for name, arr, shape in (("v", v, (k, real.m_b)), ("u", u, (k, real.m_u)), ("p", p, (k,))):
+    for name, arr, shape in (("v", v, (k, real.m_b)), ("u", u, (k, real.m_u))):
         if arr.shape != shape:
             raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    cross = _cross_gains(real, v, u)
-    own = np.diagonal(cross)
-    inter = cross @ p - own * p
-    pu_true = interference_from_pu(real, u, config, use_estimates=False)
-    pu_est = interference_from_pu(real, u, config, use_estimates=True)
-    sig = p * own
-    # per-stream leakage |v_k^H h_l0|^2 into each receiving PU
-    leak_true = np.abs(v.conj() @ real.h_pu_sbs[real.pu_rx].T) ** 2
-    leak_est = np.abs(v.conj() @ real.hhat_pu_sbs[real.pu_rx].T) ** 2 + config.sigma2_delta
+    # |u_k^H h_lk|^2 of each transmitting PU l at SU k
+    pu_true = np.abs(np.einsum("ku,lku->lk", u.conj(), real.h_pu_su[real.pu_tx])) ** 2
+    pu_est = np.abs(np.einsum("ku,lku->lk", u.conj(), real.hhat_pu_su[real.pu_tx])) ** 2
     return LinkMetrics(
-        sinr_true=sig / (config.sigma2_w + pu_true + inter),
-        sinr_est=sig / (config.sigma2_w + pu_est + inter),
-        int_to_pu_true=leak_true.T @ p,
-        int_to_pu_est=leak_est.T @ p,
-        int_from_pu_est=pu_est,
-        int_inter_stream=inter,
+        cross=_cross_gains(real, v, u),
+        pu_to_su_true=config.p_p * pu_true.sum(axis=0),
+        pu_to_su_est=config.p_p * (pu_est + config.sigma2_delta).sum(axis=0),
+        leak_true=np.abs(v.conj() @ real.h_pu_sbs[real.pu_rx].T) ** 2,
+        leak_est=np.abs(v.conj() @ real.hhat_pu_sbs[real.pu_rx].T) ** 2 + config.sigma2_delta,
+        noise=config.sigma2_w,
     )

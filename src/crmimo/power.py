@@ -1,13 +1,14 @@
 """Power allocation under interference, rate and budget constraints.
 
+Every solver reads the gains of network.evaluate_links (LinkMetrics).
 solve_lf_meb runs a phase-1 simplex on the linear feasibility system
-induced by the MEB beams (interference caps at the receiving PUs,
-per-SU rate floors, total power budget).  solve_lf_zfb computes the
-closed-form powers that make every SU's estimated rate exactly r0 under
-ZF beams, which is feasible iff the total stays inside min(p0,
-i0/sigma2_delta).  solve_lf picks the solver by the beams' scheme.
-verify_allocation audits any powers against the original constraints,
-on estimated or true channels.
+stacked from them (interference caps at the receiving PUs, per-SU rate
+floors, total power budget).  solve_lf_zfb computes the closed-form
+powers that make every SU's estimated rate exactly r0 under ZF beams;
+they decide the system exactly, through the budget and the cap rows.
+solve_lf picks the solver by scheme.  slack_from_links and
+verify_allocation audit any powers against the constraints, on
+estimated or true channels.
 """
 
 from __future__ import annotations
@@ -18,12 +19,11 @@ import numpy as np
 
 from . import simplex
 from .beamforming import MEB, ZFB, BeamformingSolution
-from .network import ChannelRealization, NetworkConfig, evaluate_links, interference_from_pu
+from .network import ChannelRealization, LinkMetrics, NetworkConfig, evaluate_links
 
 __all__ = [
     "LF_MEB",
     "LF_ZFB_EQUAL_RATE",
-    "EQUAL_POWER",
     "ZeroGainError",
     "SlackReport",
     "PowerAllocation",
@@ -40,7 +40,6 @@ __all__ = [
 
 LF_MEB = "LF_MEB"
 LF_ZFB_EQUAL_RATE = "LF_ZFB_EQUAL_RATE"
-EQUAL_POWER = "EQUAL_POWER"
 
 SLACK_TOL = -1e-9
 
@@ -53,15 +52,18 @@ class ZeroGainError(ValueError):
 class SlackReport:
     """Signed margins of every constraint at a given power vector.
 
-    interference[l] = i0 - interference at receiving PU l,
-    rate[k] = log2(1 + SINR_k) - r0, power = p0 - sum(p).
-    Nonnegative entries mean the constraint holds.
+    interference[l] = i0 - int_to_pu[l], the cap margin at receiving
+    PU l; rate[k] = log2(1 + sinr[k]) - r0; power = p0 - sum(p).
+    Nonnegative entries mean the constraint holds.  sinr and int_to_pu
+    are the figures behind the margins.
     """
 
     interference: np.ndarray
     rate: np.ndarray
     power: float
     use_estimates: bool
+    sinr: np.ndarray
+    int_to_pu: np.ndarray
 
     def min_slack(self) -> float:
         parts = [self.interference, self.rate, [self.power]]
@@ -87,8 +89,8 @@ class PowerAllocation:
     blocking: str | None = None
 
 
-def lf_meb_constraints(real: ChannelRealization, beams: BeamformingSolution, config: NetworkConfig):
-    """Build the LF MEB system as rows of A x <= b with labels.
+def lf_meb_constraints(links: LinkMetrics, config: NetworkConfig):
+    """Build the LF system of one beam choice as rows of A x <= b with labels.
 
     Rows: one per receiving PU (estimated interference cap), one per SU
     (rate floor, multiplied through by 2^r0 - 1 so it stays linear and
@@ -97,32 +99,15 @@ def lf_meb_constraints(real: ChannelRealization, beams: BeamformingSolution, con
     Returns:
         (a, b, labels) with labels like "int:0", "rate:3", "power".
     """
-    if beams.scheme != MEB:
-        raise ValueError(f"expected MEB beams, got {beams.scheme}")
-    k = config.k_su
+    k, l_rx = links.cross.shape[0], links.leak_est.shape[1]
     thr = 2.0 ** config.r0 - 1.0
-    rows, rhs, labels = [], [], []
-
-    hhat_rx = real.hhat_pu_sbs[real.pu_rx]
-    cross_pu = np.abs(beams.v.conj() @ hhat_rx.T) ** 2 + config.sigma2_delta
-    for i in range(config.l_rx):
-        rows.append(cross_pu[:, i])
-        rhs.append(config.i0)
-        labels.append(f"int:{i}")
-
-    pu_su = interference_from_pu(real, beams.u, config, use_estimates=True)
-    cross_su = np.abs(beams.v.conj() @ beams.v.T) ** 2  # |v_k^H v_j|^2
-    for i in range(k):
-        row = thr * beams.sigma2_k1[i] * cross_su[i]
-        row[i] = -beams.sigma2_k1[i]
-        rows.append(row)
-        rhs.append(-thr * (config.sigma2_w + pu_su[i]))
-        labels.append(f"rate:{i}")
-
-    rows.append(np.ones(k))
-    rhs.append(config.p0)
-    labels.append("power")
-    return np.array(rows), np.array(rhs), labels
+    rate = thr * links.cross
+    np.fill_diagonal(rate, -np.diagonal(links.cross))
+    a = np.vstack([links.leak_est.T, rate, np.ones((1, k))])
+    b = np.concatenate([np.full(l_rx, config.i0),
+                        -thr * (links.noise + links.pu_to_su_est), [config.p0]])
+    labels = [f"int:{i}" for i in range(l_rx)] + [f"rate:{i}" for i in range(k)] + ["power"]
+    return a, b, labels
 
 
 def export_constraints(path, a, b, labels):
@@ -161,55 +146,52 @@ def _blocking_family(labels, row_violation) -> str | None:
     return family if value > 0.0 else None
 
 
-def solve_lf_meb(real: ChannelRealization, beams: BeamformingSolution, config: NetworkConfig) -> PowerAllocation:
+def solve_lf_meb(links: LinkMetrics, config: NetworkConfig) -> PowerAllocation:
     """Decide the LF MEB feasibility problem and return a point.
 
     Feasible verdicts return a basic feasible power vector; infeasible
     verdicts return the phase-1 optimum together with the blocking
     constraint family.
     """
-    a, b, labels = lf_meb_constraints(real, beams, config)
+    a, b, labels = lf_meb_constraints(links, config)
     result = simplex.find_feasible(a, b)
     blocking = None if result.feasible else _blocking_family(labels, result.row_violation)
     return PowerAllocation(p=result.x, feasible=result.feasible, scheme=LF_MEB, blocking=blocking)
 
 
-def solve_lf_zfb(real: ChannelRealization, beams: BeamformingSolution, config: NetworkConfig) -> PowerAllocation:
+def solve_lf_zfb(links: LinkMetrics, config: NetworkConfig) -> PowerAllocation:
     """Decide LF ZFB through the equal-rate powers, which decide it exactly.
 
     p_k = (2^r0 - 1)(sigma2_w + estimated PU-to-SU interference) / gain_k
-    makes every estimated rate exactly r0 (ZF removes the inter-stream
-    terms).  The allocation is feasible iff sum(p) <= min(p0,
-    i0/sigma2_delta); with perfect CSI the interference bound vanishes.
+    with gain_k = cross[k, k] makes every estimated rate exactly r0 (ZF
+    removes the inter-stream terms).  The allocation is feasible iff
+    sum(p) <= p0 and it meets every estimated cap row; ZF nulls the PU
+    estimates, so a cap row reads sigma2_delta sum(p) <= i0.
 
     Raises:
         ZeroGainError: if any gain is not strictly positive.
     """
-    if beams.scheme != ZFB:
-        raise ValueError(f"expected ZFB beams, got {beams.scheme}")
-    if np.any(beams.gain <= 0.0):
+    gain = np.diagonal(links.cross)
+    if np.any(gain <= 0.0):
         raise ZeroGainError("nonpositive ZF gain, beams are degenerate")
     thr = 2.0 ** config.r0 - 1.0
-    pu_su = interference_from_pu(real, beams.u, config, use_estimates=True)
-    p = thr * (config.sigma2_w + pu_su) / beams.gain
-
-    budget = config.p0
-    if config.sigma2_delta > 0.0:
-        budget = min(budget, config.i0 / config.sigma2_delta)
-    feasible = bool(p.sum() <= budget)
+    p = thr * (links.noise + links.pu_to_su_est) / gain
+    over_budget = p.sum() > config.p0
+    over_cap = bool(np.any(links.int_to_pu(p, use_estimates=True) > config.i0))
+    feasible = not (over_budget or over_cap)
     return PowerAllocation(
         p=p, feasible=feasible, scheme=LF_ZFB_EQUAL_RATE,
-        blocking=None if feasible else ("power" if p.sum() > config.p0 else "interference"),
+        blocking=None if feasible else ("power" if over_budget else "interference"),
     )
 
 
-def solve_lf(real: ChannelRealization, beams: BeamformingSolution, config: NetworkConfig) -> PowerAllocation:
-    """Decide the LF problem with the solver of the beams' scheme."""
-    if beams.scheme == MEB:
-        return solve_lf_meb(real, beams, config)
-    if beams.scheme == ZFB:
-        return solve_lf_zfb(real, beams, config)
-    raise ValueError(f"unknown scheme {beams.scheme!r}")
+def solve_lf(links: LinkMetrics, scheme: str, config: NetworkConfig) -> PowerAllocation:
+    """Decide the LF problem of one beam choice with its scheme's solver."""
+    if scheme == MEB:
+        return solve_lf_meb(links, config)
+    if scheme == ZFB:
+        return solve_lf_zfb(links, config)
+    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def equal_power(config: NetworkConfig, p_eq: float) -> np.ndarray:
@@ -219,16 +201,19 @@ def equal_power(config: NetworkConfig, p_eq: float) -> np.ndarray:
     return np.full(config.k_su, float(p_eq))
 
 
-def slack_from_links(links, p, config: NetworkConfig, use_estimates: bool) -> SlackReport:
-    """Constraint margins from precomputed LinkMetrics."""
+def slack_from_links(links: LinkMetrics, p, config: NetworkConfig,
+                     use_estimates: bool) -> SlackReport:
+    """Constraint margins at powers p from precomputed LinkMetrics."""
     p = np.asarray(p, dtype=float)
-    interference = links.int_to_pu_est if use_estimates else links.int_to_pu_true
-    sinr = links.sinr_est if use_estimates else links.sinr_true
+    sinr = links.sinr(p, use_estimates)
+    int_to_pu = links.int_to_pu(p, use_estimates)
     return SlackReport(
-        interference=config.i0 - interference,
+        interference=config.i0 - int_to_pu,
         rate=np.log2(1.0 + sinr) - config.r0,
         power=float(config.p0 - p.sum()),
         use_estimates=use_estimates,
+        sinr=sinr,
+        int_to_pu=int_to_pu,
     )
 
 
@@ -246,6 +231,5 @@ def verify_allocation(real: ChannelRealization, beams: BeamformingSolution, p, c
     """
     if isinstance(p, PowerAllocation):
         p = p.p
-    p = np.asarray(p, dtype=float)
-    links = evaluate_links(real, beams.v, beams.u, p, config)
-    return slack_from_links(links, p, config, use_estimates)
+    return slack_from_links(evaluate_links(real, beams.v, beams.u, config), p, config,
+                            use_estimates)

@@ -31,7 +31,8 @@ from crmimo.montecarlo import (
     run_trials,
     trial_seed,
 )
-from crmimo.network import NetworkConfig, db_to_linear, generate_channels, linear_to_db
+from crmimo.network import (NetworkConfig, db_to_linear, evaluate_links, generate_channels,
+                            linear_to_db)
 from crmimo.power import (
     export_constraints,
     lf_meb_constraints,
@@ -178,7 +179,7 @@ class TestCriterion5:
         for i in range(500):
             real = generate_channels(BASELINE, trial_seed(SEED, i))
             beams = compute_zfb(real)
-            alloc = solve_lf_zfb(real, beams, BASELINE)
+            alloc = solve_lf_zfb(evaluate_links(real, beams.v, beams.u, BASELINE), BASELINE)
             budget = min(BASELINE.p0, BASELINE.i0 / BASELINE.sigma2_delta)
             if alloc.feasible != (alloc.p.sum() <= budget):
                 mismatches += 1
@@ -205,16 +206,17 @@ class TestCriterion6:
         for i in range(500):
             real = generate_channels(BASELINE, trial_seed(SEED, i))
             beams = compute_meb(real)
-            alloc = solve_lf_meb(real, beams, BASELINE)
-            verdicts.append((real, beams, alloc.feasible))
+            links = evaluate_links(real, beams.v, beams.u, BASELINE)
+            alloc = solve_lf_meb(links, BASELINE)
+            verdicts.append((links, alloc.feasible))
             if alloc.feasible:
                 n_feasible += 1
                 slack = verify_allocation(real, beams, alloc, BASELINE, use_estimates=True)
                 if not slack.all_met(tol=-1e-9):
                     audit_fails += 1
         lp_mismatches = 0
-        for n, (real, beams, feasible) in enumerate(verdicts[:20]):
-            a, b, labels = lf_meb_constraints(real, beams, BASELINE)
+        for n, (links, feasible) in enumerate(verdicts[:20]):
+            a, b, labels = lf_meb_constraints(links, BASELINE)
             path = tmp_path / f"instance_{n}.txt"
             export_constraints(path, a, b, labels)
             a2, b2, _ = load_constraints(path)

@@ -204,13 +204,27 @@ class TestSweepExperiments:
         assert code == EXIT_OK
         header, body = read_csv(tmp_path / "fig2_eq_power_sweep.csv")
         assert header == ["m_b", "p_eq_db", "scheme", "p_served_analytical",
-                          "p_served_empirical", "stderr", "n_trials"]
+                          "p_served_empirical", "stderr", "n_trials", "error"]
         # explicit m_b: one antenna count, two schemes, two sweep points
         assert len(body) == 4
         assert {row[0] for row in body} == {"16"}
         for row in body:
             assert 0.0 <= float(row[3]) <= 1.0
             assert 0.0 <= float(row[4]) <= 1.0
+            assert row[-1] == ""
+
+    def test_fig2_failed_scheme_keeps_the_others(self, tmp_path, capsys):
+        # k_su = m_b leaves ZFB no null space: its SINR model rejects the config
+        code = main(["--experiment", "fig2_eq_power_sweep", "--set", "m_b=12",
+                     "--set", "k_su=12", "--sweep", "p_eq_db=-10,-5", "--trials", "20",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert "fig2 m_b=12 scheme=ZFB error=ValueError" in capsys.readouterr().out
+        header, body = read_csv(tmp_path / "fig2_eq_power_sweep.csv")
+        assert header[-1] == "error"
+        assert [(row[2], row[-1]) for row in body[:2]] == [("MEB", "")] * 2
+        assert all(0.0 <= float(row[4]) <= 1.0 for row in body[:2])
+        assert body[2:] == [["12", "", "ZFB", "", "", "", "", "ValueError"]]
 
     def test_fig2_preset_mb_list(self, tmp_path):
         code = main(["--experiment", "fig2_eq_power_sweep",
@@ -277,6 +291,18 @@ class TestSweepExperiments:
         assert (tmp_path / "samples_MEB_sinr.txt").exists()
         assert (tmp_path / "samples_ZFB_interference.txt").exists()
 
+    def test_cdf_validation_failed_scheme_keeps_the_others(self, tmp_path, capsys):
+        code = main(["--experiment", "cdf_validation", "--set", "m_b=12", "--set", "k_su=12",
+                     "--trials", "50", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert "cdf_validation scheme=ZFB error=ValueError" in capsys.readouterr().out
+        header, body = read_csv(tmp_path / "cdf_validation.csv")
+        assert header[-1] == "error"
+        assert [(row[0], row[1], row[-1]) for row in body[:2]] == [
+            ("MEB", "sinr", ""), ("MEB", "interference", "")]
+        assert body[2][:5] == ["ZFB", "", "", "", ""] and body[2][-1] == "ValueError"
+        assert len(body) == 3
+
     def test_deterministic_output_bytes(self, tmp_path):
         args = ["--experiment", "fig2_eq_power_sweep", *TINY,
                 "--sweep", "p_eq_db=-4", "--trials", "5", "--schemes", "ZFB",
@@ -318,7 +344,8 @@ class TestEmitPlotData:
             expect = [row for row in body if row[2] == scheme]
             assert len(lines) == len(expect)
             for got, want in zip(lines, expect):
-                assert got == want  # verbatim round trip, no reformatting
+                # verbatim round trip, no reformatting; the empty error field reads nan
+                assert got == [field or "nan" for field in want]
 
     def test_idempotent(self, tmp_path):
         path = self.fig2_csv(tmp_path)

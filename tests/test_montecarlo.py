@@ -129,6 +129,12 @@ class TestServingLogic:
             run_trials(SMALL, scheme, policy, 3, seed=0, p_eq=0.5)
 
     @pytest.mark.parametrize("scheme", [MEB, ZFB])
+    def test_lf_without_receiving_pu_has_no_cap(self, scheme):
+        # i0 / sigma2_delta = 0.1 bounds nothing when no PU receives
+        cfg = NetworkConfig(l_rx=0, sigma2_delta=0.1, i0=0.01)
+        assert run_trials(cfg, scheme, POLICY_LF, 200, seed=3).p_served == 1.0
+
+    @pytest.mark.parametrize("scheme", [MEB, ZFB])
     def test_lf_evaluates_links_once_per_trial(self, scheme, monkeypatch):
         calls = []
         for module in (crmimo.montecarlo, crmimo.power):

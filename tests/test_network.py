@@ -8,7 +8,6 @@ from crmimo.network import (
     db_to_linear,
     evaluate_links,
     generate_channels,
-    interference_from_pu,
     linear_to_db,
 )
 
@@ -137,37 +136,51 @@ class TestEvaluators:
 
     def test_zero_power(self, setup):
         cfg, real, v, u, p = setup
-        links = evaluate_links(real, v, u, np.zeros(cfg.k_su), cfg)
-        assert np.all(links.int_to_pu_true == 0)
-        assert np.all(links.sinr_true == 0)
-        assert np.all(links.sinr_est == 0)
+        links = evaluate_links(real, v, u, cfg)
+        zero = np.zeros(cfg.k_su)
+        assert np.all(links.int_to_pu(zero, use_estimates=False) == 0)
+        assert np.all(links.sinr(zero, use_estimates=False) == 0)
+        assert np.all(links.sinr(zero, use_estimates=True) == 0)
 
     def test_aligned_beam(self):
         cfg = small_config(k_su=1, l_tx=0, l_rx=1, m_u=1)
         real = generate_channels(cfg, 2)
         h = real.h_pu_sbs[real.pu_rx][0]
         v = (h / np.linalg.norm(h))[None, :]
-        out = evaluate_links(real, v, np.ones((1, 1)), np.ones(1), cfg).int_to_pu_true
+        links = evaluate_links(real, v, np.ones((1, 1)), cfg)
+        assert links.leak_true[0, 0] == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-12)
+        out = links.int_to_pu(np.ones(1), use_estimates=False)
         assert out[0] == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-12)
 
     def test_interference_oracle(self, setup):
         cfg, real, v, u, p = setup
-        links = evaluate_links(real, v, u, p, cfg)
+        links = evaluate_links(real, v, u, cfg)
+        int_true = links.int_to_pu(p, use_estimates=False)
+        int_est = links.int_to_pu(p, use_estimates=True)
         for i, l in enumerate(real.pu_rx):
             acc_t = acc_e = 0.0
             for k in range(cfg.k_su):
                 dot_t = sum(np.conj(v[k][b]) * real.h_pu_sbs[l][b] for b in range(cfg.m_b))
                 dot_e = sum(np.conj(v[k][b]) * real.hhat_pu_sbs[l][b] for b in range(cfg.m_b))
+                assert links.leak_true[k, i] == pytest.approx(abs(dot_t) ** 2, rel=1e-12)
+                assert links.leak_est[k, i] == pytest.approx(abs(dot_e) ** 2 + cfg.sigma2_delta,
+                                                             rel=1e-12)
                 acc_t += p[k] * abs(dot_t) ** 2
                 acc_e += p[k] * (abs(dot_e) ** 2 + cfg.sigma2_delta)
-            assert links.int_to_pu_true[i] == pytest.approx(acc_t, rel=1e-12)
-            assert links.int_to_pu_est[i] == pytest.approx(acc_e, rel=1e-12)
+            assert int_true[i] == pytest.approx(acc_t, rel=1e-12)
+            assert int_est[i] == pytest.approx(acc_e, rel=1e-12)
 
     def test_sinr_oracle(self, setup):
         cfg, real, v, u, p = setup
-        links = evaluate_links(real, v, u, p, cfg)
+        links = evaluate_links(real, v, u, cfg)
+        sinr_true = links.sinr(p, use_estimates=False)
+        sinr_est = links.sinr(p, use_estimates=True)
+        assert links.noise == cfg.sigma2_w
         for k in range(cfg.k_su):
             hk = real.h_su[k]
+            for j in range(cfg.k_su):
+                assert links.cross[k, j] == pytest.approx(
+                    abs(np.conj(u[k]) @ hk @ v[j]) ** 2, rel=1e-12)
             sig = p[k] * abs(np.conj(u[k]) @ hk @ v[k]) ** 2
             inter = sum(p[j] * abs(np.conj(u[k]) @ hk @ v[j]) ** 2
                         for j in range(cfg.k_su) if j != k)
@@ -176,16 +189,16 @@ class TestEvaluators:
             pu_e = sum(cfg.p_p * (abs(np.conj(u[k]) @ real.hhat_pu_su[l, k]) ** 2
                                   + cfg.sigma2_delta)
                        for l in real.pu_tx)
-            assert links.int_inter_stream[k] == pytest.approx(inter, rel=1e-12)
-            assert links.int_from_pu_est[k] == pytest.approx(pu_e, rel=1e-12)
-            assert links.sinr_true[k] == pytest.approx(sig / (cfg.sigma2_w + pu_t + inter),
-                                                       rel=1e-12)
-            assert links.sinr_est[k] == pytest.approx(sig / (cfg.sigma2_w + pu_e + inter),
-                                                      rel=1e-12)
+            assert links.pu_to_su_true[k] == pytest.approx(pu_t, rel=1e-12)
+            assert links.pu_to_su_est[k] == pytest.approx(pu_e, rel=1e-12)
+            assert sinr_true[k] == pytest.approx(sig / (cfg.sigma2_w + pu_t + inter), rel=1e-12)
+            assert sinr_est[k] == pytest.approx(sig / (cfg.sigma2_w + pu_e + inter), rel=1e-12)
 
     def test_error_floor(self, setup):
         cfg, real, v, u, p = setup
-        est = evaluate_links(real, v, u, p, cfg).int_to_pu_est
+        links = evaluate_links(real, v, u, cfg)
+        assert np.all(links.leak_est >= cfg.sigma2_delta)
+        est = links.int_to_pu(p, use_estimates=True)
         assert np.all(est >= p.sum() * cfg.sigma2_delta - 1e-15)
 
     def test_perfect_csi_collapse(self):
@@ -194,31 +207,26 @@ class TestEvaluators:
         rng = np.random.default_rng(5)
         v = unit_rows(rng, (cfg.k_su, cfg.m_b))
         u = unit_rows(rng, (cfg.k_su, cfg.m_u))
-        p = rng.uniform(0.1, 1.0, cfg.k_su)
-        links = evaluate_links(real, v, u, p, cfg)
-        assert np.array_equal(links.int_to_pu_true, links.int_to_pu_est)
-        assert np.array_equal(links.sinr_true, links.sinr_est)
+        links = evaluate_links(real, v, u, cfg)
+        assert np.array_equal(links.leak_true, links.leak_est)
+        assert np.array_equal(links.pu_to_su_true, links.pu_to_su_est)
 
     def test_dimension_mismatch(self, setup):
         cfg, real, v, u, p = setup
         with pytest.raises(ValueError):
-            evaluate_links(real, v[:, :-1], u, p, cfg)
+            evaluate_links(real, v[:, :-1], u, cfg)
         with pytest.raises(ValueError):
-            evaluate_links(real, v, u[:-1], p, cfg)
+            evaluate_links(real, v, u[:-1], cfg)
         with pytest.raises(ValueError):
-            evaluate_links(real, v, u, p[:-1], cfg)
-        with pytest.raises(ValueError):
-            interference_from_pu(real, u[:, :-1], cfg, True)
+            evaluate_links(real, v, u[:, :-1], cfg)
 
     def test_evaluate_links_consistent(self, setup):
         # both flavors share the signal and the inter-stream term
         cfg, real, v, u, p = setup
-        links = evaluate_links(real, v, u, p, cfg)
-        pu_true = interference_from_pu(real, u, cfg, False)
-        assert np.array_equal(links.int_from_pu_est, interference_from_pu(real, u, cfg, True))
-        sig_true = links.sinr_true * (cfg.sigma2_w + pu_true + links.int_inter_stream)
-        sig_est = links.sinr_est * (cfg.sigma2_w + links.int_from_pu_est
-                                    + links.int_inter_stream)
+        links = evaluate_links(real, v, u, cfg)
+        inter = links.cross @ p - np.diagonal(links.cross) * p
+        sig_true = links.sinr(p, False) * (cfg.sigma2_w + links.pu_to_su_true + inter)
+        sig_est = links.sinr(p, True) * (cfg.sigma2_w + links.pu_to_su_est + inter)
         assert np.allclose(sig_true, sig_est, rtol=1e-14)
-        assert np.all(links.int_inter_stream >= 0)
-        assert np.all(np.isfinite(links.int_inter_stream))
+        assert np.all(inter >= 0)
+        assert np.all(np.isfinite(inter))

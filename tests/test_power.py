@@ -1,13 +1,14 @@
 """Power allocation: LP feasibility, equal-rate powers and the audits."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
 from crmimo.beamforming import compute_meb, compute_zfb
-from crmimo.network import NetworkConfig, generate_channels
+from crmimo.network import NetworkConfig, evaluate_links, generate_channels
 from crmimo.power import (
-    EQUAL_POWER,
     LF_MEB,
     LF_ZFB_EQUAL_RATE,
     PowerAllocation,
@@ -33,6 +34,10 @@ def scenario(seed=0, **kw):
     return cfg, generate_channels(cfg, seed)
 
 
+def links_of(real, beams, cfg):
+    return evaluate_links(real, beams.v, beams.u, cfg)
+
+
 def oracle_verdict(a, b):
     res = linprog(np.zeros(a.shape[1]), A_ub=a, b_ub=b, bounds=(0, None), method="highs")
     return res.status == 0
@@ -42,7 +47,7 @@ class TestLfMebConstraints:
     def test_shapes_and_labels(self):
         cfg, real = scenario(l_rx=2)
         beams = compute_meb(real)
-        a, b, labels = lf_meb_constraints(real, beams, cfg)
+        a, b, labels = lf_meb_constraints(links_of(real, beams, cfg), cfg)
         assert a.shape == (2 + cfg.k_su + 1, cfg.k_su)
         assert labels[:2] == ["int:0", "int:1"]
         assert labels[-1] == "power"
@@ -52,7 +57,7 @@ class TestLfMebConstraints:
         # a rate row evaluated at p must match thr*(noise + interference) - signal
         cfg, real = scenario()
         beams = compute_meb(real)
-        a, b, _ = lf_meb_constraints(real, beams, cfg)
+        a, b, _ = lf_meb_constraints(links_of(real, beams, cfg), cfg)
         rng = np.random.default_rng(0)
         p = rng.uniform(0.0, 1.0, cfg.k_su)
         thr = 2.0 ** cfg.r0 - 1.0
@@ -64,17 +69,10 @@ class TestLfMebConstraints:
             denom_sign = np.sign(thr - sinr[k])
             assert np.sign(row_val) == denom_sign or abs(row_val) < 1e-12
 
-    def test_wrong_scheme_rejected(self):
-        cfg, real = scenario()
-        with pytest.raises(ValueError, match="MEB"):
-            lf_meb_constraints(real, compute_zfb(real), cfg)
-        with pytest.raises(ValueError, match="ZFB"):
-            solve_lf_zfb(real, compute_meb(real), cfg)
-
     def test_export_load_round_trip(self, tmp_path):
         cfg, real = scenario()
         beams = compute_meb(real)
-        a, b, labels = lf_meb_constraints(real, beams, cfg)
+        a, b, labels = lf_meb_constraints(links_of(real, beams, cfg), cfg)
         path = tmp_path / "lp.txt"
         export_constraints(path, a, b, labels)
         a2, b2, labels2 = load_constraints(path)
@@ -88,8 +86,9 @@ class TestSolveLfMeb:
     def test_verdict_matches_lp_oracle(self, seed):
         cfg, real = scenario(seed=seed, r0=2.0, i0=0.05)  # mix of verdicts
         beams = compute_meb(real)
-        alloc = solve_lf_meb(real, beams, cfg)
-        a, b, _ = lf_meb_constraints(real, beams, cfg)
+        links = links_of(real, beams, cfg)
+        alloc = solve_lf_meb(links, cfg)
+        a, b, _ = lf_meb_constraints(links, cfg)
         assert alloc.feasible == oracle_verdict(a, b)
         assert alloc.scheme == LF_MEB
 
@@ -98,7 +97,7 @@ class TestSolveLfMeb:
         for seed in range(20):
             cfg, real = scenario(seed=seed)
             beams = compute_meb(real)
-            alloc = solve_lf_meb(real, beams, cfg)
+            alloc = solve_lf_meb(links_of(real, beams, cfg), cfg)
             if alloc.feasible:
                 hits += 1
                 assert verify_allocation(real, beams, alloc, cfg, use_estimates=True).all_met()
@@ -110,7 +109,7 @@ class TestSolveLfMeb:
     def test_infeasible_reports_blocking(self):
         cfg, real = scenario(i0=1e-12, sigma2_delta=0.01)
         beams = compute_meb(real)
-        alloc = solve_lf_meb(real, beams, cfg)
+        alloc = solve_lf_meb(links_of(real, beams, cfg), cfg)
         assert not alloc.feasible
         assert alloc.blocking in {"interference", "int", "rate", "power"}
         # the error floor alone forces any rate-positive power over the cap
@@ -120,20 +119,20 @@ class TestSolveLfMeb:
         # r0 -> 0 drops the rate rows to "0 <= 0"; p = 0 is always feasible
         cfg, real = scenario(r0=1e-300)
         beams = compute_meb(real)
-        alloc = solve_lf_meb(real, beams, cfg)
+        alloc = solve_lf_meb(links_of(real, beams, cfg), cfg)
         assert alloc.feasible
 
     def test_monotone_in_relaxation(self):
         for seed in range(10):
             cfg, real = scenario(seed=seed, r0=3.0, i0=0.02)
             beams = compute_meb(real)
-            tight = solve_lf_meb(real, beams, cfg).feasible
+            tight = solve_lf_meb(links_of(real, beams, cfg), cfg).feasible
             for relaxed_cfg in (
                 cfg.replace(i0=cfg.i0 * 10),
                 cfg.replace(r0=cfg.r0 / 4),
                 cfg.replace(p0=cfg.p0 * 10),
             ):
-                relaxed = solve_lf_meb(real, beams, relaxed_cfg).feasible
+                relaxed = solve_lf_meb(links_of(real, beams, relaxed_cfg), relaxed_cfg).feasible
                 assert relaxed or not tight  # tight feasible implies relaxed feasible
 
 
@@ -141,7 +140,7 @@ class TestEqualRateZfb:
     def test_rates_exact(self):
         cfg, real = scenario()
         beams = compute_zfb(real)
-        alloc = solve_lf_zfb(real, beams, cfg)
+        alloc = solve_lf_zfb(links_of(real, beams, cfg), cfg)
         slack = verify_allocation(real, beams, alloc.p, cfg, use_estimates=True)
         assert np.max(np.abs(slack.rate)) < 1e-9
         assert alloc.scheme == LF_ZFB_EQUAL_RATE
@@ -151,59 +150,68 @@ class TestEqualRateZfb:
         cfg, real = scenario(l_tx=0, r0=2.0, sigma2_w=3.0)
         beams = compute_zfb(real)
         expect = 3.0 * 3.0 / beams.gain
-        alloc = solve_lf_zfb(real, beams, cfg)
+        alloc = solve_lf_zfb(links_of(real, beams, cfg), cfg)
         assert np.allclose(alloc.p, expect, rtol=1e-12)
 
     def test_feasibility_is_exact_budget_test(self):
         for seed in range(30):
             cfg, real = scenario(seed=seed, r0=4.0, i0=0.02, sigma2_delta=0.05)
             beams = compute_zfb(real)
-            alloc = solve_lf_zfb(real, beams, cfg)
+            alloc = solve_lf_zfb(links_of(real, beams, cfg), cfg)
             budget = min(cfg.p0, cfg.i0 / cfg.sigma2_delta)
             assert alloc.feasible == (alloc.p.sum() <= budget)
 
     def test_perfect_csi_budget_is_p0_only(self):
         cfg, real = scenario(sigma2_delta=0.0, r0=6.0)
         beams = compute_zfb(real)
-        alloc = solve_lf_zfb(real, beams, cfg)
+        alloc = solve_lf_zfb(links_of(real, beams, cfg), cfg)
         assert alloc.feasible == (alloc.p.sum() <= cfg.p0)
         # true nulling is exact here, so the interference slack is full
         true_slack = verify_allocation(real, beams, alloc.p, cfg, use_estimates=False)
         assert np.allclose(true_slack.interference, cfg.i0, atol=1e-12)
 
+    def test_no_receiving_pu_budget_is_p0_only(self):
+        # no cap row without a receiving PU, however small i0 / sigma2_delta is
+        verdicts = set()
+        for seed in range(20):
+            cfg, real = scenario(seed=seed, l_rx=0, r0=5.0, i0=0.01, sigma2_delta=0.1)
+            alloc = solve_lf_zfb(links_of(real, compute_zfb(real), cfg), cfg)
+            assert alloc.p.sum() > cfg.i0 / cfg.sigma2_delta
+            assert alloc.feasible == (alloc.p.sum() <= cfg.p0)
+            assert alloc.blocking == (None if alloc.feasible else "power")
+            verdicts.add(alloc.feasible)
+        assert verdicts == {True, False}
+
     def test_blocking_attribution(self):
         cfg, real = scenario(i0=1e-6, sigma2_delta=0.1)
-        alloc = solve_lf_zfb(real, compute_zfb(real), cfg)
+        alloc = solve_lf_zfb(links_of(real, compute_zfb(real), cfg), cfg)
         assert not alloc.feasible and alloc.blocking == "interference"
         cfg2, real2 = scenario(p0=1e-6, i0=100.0, sigma2_delta=1e-6)
-        alloc2 = solve_lf_zfb(real2, compute_zfb(real2), cfg2)
+        alloc2 = solve_lf_zfb(links_of(real2, compute_zfb(real2), cfg2), cfg2)
         assert not alloc2.feasible and alloc2.blocking == "power"
 
     def test_zero_gain_rejected(self):
         cfg, real = scenario()
-        beams = compute_zfb(real)
-        broken = type(beams)(scheme=beams.scheme, v=beams.v, u=beams.u,
-                             sigma2_k1=beams.sigma2_k1,
-                             gain=np.zeros_like(beams.gain))
+        links = links_of(real, compute_zfb(real), cfg)
+        broken = dataclasses.replace(links, cross=np.zeros_like(links.cross))
         with pytest.raises(ZeroGainError):
-            solve_lf_zfb(real, broken, cfg)
+            solve_lf_zfb(broken, cfg)
 
 
 class TestSolveLf:
     def test_dispatch_follows_beam_scheme(self):
         cfg, real = scenario()
         for beams, solver in ((compute_meb(real), solve_lf_meb), (compute_zfb(real), solve_lf_zfb)):
-            got, want = solve_lf(real, beams, cfg), solver(real, beams, cfg)
+            links = links_of(real, beams, cfg)
+            got, want = solve_lf(links, beams.scheme, cfg), solver(links, cfg)
             assert got.scheme == want.scheme and got.feasible == want.feasible
             assert np.array_equal(got.p, want.p)
 
     def test_unknown_scheme_rejected(self):
         cfg, real = scenario()
-        beams = compute_meb(real)
-        bogus = type(beams)(scheme="MRT", v=beams.v, u=beams.u,
-                            sigma2_k1=beams.sigma2_k1, gain=beams.gain)
+        links = links_of(real, compute_meb(real), cfg)
         with pytest.raises(ValueError, match="unknown scheme"):
-            solve_lf(real, bogus, cfg)
+            solve_lf(links, "MRT", cfg)
 
 
 class TestAudits:
@@ -215,7 +223,6 @@ class TestAudits:
             equal_power(cfg, -1.0)
         with pytest.raises(ValueError):
             equal_power(cfg, np.inf)
-        assert EQUAL_POWER == "EQUAL_POWER"
 
     def test_verify_matches_direct_recomputation(self):
         cfg, real = scenario(l_rx=2, l_tx=2)
@@ -242,7 +249,7 @@ class TestAudits:
     def test_accepts_allocation_object(self):
         cfg, real = scenario()
         beams = compute_zfb(real)
-        alloc = solve_lf_zfb(real, beams, cfg)
+        alloc = solve_lf_zfb(links_of(real, beams, cfg), cfg)
         direct = verify_allocation(real, beams, alloc.p, cfg, use_estimates=True)
         via_alloc = verify_allocation(real, beams, alloc, cfg, use_estimates=True)
         assert np.array_equal(direct.interference, via_alloc.interference)
@@ -262,6 +269,6 @@ class TestAudits:
     def test_allocation_dataclass(self):
         cfg, real = scenario()
         beams = compute_meb(real)
-        alloc = solve_lf_meb(real, beams, cfg)
+        alloc = solve_lf_meb(links_of(real, beams, cfg), cfg)
         assert isinstance(alloc, PowerAllocation)
         assert verify_allocation(real, beams, alloc, cfg, use_estimates=True).use_estimates

@@ -1,10 +1,13 @@
-"""Property tests of the beamformers over the space of valid configs."""
+"""Property tests of the beamformers and the LF verdict over valid configs."""
 
 import numpy as np
 import pytest
+from scipy.optimize import linprog
 
-from crmimo.beamforming import compute_meb, compute_zfb, nulling_residuals
-from crmimo.network import NetworkConfig, generate_channels
+from crmimo.analytics import q_k
+from crmimo.beamforming import MEB, ZFB, compute_beams, compute_meb, compute_zfb, nulling_residuals
+from crmimo.network import NetworkConfig, evaluate_links, generate_channels
+from crmimo.power import lf_meb_constraints, slack_from_links, solve_lf
 
 from test_beamforming import assert_principal_pair
 
@@ -39,3 +42,37 @@ def test_beam_invariants(case):
     pu_res, stream_res = nulling_residuals(real, zfb)
     assert pu_res.max() < 1e-18
     assert (stream_res / zfb.sigma2_k1).max() < 1e-18
+
+
+@st.composite
+def lf_configs(draw):
+    """(config, seed, p_eq) with ZF room and Wishart shapes the shipped table has."""
+    m_u = draw(st.integers(2, 4))
+    m_b = draw(st.sampled_from([8, 16, 32]))
+    l_rx = draw(st.integers(0, 2))
+    k_su = draw(st.integers(1, min(8, m_b - l_rx)))
+    config = NetworkConfig(
+        m_b=m_b, m_u=m_u, k_su=k_su, l_rx=l_rx, l_tx=draw(st.integers(0, 2)),
+        sigma2_delta=draw(st.sampled_from([0.0, 0.01, 0.1])),
+        r0=draw(st.floats(0.05, 5.0)),
+        i0=10.0 ** draw(st.floats(-3.0, 1.0)),
+        p0=10.0 ** draw(st.floats(-1.0, 2.0)),
+    )
+    return config, draw(st.integers(0, 2**32 - 1)), 10.0 ** draw(st.floats(-3.0, 1.0))
+
+
+@hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@hypothesis.given(lf_configs())
+def test_lf_verdict(case):
+    config, seed, p_eq = case
+    real = generate_channels(config, seed)
+    for scheme in (MEB, ZFB):
+        beams = compute_beams(real, scheme)
+        links = evaluate_links(real, beams.v, beams.u, config)
+        alloc = solve_lf(links, scheme, config)
+        a, b, _ = lf_meb_constraints(links, config)
+        oracle = linprog(np.zeros(a.shape[1]), A_ub=a, b_ub=b, bounds=(0, None), method="highs")
+        assert alloc.feasible == (oracle.status == 0)
+        if alloc.feasible:
+            assert slack_from_links(links, alloc.p, config, use_estimates=True).all_met()
+        assert 0.0 <= q_k(scheme, config, p_eq) <= 1.0
