@@ -5,7 +5,8 @@ Modules:
     network: configuration, channel generation, the link evaluator.
     beamforming: maximum-eigenmode and zero-forcing beam computation.
     power: feasibility-driven and equal-rate power allocation.
-    simplex: phase-1 feasibility solver used by the LF program.
+    simplex: phase-1 feasibility solver for general A x <= b systems; the
+        LF program is decided in closed form by power instead.
     specfun: incomplete gamma/beta special functions.
     analytics: closed-form SINR/interference laws and the equal-power optimizer.
     montecarlo: seeded trial runner, max-SU search, empirical CDFs.
@@ -68,5 +69,6 @@ from .montecarlo import (
     max_sus_at_confidence,
     empirical_cdf,
 )
+from . import simplex
 
 __version__ = "0.1.0"

@@ -52,6 +52,8 @@ class IllConditionedError(RuntimeError):
 class BeamformingSolution:
     """Beams plus the per-SU effective gains.
 
+    The arrays carry the leading trial axes of the realization.
+
     Attributes:
         scheme: MEB or ZFB.
         v: (k_su, m_b) unit-norm transmit beams.
@@ -71,10 +73,10 @@ class BeamformingSolution:
 
 def _fix_phase(v, u):
     """Rotate each (v_k, u_k) pair so the largest-|.| entry of v_k is real positive."""
-    idx = np.argmax(np.abs(v), axis=1)
-    piv = v[np.arange(v.shape[0]), idx]
-    phase = piv / np.abs(piv)
-    return v * phase.conj()[:, None], u * phase.conj()[:, None]
+    idx = np.argmax(np.abs(v), axis=-1)
+    piv = np.take_along_axis(v, idx[..., None], axis=-1)
+    phase = (piv / np.abs(piv)).conj()
+    return v * phase, u * phase
 
 
 def compute_meb(real: ChannelRealization) -> BeamformingSolution:
@@ -92,12 +94,12 @@ def compute_meb(real: ChannelRealization) -> BeamformingSolution:
         BeamformingSolution with gain equal to sigma2_k1.
     """
     h = real.h_su
-    lam, vec = np.linalg.eigh(h @ h.conj().transpose(0, 2, 1))
-    sigma2_k1 = lam[:, -1]
-    u = vec[:, :, -1]
+    lam, vec = np.linalg.eigh(h @ h.conj().swapaxes(-1, -2))
+    sigma2_k1 = lam[..., -1]
+    u = vec[..., -1]
     # scale the short u side: dividing the long complex v costs more
-    w = u.conj() / np.sqrt(sigma2_k1)[:, None]
-    v = (w[:, None, :] @ h)[:, 0, :].conj()
+    w = u.conj() / np.sqrt(sigma2_k1)[..., None]
+    v = (w[..., None, :] @ h)[..., 0, :].conj()
     v, u = _fix_phase(v, u)
     for a in (v, u, sigma2_k1):
         a.setflags(write=False)
@@ -114,7 +116,8 @@ def compute_zfb(real: ChannelRealization) -> BeamformingSolution:
 
     Raises:
         AntennaShortageError: if m_b <= k_su - 1 + l_rx.
-        IllConditionedError: if G is numerically rank deficient.
+        IllConditionedError: if G is numerically rank deficient (in any
+            trial of a block).
     """
     k, mb = real.k_su, real.m_b
     l_rx = real.pu_rx.size
@@ -124,23 +127,23 @@ def compute_zfb(real: ChannelRealization) -> BeamformingSolution:
         )
     meb = compute_meb(real)
     # g_k = H_k^H u_k = sqrt(sigma2_k1) v_k, phase fix included
-    g = meb.v.T * np.sqrt(meb.sigma2_k1)
+    g = meb.v.swapaxes(-1, -2) * np.sqrt(meb.sigma2_k1)[..., None, :]
     cols = [g]
     if l_rx:
-        cols.append(real.hhat_pu_sbs[real.pu_rx].T)
-    big_g = np.concatenate(cols, axis=1)
+        cols.append(real.hhat_pu_sbs[..., real.pu_rx, :].swapaxes(-1, -2))
+    big_g = np.concatenate(cols, axis=-1)
 
     un, s, vh = np.linalg.svd(big_g, full_matrices=False)
-    if s[-1] < _COND_TOL * s[0]:
+    if np.any(s[..., -1] < _COND_TOL * s[..., 0]):
         raise IllConditionedError(
-            f"ZF stacking matrix has condition number {s[0] / s[-1]:.3e}"
+            f"ZF stacking matrix has condition number {np.max(s[..., 0] / s[..., -1]):.3e}"
         )
     # the SU-stream columns of pinv(G)^H = un diag(1/s) vh, normalized on
     # the small side: un has orthonormal columns, so it keeps their norms
-    c = vh[:, :k] / s[:, None]
-    c /= np.linalg.norm(c, axis=0)
-    v = (un @ c).T
-    gain = np.abs(np.einsum("bk,kb->k", g.conj(), v)) ** 2
+    c = vh[..., :k] / s[..., None]
+    c /= np.linalg.norm(c, axis=-2)[..., None, :]
+    v = (un @ c).swapaxes(-1, -2)
+    gain = np.abs(np.einsum("...bk,...kb->...k", g.conj(), v)) ** 2
     for a in (v, gain):
         a.setflags(write=False)
     return BeamformingSolution(

@@ -210,23 +210,26 @@ def _fig2(spec: ExperimentSpec):
 
 def _fig_compare(spec: ExperimentSpec):
     name, values = spec.sweep
-    rows = []
-    for value in values:
-        config = spec.config.with_items({name: value})
-        for scheme in spec.schemes:
-            for policy in spec.policies:
-                res = run_trials(config, scheme, policy, spec.n_trials, spec.seed,
-                                 p_eq=spec.p_eq, n_workers=spec.n_workers)
-                analytic = ""
-                if policy == POLICY_EQUAL_POWER_OPT:
-                    analytic = _fmt(analytics.q_k(scheme, config, res.p_eq))
-                p_eq_db = "" if res.p_eq is None else _fmt(float(linear_to_db(res.p_eq)))
-                rows.append([_fmt(float(value)), scheme, policy, _fmt(res.p_served),
-                             _fmt(res.stderr), analytic, p_eq_db, res.n_trials])
-                print(f"{spec.experiment} {name}={value} scheme={scheme} policy={policy} "
-                      f"p_served={res.p_served:.4f}")
+
+    def compare(value, config, scheme, policy):
+        res = run_trials(config, scheme, policy, spec.n_trials, spec.seed,
+                         p_eq=spec.p_eq, n_workers=spec.n_workers)
+        analytic = ""
+        if policy == POLICY_EQUAL_POWER_OPT:
+            analytic = _fmt(analytics.q_k(scheme, config, res.p_eq))
+        p_eq_db = "" if res.p_eq is None else _fmt(float(linear_to_db(res.p_eq)))
+        print(f"{spec.experiment} {name}={value} scheme={scheme} policy={policy} "
+              f"p_served={res.p_served:.4f}")
+        yield [_fmt(float(value)), scheme, policy, _fmt(res.p_served),
+               _fmt(res.stderr), analytic, p_eq_db, res.n_trials, ""]
+
+    rows = [row for value in values for scheme in spec.schemes for policy in spec.policies
+            for row in _rows_or_error(
+                f"{spec.experiment} {name}={value} scheme={scheme} policy={policy}",
+                compare(value, spec.config.with_items({name: value}), scheme, policy),
+                [[_fmt(float(value)), scheme, policy, "", "", "", "", ""]])]
     header = [name, "scheme", "policy", "p_served", "stderr",
-              "q_analytical", "p_eq_db", "n_trials"]
+              "q_analytical", "p_eq_db", "n_trials", "error"]
     return f"{spec.experiment}.csv", header, rows
 
 
@@ -267,15 +270,16 @@ def _cdf_validation(spec: ExperimentSpec):
                      lambda s: analytics.zfb_sinr_exact_cdf(config, p_eq, s)),
                     ("interference", res.int_to_pu_true,
                      lambda x: analytics.zfb_interference_cdf(config, p_eq, x))]
-        for quantity, samples, cdf in laws:
+        for quantity, samples, law in laws:
             if samples.size == 0:
                 continue
-            ks = empirical_cdf(samples).ks_distance(cdf)
+            cdf = empirical_cdf(samples)  # failed trials' NaNs dropped
+            ks = cdf.ks_distance(law)
             print(f"cdf_validation scheme={scheme} quantity={quantity} ks={ks:.4f}")
             if spec.dump_samples and quantity != "sinr_exact":  # same samples as sinr
                 np.savetxt(os.path.join(spec.out_dir, f"samples_{scheme}_{quantity}.txt"),
-                           np.sort(samples))
-            yield [scheme, quantity, _fmt(ks), samples.size, res.n_trials, _fmt(p_eq_db), ""]
+                           cdf.samples)
+            yield [scheme, quantity, _fmt(ks), cdf.n, res.n_trials, _fmt(p_eq_db), ""]
 
     rows = [row for scheme in spec.schemes
             for row in _rows_or_error(f"cdf_validation scheme={scheme}", validate(scheme),
@@ -302,7 +306,7 @@ def _single_solve(spec: ExperimentSpec):
                 if p_eq is None:
                     p_eq = config.p0 / config.k_su
                 p = equal_power(config, p_eq)
-                feasible = slack_from_links(links, p, config, use_estimates=True).all_met()
+                feasible = bool(slack_from_links(links, p, config)[0].all_met())
             print(f"single_solve scheme={scheme} policy={policy} feasible={feasible}")
             for k, pk in enumerate(p):
                 db = float(linear_to_db(pk)) if pk > 0 else float("-inf")

@@ -2,7 +2,10 @@
 
 Each trial draws its own sub-seed from the master seed by counter, so a
 run is fully determined by (config, scheme, policy, n_trials, seed) and
-independent of how many workers execute it.  run_trials estimates the
+independent of how many workers execute it.  Trials run in blocks: each
+trial draws its own channels, then one call each computes the beams,
+the link gains and the slack of the whole block along a leading trial
+axis.  Block size changes no bit of any result.  run_trials estimates the
 probability that all SUs are served (the serving verdict uses the
 estimated constraints, i.e. what the SBS can check; the true-channel
 verdict is kept as an audit column).  max_sus_at_confidence searches
@@ -13,14 +16,15 @@ Kolmogorov-Smirnov comparisons against the closed-form laws.
 
 from __future__ import annotations
 
+import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass, fields as dataclass_fields, replace
 
 import numpy as np
 
 from .analytics import optimize_equal_power
 from .beamforming import AntennaShortageError, IllConditionedError, compute_beams
-from .network import NetworkConfig, evaluate_links, generate_channels
+from .network import ChannelRealization, NetworkConfig, evaluate_links, generate_channels
 from .power import equal_power, slack_from_links, solve_lf
 
 __all__ = [
@@ -43,25 +47,31 @@ _POLICIES = (POLICY_LF, POLICY_EQUAL_POWER, POLICY_EQUAL_POWER_OPT)
 
 MAX_K_SWEEP = 64
 
+# complex SU-channel elements per block of trials: 3 trials at m_b=64,
+# k_su=10, m_u=4 and one at m_b=1024.  Most of the batching gain comes
+# with the first few trials per block, while a block's arrays (about
+# twice this budget live at once) add to the peak memory.
+_BLOCK_ELEMENTS = 2 ** 13
+
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    """One realization's verdicts and raw samples.
+    """Verdicts and raw samples of a block of trials, trial axis first.
 
     served applies the estimated constraints (rates, interference cap,
     power budget, all at slack >= -1e-9); served_true applies the same
-    test on true channels.  error names a per-trial failure
+    test on true channels.  error[t] names a per-trial failure
     (AntennaShortageError etc.) counted by the caller, never raised.
     """
 
-    served: bool
-    served_true: bool
+    served: np.ndarray
+    served_true: np.ndarray
     sinr_est: np.ndarray
     sinr_true: np.ndarray
     int_to_pu_est: np.ndarray
     int_to_pu_true: np.ndarray
     p: np.ndarray
-    error: str | None = None
+    error: tuple[str | None, ...]
 
 
 @dataclass(frozen=True)
@@ -90,45 +100,96 @@ def trial_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(master_seed), int(index)))
 
 
-def _run_trial(config, scheme, policy, p_eq, master_seed, index) -> TrialOutcome:
-    real = generate_channels(config, trial_seed(master_seed, index))
-    k, l_rx = config.k_su, config.l_rx
+_CHANNELS = ("h_su", "h_pu_sbs", "h_pu_su", "hhat_pu_sbs", "hhat_pu_su")
+
+
+def _draw_block(config, master_seed, indices) -> ChannelRealization:
+    """Trials `indices`, each drawn from its own sub-seed, along a leading trial axis.
+
+    Each draw is copied into the block and dropped; one trial is viewed.
+    """
+    n, block = len(indices), {}
+    for t, i in enumerate(indices):
+        real = generate_channels(config, trial_seed(master_seed, i))
+        if n == 1:
+            return replace(real, **{name: getattr(real, name)[None] for name in _CHANNELS})
+        for name in _CHANNELS:
+            if t == 0:
+                block[name] = np.empty((n, *getattr(real, name).shape), dtype=complex)
+            block[name][t] = getattr(real, name)
+    for a in block.values():
+        a.setflags(write=False)
+    return replace(real, **block)
+
+
+def _trial(real, t) -> ChannelRealization:
+    """Trial t of a block, keeping the trial axis."""
+    return replace(real, **{name: getattr(real, name)[t:t + 1] for name in _CHANNELS})
+
+
+def _concat(outcomes) -> TrialOutcome:
+    if len(outcomes) == 1:
+        return outcomes[0]
+    return TrialOutcome(**{
+        f.name: (sum((o.error for o in outcomes), ()) if f.name == "error"
+                 else np.concatenate([getattr(o, f.name) for o in outcomes]))
+        for f in dataclass_fields(TrialOutcome)})
+
+
+def _failed(config, n, error) -> TrialOutcome:
+    nan_k = np.full((n, config.k_su), np.nan)
+    nan_l = np.full((n, config.l_rx), np.nan)
+    return TrialOutcome(
+        served=np.zeros(n, dtype=bool), served_true=np.zeros(n, dtype=bool),
+        sinr_est=nan_k, sinr_true=nan_k.copy(),
+        int_to_pu_est=nan_l, int_to_pu_true=nan_l.copy(),
+        p=np.zeros((n, config.k_su)), error=(error,) * n,
+    )
+
+
+def _run_block(config, scheme, policy, p_eq, real) -> TrialOutcome:
+    n = real.h_su.shape[0]
     try:
         beams = compute_beams(real, scheme)
-    except (AntennaShortageError, IllConditionedError) as exc:
-        nan_k = np.full(k, np.nan)
-        nan_l = np.full(l_rx, np.nan)
-        return TrialOutcome(
-            served=False, served_true=False,
-            sinr_est=nan_k, sinr_true=nan_k.copy(),
-            int_to_pu_est=nan_l, int_to_pu_true=nan_l.copy(),
-            p=np.zeros(k), error=type(exc).__name__,
-        )
+    except AntennaShortageError as exc:
+        return _failed(config, n, type(exc).__name__)
+    except IllConditionedError as exc:
+        if n == 1:
+            return _failed(config, n, type(exc).__name__)
+        # find the ill-conditioned trials: every trial as a block of its own
+        return _concat([_run_block(config, scheme, policy, p_eq, _trial(real, t))
+                        for t in range(n)])
 
     links = evaluate_links(real, beams.v, beams.u, config)
     if policy == POLICY_LF:
-        alloc = solve_lf(links, scheme, config)
-        p, solver_ok = alloc.p, alloc.feasible
+        allocs = [solve_lf(links[t], scheme, config) for t in range(n)]
+        p = np.stack([a.p for a in allocs])
+        solver_ok = np.array([a.feasible for a in allocs])
     else:
-        p = equal_power(config, p_eq)
+        p = np.broadcast_to(equal_power(config, p_eq), (n, config.k_su))
         solver_ok = True
 
-    est = slack_from_links(links, p, config, use_estimates=True)
-    true = slack_from_links(links, p, config, use_estimates=False)
+    est, true = slack_from_links(links, p, config)
     return TrialOutcome(
-        served=bool(solver_ok and est.all_met()),
-        served_true=bool(solver_ok and true.all_met()),
+        served=solver_ok & est.all_met(),
+        served_true=solver_ok & true.all_met(),
         sinr_est=est.sinr,
         sinr_true=true.sinr,
         int_to_pu_est=est.int_to_pu,
         int_to_pu_true=true.int_to_pu,
         p=p,
+        error=(None,) * n,
     )
 
 
-def _run_block(args) -> list[TrialOutcome]:
+def _run_range(args) -> TrialOutcome:
+    """Trials `indices` in blocks; each trial draws its own channels."""
     config, scheme, policy, p_eq, master_seed, indices = args
-    return [_run_trial(config, scheme, policy, p_eq, master_seed, i) for i in indices]
+    per_block = max(1, _BLOCK_ELEMENTS // (config.k_su * config.m_u * config.m_b))
+    return _concat([
+        _run_block(config, scheme, policy, p_eq,
+                   _draw_block(config, master_seed, indices[start:start + per_block]))
+        for start in range(0, len(indices), per_block)])
 
 
 def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, seed: int,
@@ -164,21 +225,17 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
     if policy_run == POLICY_EQUAL_POWER and p_eq is None:
         raise ValueError("equal-power policy needs p_eq")
 
-    indices = range(n_trials)
     if n_workers > 1:
-        blocks = np.array_split(np.arange(n_trials), n_workers)
         payloads = [
-            (config, scheme, policy_run, p_eq, seed, block.tolist())
-            for block in blocks if block.size
+            (config, scheme, policy_run, p_eq, seed, chunk.tolist())
+            for chunk in np.array_split(np.arange(n_trials), n_workers) if chunk.size
         ]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = [t for block in pool.map(_run_block, payloads) for t in block]
+            out = _concat(list(pool.map(_run_range, payloads)))
     else:
-        outcomes = [_run_trial(config, scheme, policy_run, p_eq, seed, i) for i in indices]
+        out = _run_range((config, scheme, policy_run, p_eq, seed, range(n_trials)))
 
-    served = np.array([t.served for t in outcomes])
-    served_true = np.array([t.served_true for t in outcomes])
-    p_served = served.sum() / n_trials
+    p_served = out.served.sum() / n_trials
     return ExperimentResult(
         config=config,
         scheme=scheme,
@@ -188,13 +245,13 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
         seed=seed,
         p_served=float(p_served),
         stderr=float(np.sqrt(p_served * (1.0 - p_served) / n_trials)),
-        p_served_true=float(served_true.sum() / n_trials),
-        csi_violation_rate=float((served & ~served_true).sum() / n_trials),
-        n_failed=sum(t.error is not None for t in outcomes),
-        sinr_est=np.concatenate([t.sinr_est for t in outcomes]),
-        sinr_true=np.concatenate([t.sinr_true for t in outcomes]),
-        int_to_pu_est=np.concatenate([t.int_to_pu_est for t in outcomes]),
-        int_to_pu_true=np.concatenate([t.int_to_pu_true for t in outcomes]),
+        p_served_true=float(out.served_true.sum() / n_trials),
+        csi_violation_rate=float((out.served & ~out.served_true).sum() / n_trials),
+        n_failed=sum(e is not None for e in out.error),
+        sinr_est=out.sinr_est.ravel(),
+        sinr_true=out.sinr_true.ravel(),
+        int_to_pu_est=out.int_to_pu_est.ravel(),
+        int_to_pu_true=out.int_to_pu_true.ravel(),
     )
 
 
@@ -210,8 +267,11 @@ def max_sus_at_confidence(config_base: NetworkConfig, scheme: str, confidence: f
     For each value of the swept config field, binary-searches the
     largest k with p_served >= confidence; k ranges over 1..min(64,
     m_b - l_rx) (the ZF antenna condition).  Returns [(value, max_k)].
-    Known constraint axes are checked for monotonicity: max_k must not
+    Known constraint axes are checked for monotonicity: max_k should not
     increase along tightening r0 nor decrease along loosening i0/p0.
+    Monte Carlo noise can break that near the confidence level, so a
+    break emits a RuntimeWarning naming the rows, which are returned
+    unchanged.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
@@ -256,16 +316,18 @@ def max_sus_at_confidence(config_base: NetworkConfig, scheme: str, confidence: f
     if direction is not None and len(rows) > 1:
         order = np.argsort([v for v, _ in rows])
         ks = [rows[i][1] for i in order]
-        diffs = np.diff(ks) * direction
-        if np.any(diffs < 0):
-            raise AssertionError(
-                f"max_k not monotone along {sweep_name}: {rows}"
-            )
+        if np.any(np.diff(ks) * direction < 0):
+            warnings.warn(f"max_k not monotone along {sweep_name}: {rows}", RuntimeWarning,
+                          stacklevel=2)
     return rows
 
 
 class EmpiricalCdf:
-    """Right-continuous empirical CDF with KS distance support."""
+    """Right-continuous empirical CDF with KS distance support.
+
+    The samples must be finite.  n counts them; n_dropped counts the NaN
+    markers empirical_cdf dropped before building it.
+    """
 
     def __init__(self, samples):
         samples = np.asarray(samples, dtype=float).ravel()
@@ -275,6 +337,7 @@ class EmpiricalCdf:
             raise ValueError("samples must be finite")
         self.samples = np.sort(samples)
         self.n = samples.size
+        self.n_dropped = 0
 
     def __call__(self, x):
         return np.searchsorted(self.samples, x, side="right") / self.n
@@ -297,5 +360,13 @@ class EmpiricalCdf:
 
 
 def empirical_cdf(samples) -> EmpiricalCdf:
-    """Build an EmpiricalCdf, dropping nothing (NaNs are an error)."""
-    return EmpiricalCdf(samples)
+    """Build an EmpiricalCdf of the finite samples, dropping and counting NaNs.
+
+    run_trials pools NaN for failed trials; they are dropped and counted
+    in n_dropped.  Infinite samples, or no sample left, raise ValueError.
+    """
+    samples = np.asarray(samples, dtype=float).ravel()
+    nan = np.isnan(samples)
+    cdf = EmpiricalCdf(samples[~nan])
+    cdf.n_dropped = int(nan.sum())
+    return cdf

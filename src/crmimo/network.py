@@ -7,7 +7,8 @@ Rayleigh fading.  The SBS knows the SU channels exactly but only noisy
 estimates of the PU channels.  evaluate_links computes the
 power-independent gains of one beam choice, with every PU term in a true
 and an estimated flavor; LinkMetrics turns them into SINRs and PU
-interference at any power vector.
+interference at any power vector.  Realizations, beams and gains may
+carry leading trial axes, so one call serves a block of trials.
 
 Complex Gaussian convention: CN(0, s2) means total variance s2, i.e.
 each real part has variance s2/2.
@@ -163,6 +164,9 @@ def _parse_kv_lines(lines) -> dict:
 class ChannelRealization:
     """One fading realization; all arrays are read-only.
 
+    The channel arrays may carry leading trial axes (a block of
+    realizations stacked along axis 0); pu_tx and pu_rx never do.
+
     Attributes:
         h_su: (k_su, m_u, m_b) true SBS-to-SU channels.
         h_pu_sbs: (l_pu, m_b) true PU-to-SBS channels.
@@ -183,15 +187,15 @@ class ChannelRealization:
 
     @property
     def k_su(self):
-        return self.h_su.shape[0]
+        return self.h_su.shape[-3]
 
     @property
     def m_u(self):
-        return self.h_su.shape[1]
+        return self.h_su.shape[-2]
 
     @property
     def m_b(self):
-        return self.h_su.shape[2]
+        return self.h_su.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -200,7 +204,9 @@ class LinkMetrics:
 
     sinr and int_to_pu evaluate them at a power vector.  The *_est
     fields follow the SBS view: estimated PU channels plus the
-    sigma2_delta error floor.  SU channels are known exactly.
+    sigma2_delta error floor.  SU channels are known exactly.  The
+    arrays may carry leading trial axes, with powers shaped to match;
+    links[t] is the gains of trial t.
 
     Attributes:
         cross: (k_su, k_su) |u_k^H H_k v_j|^2, SU k's receiver, stream j.
@@ -218,17 +224,27 @@ class LinkMetrics:
     leak_est: np.ndarray
     noise: float
 
-    def sinr(self, p, use_estimates: bool) -> np.ndarray:
-        """Per-SU SINR at powers p; the inter-stream term is exact."""
-        own = np.diagonal(self.cross)
-        inter = self.cross @ p - own * p
-        pu = self.pu_to_su_est if use_estimates else self.pu_to_su_true
-        return own * p / (self.noise + pu + inter)
+    def __getitem__(self, index) -> "LinkMetrics":
+        """The gains of trial `index` along the leading trial axis."""
+        return dataclasses.replace(self, **{
+            f.name: getattr(self, f.name)[index]
+            for f in dataclasses.fields(self) if f.name != "noise"})
+
+    def sinr(self, p) -> tuple[np.ndarray, np.ndarray]:
+        """Per-SU (estimated, true) SINR at powers p; the inter-stream term is exact.
+
+        Both flavors share the signal and the inter-stream term; only
+        the PU-to-SU interference differs.
+        """
+        signal = np.diagonal(self.cross, axis1=-2, axis2=-1) * p
+        inter = (self.cross @ p[..., None])[..., 0] - signal
+        return (signal / (self.noise + self.pu_to_su_est + inter),
+                signal / (self.noise + self.pu_to_su_true + inter))
 
     def int_to_pu(self, p, use_estimates: bool) -> np.ndarray:
         """Interference at each receiving PU at powers p."""
         leak = self.leak_est if use_estimates else self.leak_true
-        return leak.T @ p
+        return (leak.swapaxes(-1, -2) @ p[..., None])[..., 0]
 
 
 def _cgauss(rng, shape, var):
@@ -279,34 +295,36 @@ def generate_channels(config: NetworkConfig, seed) -> ChannelRealization:
 
 
 def _cross_gains(real: ChannelRealization, v, u) -> np.ndarray:
-    """(k_su, k_su) matrix of |u_k^H H_k v_j|^2: SU k's receiver, stream j."""
-    g = (u.conj()[:, None, :] @ real.h_su)[:, 0, :]
-    return np.abs(g @ v.T) ** 2
+    """(..., k_su, k_su) matrix of |u_k^H H_k v_j|^2: SU k's receiver, stream j."""
+    g = (u.conj()[..., None, :] @ real.h_su)[..., 0, :]
+    return np.abs(g @ v.swapaxes(-1, -2)) ** 2
 
 
 def evaluate_links(real: ChannelRealization, v, u, config: NetworkConfig) -> LinkMetrics:
     """Compute the power-independent gains of a beam choice once.
 
     Args:
-        v: (k_su, m_b) transmit beams.
-        u: (k_su, m_u) receive beams.
+        v: (..., k_su, m_b) transmit beams, leading axes as in real.
+        u: (..., k_su, m_u) receive beams.
 
     Raises:
         ValueError: if a shape does not match the realization.
     """
     v, u = np.asarray(v), np.asarray(u)
-    k = real.k_su
-    for name, arr, shape in (("v", v, (k, real.m_b)), ("u", u, (k, real.m_u))):
+    lead, k = real.h_su.shape[:-3], real.k_su
+    for name, arr, shape in (("v", v, (*lead, k, real.m_b)), ("u", u, (*lead, k, real.m_u))):
         if arr.shape != shape:
             raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     # |u_k^H h_lk|^2 of each transmitting PU l at SU k
-    pu_true = np.abs(np.einsum("ku,lku->lk", u.conj(), real.h_pu_su[real.pu_tx])) ** 2
-    pu_est = np.abs(np.einsum("ku,lku->lk", u.conj(), real.hhat_pu_su[real.pu_tx])) ** 2
+    tx, rx, uc = real.pu_tx, real.pu_rx, u.conj()
+    pu_true = np.abs(np.einsum("...ku,...lku->...lk", uc, real.h_pu_su[..., tx, :, :])) ** 2
+    pu_est = np.abs(np.einsum("...ku,...lku->...lk", uc, real.hhat_pu_su[..., tx, :, :])) ** 2
     return LinkMetrics(
         cross=_cross_gains(real, v, u),
-        pu_to_su_true=config.p_p * pu_true.sum(axis=0),
-        pu_to_su_est=config.p_p * (pu_est + config.sigma2_delta).sum(axis=0),
-        leak_true=np.abs(v.conj() @ real.h_pu_sbs[real.pu_rx].T) ** 2,
-        leak_est=np.abs(v.conj() @ real.hhat_pu_sbs[real.pu_rx].T) ** 2 + config.sigma2_delta,
+        pu_to_su_true=config.p_p * pu_true.sum(axis=-2),
+        pu_to_su_est=config.p_p * (pu_est + config.sigma2_delta).sum(axis=-2),
+        leak_true=np.abs(v.conj() @ real.h_pu_sbs[..., rx, :].swapaxes(-1, -2)) ** 2,
+        leak_est=np.abs(v.conj() @ real.hhat_pu_sbs[..., rx, :].swapaxes(-1, -2)) ** 2
+        + config.sigma2_delta,
         noise=config.sigma2_w,
     )

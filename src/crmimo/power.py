@@ -1,14 +1,19 @@
 """Power allocation under interference, rate and budget constraints.
 
 Every solver reads the gains of network.evaluate_links (LinkMetrics).
-solve_lf_meb runs a phase-1 simplex on the linear feasibility system
-stacked from them (interference caps at the receiving PUs, per-SU rate
-floors, total power budget).  solve_lf_zfb computes the closed-form
-powers that make every SU's estimated rate exactly r0 under ZF beams;
-they decide the system exactly, through the budget and the cap rows.
-solve_lf picks the solver by scheme.  slack_from_links and
-verify_allocation audit any powers against the constraints, on
-estimated or true channels.
+Both LF solvers decide the linear feasibility system (interference caps
+at the receiving PUs, per-SU rate floors, total power budget) in closed
+form.  solve_lf_meb solves for the minimum-power point p* of the rate
+rows, (I - F) p = d with F >= 0 and d >= 0, which exists with p* >= 0
+exactly when the rate rows are feasible and lies below every other
+point that meets them; the caps and the budget have nonnegative
+coefficients, so p* decides the whole system (Zander 1992; Foschini and
+Miljanic 1993; Yates 1995).  solve_lf_zfb computes the powers that make
+every SU's estimated rate exactly r0 under ZF beams, which is the same
+point once ZF removes F.  solve_lf picks the solver by scheme.
+lf_meb_constraints stacks the rows for export and for independent LP
+audits.  slack_from_links and verify_allocation audit any powers against
+the constraints, on estimated and true channels.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import simplex
 from .beamforming import MEB, ZFB, BeamformingSolution
 from .network import ChannelRealization, LinkMetrics, NetworkConfig, evaluate_links
 
@@ -55,7 +59,9 @@ class SlackReport:
     interference[l] = i0 - int_to_pu[l], the cap margin at receiving
     PU l; rate[k] = log2(1 + sinr[k]) - r0; power = p0 - sum(p).
     Nonnegative entries mean the constraint holds.  sinr and int_to_pu
-    are the figures behind the margins.
+    are the figures behind the margins.  For a block of trials every
+    field carries the leading trial axis, and min_slack and all_met
+    answer per trial.
     """
 
     interference: np.ndarray
@@ -65,11 +71,11 @@ class SlackReport:
     sinr: np.ndarray
     int_to_pu: np.ndarray
 
-    def min_slack(self) -> float:
-        parts = [self.interference, self.rate, [self.power]]
-        return float(min(np.min(p) for p in parts if len(p)))
+    def min_slack(self):
+        power = np.asarray(self.power)[..., None]
+        return np.concatenate([self.interference, self.rate, power], axis=-1).min(axis=-1)
 
-    def all_met(self, tol: float = SLACK_TOL) -> bool:
+    def all_met(self, tol: float = SLACK_TOL):
         return self.min_slack() >= tol
 
 
@@ -78,9 +84,10 @@ class PowerAllocation:
     """Solver output: powers and verdict.
 
     Audit the powers with verify_allocation.  blocking names the
-    constraint family (interference, rate, power) with the largest
-    violation at the phase-1 optimum when the LF MEB system is
-    infeasible; None otherwise.
+    constraint family that makes the system infeasible, None when it is
+    feasible: "rate" when no nonnegative point meets the rate rows,
+    otherwise whichever of "interference" (caps) and "power" (budget)
+    the minimum-power point violates most.
     """
 
     p: np.ndarray
@@ -137,26 +144,38 @@ def load_constraints(path):
     return np.array(rows), np.array(rhs), labels
 
 
-def _blocking_family(labels, row_violation) -> str | None:
-    worst = {}
-    for label, viol in zip(labels, row_violation):
-        family = label.split(":", 1)[0]
-        worst[family] = max(worst.get(family, 0.0), viol)
-    family, value = max(worst.items(), key=lambda kv: kv[1])
-    return family if value > 0.0 else None
-
-
 def solve_lf_meb(links: LinkMetrics, config: NetworkConfig) -> PowerAllocation:
-    """Decide the LF MEB feasibility problem and return a point.
+    """Decide the LF MEB feasibility problem at its minimum-power point.
 
-    Feasible verdicts return a basic feasible power vector; infeasible
-    verdicts return the phase-1 optimum together with the blocking
-    constraint family.
+    With thr = 2^r0 - 1 the rate rows read p >= F p + d, where
+    F[k, j] = thr cross[k, j] / cross[k, k] (0 on the diagonal) and
+    d = thr (sigma2_w + estimated PU-to-SU interference) / cross[k, k].
+    The system is feasible iff p* = (I - F)^-1 d exists, is finite and
+    nonnegative, and meets the caps and the budget; with d > 0 a
+    nonnegative p* is positive.  Feasible verdicts return p*, which
+    meets every rate row with equality.  Infeasible verdicts return p*
+    when it is nonnegative, zeros otherwise.
     """
-    a, b, labels = lf_meb_constraints(links, config)
-    result = simplex.find_feasible(a, b)
-    blocking = None if result.feasible else _blocking_family(labels, result.row_violation)
-    return PowerAllocation(p=result.x, feasible=result.feasible, scheme=LF_MEB, blocking=blocking)
+    own = np.diagonal(links.cross)
+    thr = 2.0 ** config.r0 - 1.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = thr * links.cross / own[:, None]
+        d = thr * (links.noise + links.pu_to_su_est) / own
+    np.fill_diagonal(f, 0.0)
+    try:
+        p = np.linalg.solve(np.eye(own.size) - f, d)
+    except np.linalg.LinAlgError:
+        p = np.full(own.size, np.nan)
+    if not (np.isfinite(p).all() and np.all(p >= 0.0)):
+        return PowerAllocation(p=np.zeros(own.size), feasible=False, scheme=LF_MEB,
+                               blocking="rate")
+    worst = {"interference": np.max(links.int_to_pu(p, use_estimates=True) - config.i0,
+                                    initial=-np.inf),
+             "power": p.sum() - config.p0}
+    family = max(worst, key=worst.get)
+    feasible = bool(worst[family] <= 0.0)
+    return PowerAllocation(p=p, feasible=feasible, scheme=LF_MEB,
+                           blocking=None if feasible else family)
 
 
 def solve_lf_zfb(links: LinkMetrics, config: NetworkConfig) -> PowerAllocation:
@@ -201,20 +220,26 @@ def equal_power(config: NetworkConfig, p_eq: float) -> np.ndarray:
     return np.full(config.k_su, float(p_eq))
 
 
-def slack_from_links(links: LinkMetrics, p, config: NetworkConfig,
-                     use_estimates: bool) -> SlackReport:
-    """Constraint margins at powers p from precomputed LinkMetrics."""
+def slack_from_links(links: LinkMetrics, p, config: NetworkConfig
+                     ) -> tuple[SlackReport, SlackReport]:
+    """(estimated, true) constraint margins at powers p from precomputed LinkMetrics.
+
+    p carries the leading trial axes of links, if any.
+    """
     p = np.asarray(p, dtype=float)
-    sinr = links.sinr(p, use_estimates)
-    int_to_pu = links.int_to_pu(p, use_estimates)
-    return SlackReport(
-        interference=config.i0 - int_to_pu,
-        rate=np.log2(1.0 + sinr) - config.r0,
-        power=float(config.p0 - p.sum()),
-        use_estimates=use_estimates,
-        sinr=sinr,
-        int_to_pu=int_to_pu,
-    )
+    power = config.p0 - p.sum(axis=-1)
+    reports = []
+    for use_estimates, sinr in zip((True, False), links.sinr(p)):
+        int_to_pu = links.int_to_pu(p, use_estimates)
+        reports.append(SlackReport(
+            interference=config.i0 - int_to_pu,
+            rate=np.log2(1.0 + sinr) - config.r0,
+            power=power,
+            use_estimates=use_estimates,
+            sinr=sinr,
+            int_to_pu=int_to_pu,
+        ))
+    return reports[0], reports[1]
 
 
 def verify_allocation(real: ChannelRealization, beams: BeamformingSolution, p, config: NetworkConfig,
@@ -231,5 +256,5 @@ def verify_allocation(real: ChannelRealization, beams: BeamformingSolution, p, c
     """
     if isinstance(p, PowerAllocation):
         p = p.p
-    return slack_from_links(evaluate_links(real, beams.v, beams.u, config), p, config,
-                            use_estimates)
+    est, true = slack_from_links(evaluate_links(real, beams.v, beams.u, config), p, config)
+    return est if use_estimates else true

@@ -200,7 +200,9 @@ class TestCriterion5:
 
 class TestCriterion6:
     def test_lf_meb_soundness(self, tmp_path):
-        audit_fails = 0
+        # the closed-form verdict: its minimum-power point passes the audit with
+        # every rate exactly at r0, and HiGHS agrees on exported instances
+        audit_fails = rate_fails = 0
         n_feasible = 0
         verdicts = []
         for i in range(500):
@@ -214,6 +216,8 @@ class TestCriterion6:
                 slack = verify_allocation(real, beams, alloc, BASELINE, use_estimates=True)
                 if not slack.all_met(tol=-1e-9):
                     audit_fails += 1
+                if np.max(np.abs(slack.rate)) > 1e-9:
+                    rate_fails += 1
         lp_mismatches = 0
         for n, (links, feasible) in enumerate(verdicts[:20]):
             a, b, labels = lf_meb_constraints(links, BASELINE)
@@ -224,9 +228,10 @@ class TestCriterion6:
                                          bounds=(0, None), method="highs")
             if (res.status == 0) != feasible:
                 lp_mismatches += 1
-        ok = audit_fails == 0 and lp_mismatches == 0
+        ok = audit_fails == 0 and rate_fails == 0 and lp_mismatches == 0
         verdict("6 lf meb soundness", ok,
-                f"500 realizations, {n_feasible} feasible, {audit_fails} audit fails; "
+                f"500 realizations, {n_feasible} feasible, {audit_fails} audit fails, "
+                f"{rate_fails} rate deviations beyond 1e-9; "
                 f"20 exported instances, {lp_mismatches} LP verdict mismatches")
 
 

@@ -266,6 +266,21 @@ class TestSweepExperiments:
         assert opt_row[5] != ""  # analytic q present for the OPT policy
         assert opt_row[6] != ""  # resolved p_eq_db recorded
 
+    def test_fig4_failed_policy_keeps_the_others(self, tmp_path, capsys):
+        # k_su = m_b leaves ZFB no null space: the optimizer rejects the config,
+        # while LF records every trial as failed
+        code = main(["--experiment", "fig4_zfb_compare", "--set", "m_b=12",
+                     "--set", "k_su=12", "--trials", "5", "--sweep", "sigma2_delta=0.01",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert ("fig4_zfb_compare sigma2_delta=0.01 scheme=ZFB policy=EQUAL_POWER_OPT "
+                "error=ValueError") in capsys.readouterr().out
+        header, body = read_csv(tmp_path / "fig4_zfb_compare.csv")
+        assert header[-1] == "error"
+        assert body[0] == ["0.01", "ZFB", "EQUAL_POWER_OPT", "", "", "", "", "", "ValueError"]
+        assert body[1][:4] == ["0.01", "ZFB", "LF", "0.0"] and body[1][-1] == ""
+        assert len(body) == 2
+
     def test_fig5_tiny(self, tmp_path, capsys):
         code = main(["--experiment", "fig5_max_sus", *TINY,
                      "--sweep", "r0=1", "--trials", "10", "--schemes", "ZFB",

@@ -1,12 +1,16 @@
 """Seeded trials: determinism, serving logic, pooled samples and the CDF tools."""
 
+import dataclasses
+import warnings
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import crmimo.montecarlo
 import crmimo.power
 from crmimo.analytics import GammaParams
-from crmimo.beamforming import MEB, ZFB
+from crmimo.beamforming import MEB, ZFB, compute_beams
 from crmimo.montecarlo import (
     MAX_K_SWEEP,
     POLICY_EQUAL_POWER,
@@ -19,9 +23,27 @@ from crmimo.montecarlo import (
     run_trials,
     trial_seed,
 )
-from crmimo.network import NetworkConfig, generate_channels
+from crmimo.network import NetworkConfig, evaluate_links, generate_channels
+from crmimo.power import equal_power, slack_from_links
 
 SMALL = NetworkConfig(m_b=16, m_u=2, k_su=3, l_tx=1, l_rx=1, sigma2_delta=0.01)
+RESULT_FIELDS = ("p_served", "stderr", "p_served_true", "csi_violation_rate", "n_failed",
+                 "sinr_est", "sinr_true", "int_to_pu_est", "int_to_pu_true")
+
+
+def trials_per_block(monkeypatch, config, n):
+    """Set the block budget so that a block holds n trials of config."""
+    monkeypatch.setattr(crmimo.montecarlo, "_BLOCK_ELEMENTS",
+                        n * config.k_su * config.m_u * config.m_b)
+
+
+def assert_same_result(a, b):
+    for name in RESULT_FIELDS:
+        x, y = getattr(a, name), getattr(b, name)
+        if isinstance(x, np.ndarray):
+            assert np.array_equal(x, y, equal_nan=True), name
+        else:
+            assert x == y, name
 
 
 class TestSeeding:
@@ -135,7 +157,7 @@ class TestServingLogic:
         assert run_trials(cfg, scheme, POLICY_LF, 200, seed=3).p_served == 1.0
 
     @pytest.mark.parametrize("scheme", [MEB, ZFB])
-    def test_lf_evaluates_links_once_per_trial(self, scheme, monkeypatch):
+    def test_lf_evaluates_links_once_per_block(self, scheme, monkeypatch):
         calls = []
         for module in (crmimo.montecarlo, crmimo.power):
             original = module.evaluate_links
@@ -145,9 +167,102 @@ class TestServingLogic:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, "evaluate_links", counted)
+        trials_per_block(monkeypatch, SMALL, 3)
         res = run_trials(SMALL, scheme, POLICY_LF, 7, seed=4)
         assert res.n_failed == 0
-        assert len(calls) == 7
+        assert len(calls) == 3  # blocks of 3, 3 and 1 trials
+
+
+class TestBlocks:
+    SHORTAGE = NetworkConfig(m_b=4, m_u=2, k_su=6, l_tx=1, l_rx=1)
+
+    @pytest.mark.parametrize("config, scheme, policy", [
+        (SMALL, MEB, POLICY_EQUAL_POWER), (SMALL, ZFB, POLICY_EQUAL_POWER),
+        (SMALL, MEB, POLICY_LF), (SMALL, ZFB, POLICY_LF),
+        (SHORTAGE, ZFB, POLICY_EQUAL_POWER),
+    ])
+    def test_results_independent_of_blocks_and_workers(self, config, scheme, policy,
+                                                       monkeypatch):
+        kw = dict(n_trials=23, seed=6, p_eq=0.3)
+        results = []
+        for n in (1, 7, 1000):
+            trials_per_block(monkeypatch, config, n)
+            results.append(run_trials(config, scheme, policy, **kw))
+        results.append(run_trials(config, scheme, policy, n_workers=2, **kw))
+        assert results[0].n_failed == (23 if config is self.SHORTAGE else 0)
+        for other in results[1:]:
+            assert_same_result(results[0], other)
+
+    @pytest.mark.parametrize("scheme", [MEB, ZFB])
+    def test_block_matches_single_trial_calls(self, scheme, monkeypatch):
+        # the public functions without a trial axis give the pooled samples bit for bit
+        trials_per_block(monkeypatch, SMALL, 5)
+        res = run_trials(SMALL, scheme, POLICY_EQUAL_POWER, 12, seed=8, p_eq=0.3)
+        pooled = {name: [] for name in ("sinr_est", "sinr_true", "int_to_pu_est",
+                                        "int_to_pu_true")}
+        for i in range(12):
+            real = generate_channels(SMALL, trial_seed(8, i))
+            beams = compute_beams(real, scheme)
+            links = evaluate_links(real, beams.v, beams.u, SMALL)
+            est, true = slack_from_links(links, equal_power(SMALL, 0.3), SMALL)
+            for flavor, report in (("est", est), ("true", true)):
+                pooled[f"sinr_{flavor}"].append(report.sinr)
+                pooled[f"int_to_pu_{flavor}"].append(report.int_to_pu)
+        for name, parts in pooled.items():
+            assert np.array_equal(getattr(res, name), np.concatenate(parts)), name
+
+    def test_per_trial_call_shape(self, monkeypatch):
+        # one seed, one draw and one LF solve per trial, in trial order; one
+        # beam and one link call per block
+        calls = []
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls.append((name, args[1].entropy if name == "generate_channels" else None))
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        for name in ("trial_seed", "generate_channels", "compute_beams", "evaluate_links"):
+            counting(crmimo.montecarlo, name)
+        counting(crmimo.power, "solve_lf_meb")
+        trials_per_block(monkeypatch, SMALL, 4)
+        run_trials(SMALL, MEB, POLICY_LF, 10, seed=2)
+        names = [name for name, _ in calls]
+        for name, count in (("trial_seed", 10), ("generate_channels", 10),
+                            ("solve_lf_meb", 10), ("compute_beams", 3),
+                            ("evaluate_links", 3)):
+            assert names.count(name) == count, name
+        draws = [entropy for name, entropy in calls if name == "generate_channels"]
+        assert draws == [(2, i) for i in range(10)]
+        assert names[:2] == ["trial_seed", "generate_channels"]
+
+    def test_ill_conditioned_trial_fails_alone(self, monkeypatch):
+        # a duplicated receiving-PU estimate makes trial 3 rank deficient; its
+        # block falls back to one trial at a time and loses only that trial
+        cfg = SMALL.replace(l_rx=2)
+        draw = crmimo.montecarlo.generate_channels
+
+        def defective(config, seed):
+            real = draw(config, seed)
+            if seed.entropy[1] != 3:
+                return real
+            hhat = real.hhat_pu_sbs.copy()
+            hhat[real.pu_rx[1]] = hhat[real.pu_rx[0]]
+            return dataclasses.replace(real, hhat_pu_sbs=hhat)
+
+        trials_per_block(monkeypatch, cfg, 6)
+        clean = run_trials(cfg, ZFB, POLICY_EQUAL_POWER, 8, seed=1, p_eq=0.3)
+        monkeypatch.setattr(crmimo.montecarlo, "generate_channels", defective)
+        res = run_trials(cfg, ZFB, POLICY_EQUAL_POWER, 8, seed=1, p_eq=0.3)
+        assert res.n_failed == 1
+        ok = np.arange(8) != 3
+        for name in ("sinr_true", "int_to_pu_est"):
+            got, want = getattr(res, name).reshape(8, -1), getattr(clean, name).reshape(8, -1)
+            assert np.all(np.isnan(got[3]))
+            assert np.array_equal(got[ok], want[ok]), name
 
 
 class TestMaxSus:
@@ -172,6 +287,23 @@ class TestMaxSus:
         ks = dict(rows)
         assert ks[0.5] >= ks[2.0]
         assert all(0 <= k <= MAX_K_SWEEP for k in ks.values())
+
+    def test_non_monotone_table_warns_and_is_returned(self, monkeypatch):
+        # Monte Carlo noise: the tighter rate r0 = 2 serves more SUs than r0 = 1
+        max_k = {1.0: 2, 2.0: 5}
+
+        def fake_run_trials(config, scheme, policy, n_trials, seed, p_eq=None):
+            return SimpleNamespace(p_served=float(config.k_su <= max_k[config.r0]))
+
+        monkeypatch.setattr(crmimo.montecarlo, "run_trials", fake_run_trials)
+        with pytest.warns(RuntimeWarning, match=r"not monotone along r0: \[\(1.0, 2\), "):
+            rows = max_sus_at_confidence(SMALL, ZFB, 0.5, "r0", [1.0, 2.0], n_trials=3)
+        assert rows == [(1.0, 2), (2.0, 5)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            max_k[2.0] = 1
+            assert max_sus_at_confidence(SMALL, ZFB, 0.5, "r0", [1.0, 2.0],
+                                         n_trials=3) == [(1.0, 2), (2.0, 1)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -227,3 +359,22 @@ class TestEmpiricalCdf:
             EmpiricalCdf([1.0, np.nan])
         with pytest.raises(ValueError):
             empirical_cdf([np.inf])
+        with pytest.raises(ValueError):
+            empirical_cdf([1.0, -np.inf, np.nan])
+        with pytest.raises(ValueError):
+            empirical_cdf([np.nan, np.nan])
+
+    def test_drops_and_counts_nans(self):
+        f = empirical_cdf([3.0, np.nan, 1.0, np.nan, np.nan])
+        assert (f.n, f.n_dropped) == (2, 3)
+        assert f(1.0) == 0.5 and f(3.0) == 1.0
+        assert EmpiricalCdf([1.0]).n_dropped == 0
+
+    def test_failed_trials_dropped_from_pool(self):
+        # every ZFB trial of this config fails, every MEB trial succeeds
+        cfg = NetworkConfig(m_b=12, k_su=12)
+        failed = run_trials(cfg, ZFB, POLICY_EQUAL_POWER, 5, seed=0, p_eq=0.1)
+        served = run_trials(cfg, MEB, POLICY_EQUAL_POWER, 5, seed=0, p_eq=0.1)
+        f = empirical_cdf(np.concatenate([failed.sinr_true, served.sinr_true]))
+        assert (f.n, f.n_dropped) == (60, 60)
+        assert np.array_equal(f.samples, np.sort(served.sinr_true))

@@ -139,8 +139,7 @@ class TestEvaluators:
         links = evaluate_links(real, v, u, cfg)
         zero = np.zeros(cfg.k_su)
         assert np.all(links.int_to_pu(zero, use_estimates=False) == 0)
-        assert np.all(links.sinr(zero, use_estimates=False) == 0)
-        assert np.all(links.sinr(zero, use_estimates=True) == 0)
+        assert np.all(np.array(links.sinr(zero)) == 0)
 
     def test_aligned_beam(self):
         cfg = small_config(k_su=1, l_tx=0, l_rx=1, m_u=1)
@@ -173,8 +172,7 @@ class TestEvaluators:
     def test_sinr_oracle(self, setup):
         cfg, real, v, u, p = setup
         links = evaluate_links(real, v, u, cfg)
-        sinr_true = links.sinr(p, use_estimates=False)
-        sinr_est = links.sinr(p, use_estimates=True)
+        sinr_est, sinr_true = links.sinr(p)
         assert links.noise == cfg.sigma2_w
         for k in range(cfg.k_su):
             hk = real.h_su[k]
@@ -225,8 +223,9 @@ class TestEvaluators:
         cfg, real, v, u, p = setup
         links = evaluate_links(real, v, u, cfg)
         inter = links.cross @ p - np.diagonal(links.cross) * p
-        sig_true = links.sinr(p, False) * (cfg.sigma2_w + links.pu_to_su_true + inter)
-        sig_est = links.sinr(p, True) * (cfg.sigma2_w + links.pu_to_su_est + inter)
+        sinr_est, sinr_true = links.sinr(p)
+        sig_true = sinr_true * (cfg.sigma2_w + links.pu_to_su_true + inter)
+        sig_est = sinr_est * (cfg.sigma2_w + links.pu_to_su_est + inter)
         assert np.allclose(sig_true, sig_est, rtol=1e-14)
         assert np.all(inter >= 0)
         assert np.all(np.isfinite(inter))

@@ -17,6 +17,7 @@ from crmimo.power import (
     export_constraints,
     lf_meb_constraints,
     load_constraints,
+    slack_from_links,
     solve_lf,
     solve_lf_meb,
     solve_lf_zfb,
@@ -107,13 +108,35 @@ class TestSolveLfMeb:
         assert hits > 0
 
     def test_infeasible_reports_blocking(self):
+        # the error floor alone forces any rate-positive power over the cap
         cfg, real = scenario(i0=1e-12, sigma2_delta=0.01)
         beams = compute_meb(real)
         alloc = solve_lf_meb(links_of(real, beams, cfg), cfg)
-        assert not alloc.feasible
-        assert alloc.blocking in {"interference", "int", "rate", "power"}
-        # the error floor alone forces any rate-positive power over the cap
-        assert alloc.blocking.startswith("int") or alloc.blocking == "rate"
+        assert not alloc.feasible and alloc.blocking == "interference"
+        # no nonnegative point meets the rate rows
+        cfg = cfg.replace(r0=20.0, i0=1e9, p0=1e9)
+        alloc = solve_lf_meb(links_of(real, beams, cfg), cfg)
+        assert not alloc.feasible and alloc.blocking == "rate"
+        assert np.array_equal(alloc.p, np.zeros(cfg.k_su))
+        # the minimum-power point exists but exceeds the budget
+        cfg = cfg.replace(r0=1.0, p0=1e-6)
+        alloc = solve_lf_meb(links_of(real, beams, cfg), cfg)
+        assert not alloc.feasible and alloc.blocking == "power"
+        assert alloc.p.sum() > cfg.p0
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_returns_minimum_power_point(self, seed):
+        # p* meets every rate row with equality and is the LP's minimum-power point
+        cfg, real = scenario(seed=seed)
+        links = links_of(real, compute_meb(real), cfg)
+        alloc = solve_lf_meb(links, cfg)
+        a, b, _ = lf_meb_constraints(links, cfg)
+        lp = linprog(np.ones(cfg.k_su), A_ub=a, b_ub=b, bounds=(0, None), method="highs")
+        assert alloc.feasible == (lp.status == 0)
+        if alloc.feasible:
+            rate = slack_from_links(links, alloc.p, cfg)[0].rate
+            assert np.max(np.abs(rate)) < 1e-12
+            assert np.allclose(alloc.p, lp.x, rtol=1e-6)
 
     def test_vacuous_rate_floor(self):
         # r0 -> 0 drops the rate rows to "0 <= 0"; p = 0 is always feasible
@@ -121,6 +144,7 @@ class TestSolveLfMeb:
         beams = compute_meb(real)
         alloc = solve_lf_meb(links_of(real, beams, cfg), cfg)
         assert alloc.feasible
+        assert np.array_equal(alloc.p, np.zeros(cfg.k_su))
 
     def test_monotone_in_relaxation(self):
         for seed in range(10):

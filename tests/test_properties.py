@@ -74,5 +74,5 @@ def test_lf_verdict(case):
         oracle = linprog(np.zeros(a.shape[1]), A_ub=a, b_ub=b, bounds=(0, None), method="highs")
         assert alloc.feasible == (oracle.status == 0)
         if alloc.feasible:
-            assert slack_from_links(links, alloc.p, config, use_estimates=True).all_met()
+            assert slack_from_links(links, alloc.p, config)[0].all_met()
         assert 0.0 <= q_k(scheme, config, p_eq) <= 1.0

@@ -1,9 +1,16 @@
-"""Phase-1 feasibility solver against scipy's LP solver."""
+"""LP feasibility verdicts against scipy's LP solver.
+
+The phase-1 simplex is checked on general systems A x <= b, x >= 0.
+Systems shaped like the LF power problem are decided by the closed form
+of power.solve_lf_meb, which the src/ package uses instead.
+"""
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+from crmimo.network import LinkMetrics, NetworkConfig
+from crmimo.power import lf_meb_constraints, solve_lf_meb
 from crmimo.simplex import FEAS_TOL, FeasibilityResult, SimplexError, find_feasible
 
 
@@ -99,22 +106,25 @@ class TestAgainstLinprog:
 
     @pytest.mark.parametrize("trial", range(30))
     def test_random_structured_systems(self, trial):
-        # shapes like the power problem: mixed >= (rate), <= (cap) and a sum row
+        # the power problem: rate rows (>=), two caps (<=) and a budget row,
+        # decided by the closed-form minimum-power point
         rng = np.random.default_rng(7000 + trial)
         k = int(rng.integers(2, 9))
-        gain = rng.uniform(0.5, 30.0, k)
         cross = rng.uniform(0.0, 0.4, (k, k))
-        a_rate = cross.copy()
-        a_rate[np.arange(k), np.arange(k)] = -gain
-        a_cap = rng.uniform(0.0, 2.0, (2, k))
-        a = np.vstack([a_rate, a_cap, np.ones(k)])
-        b = np.concatenate([-rng.uniform(0.1, 3.0, k), rng.uniform(0.05, 1.0, 2), [10.0]])
-        res = find_feasible(a, b)
-        assert res.feasible == oracle_feasible(a, b)
-        if res.feasible:
-            assert np.all(a @ res.x - b <= FEAS_TOL)
+        cross[np.arange(k), np.arange(k)] = rng.uniform(0.5, 30.0, k)
+        leak = rng.uniform(0.0, 2.0, (k, 2))
+        links = LinkMetrics(cross=cross, pu_to_su_true=np.zeros(k),
+                            pu_to_su_est=rng.uniform(0.0, 2.9, k), leak_true=leak,
+                            leak_est=leak, noise=0.1)
+        config = NetworkConfig(k_su=k, l_rx=2, r0=1.0, p0=10.0, i0=rng.uniform(0.05, 1.0))
+        a, b, _ = lf_meb_constraints(links, config)
+        alloc = solve_lf_meb(links, config)
+        assert alloc.feasible == oracle_feasible(a, b)
+        if alloc.feasible:
+            assert np.all(alloc.p > 0)
+            assert np.all(a @ alloc.p - b <= FEAS_TOL)
         else:
-            assert res.residual > 0
+            assert alloc.blocking in ("rate", "interference", "power")
 
     def test_residual_matches_min_violation(self):
         # scipy cross-check of the phase-1 optimum for an infeasible system
