@@ -62,7 +62,6 @@ from .montecarlo import (
     POLICY_LF,
     POLICY_EQUAL_POWER,
     POLICY_EQUAL_POWER_OPT,
-    TrialOutcome,
     ExperimentResult,
     EmpiricalCdf,
     run_trials,

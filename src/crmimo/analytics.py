@@ -18,6 +18,8 @@ precomputed values shipped in data/wishart_means.txt.
 from __future__ import annotations
 
 import math
+import time
+import warnings
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -205,7 +207,8 @@ def expected_max_eig(m_u: int, m_b: int, sigma2_h: float = 1.0) -> float:
 
     Exact for m_u = 1 (chi-square mean sigma2_h * m_b); otherwise a
     cached 10^5-sample Monte Carlo estimate, scaled linearly by
-    sigma2_h.  Uncached shapes are simulated on first request.
+    sigma2_h.  An uncached shape is simulated on first request, which
+    emits a RuntimeWarning naming the shape and the seconds it took.
     """
     if not 1 <= m_u <= m_b:
         raise ValueError(f"need 1 <= m_u <= m_b, got m_u={m_u}, m_b={m_b}")
@@ -216,7 +219,11 @@ def expected_max_eig(m_u: int, m_b: int, sigma2_h: float = 1.0) -> float:
     cache = _get_cache()
     key = (int(m_u), int(m_b))
     if key not in cache:
+        start = time.perf_counter()
         cache[key] = _simulate_max_eig(*key)
+        warnings.warn(f"Wishart mean of shape (m_u, m_b) = {key} is not in the shipped table; "
+                      f"simulated it in {time.perf_counter() - start:.2f} s",
+                      RuntimeWarning, stacklevel=2)
     return sigma2_h * cache[key][0]
 
 

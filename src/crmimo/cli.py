@@ -109,9 +109,12 @@ def build_spec(args) -> ExperimentSpec:
         values = tuple(float(tok) for tok in tail.split(",") if tok.strip())
         sweep = (name.strip(), values)
 
-    if args.experiment == "fig2_eq_power_sweep" and sweep is not None \
-            and sweep[0] not in ("p_eq", "p_eq_db"):
-        raise ValueError("fig2_eq_power_sweep sweeps p_eq_db; "
+    # only fig2 sweeps the power itself; the other sweeps set config fields
+    power_sweep = preset.sweep is not None and preset.sweep[0] == "p_eq_db"
+    if preset.sweep is not None and sweep is not None \
+            and power_sweep != (sweep[0] in ("p_eq", "p_eq_db")):
+        raise ValueError(f"{args.experiment} sweeps "
+                         f"{'p_eq_db' if power_sweep else 'config fields'}; "
                          f"cannot sweep {sweep[0]!r} here")
 
     if "m_b" in overrides or args.config:
@@ -235,20 +238,21 @@ def _fig_compare(spec: ExperimentSpec):
 
 def _fig5(spec: ExperimentSpec):
     name, values = spec.sweep
-    rows = []
-    for m_b in spec.m_b_list:
-        config = spec.config.replace(m_b=m_b)
-        for scheme in spec.schemes:
-            table = max_sus_at_confidence(
+
+    def table(config, scheme):
+        for value, max_k in max_sus_at_confidence(
                 config, scheme, spec.confidence, name, values,
                 n_trials=spec.n_trials, seed=spec.seed,
-                policy=spec.policies[0], p_eq=spec.p_eq,
-            )
-            for value, max_k in table:
-                rows.append([m_b, _fmt(float(value)), scheme, max_k,
-                             _fmt(spec.confidence), spec.n_trials])
-                print(f"fig5 m_b={m_b} scheme={scheme} {name}={value} max_k={max_k}")
-    header = ["m_b", name, "scheme", "max_k", "confidence", "n_trials"]
+                policy=spec.policies[0], p_eq=spec.p_eq):
+            print(f"fig5 m_b={config.m_b} scheme={scheme} {name}={value} max_k={max_k}")
+            yield [config.m_b, _fmt(float(value)), scheme, max_k,
+                   _fmt(spec.confidence), spec.n_trials, ""]
+
+    rows = [row for m_b in spec.m_b_list for scheme in spec.schemes
+            for row in _rows_or_error(f"fig5 m_b={m_b} scheme={scheme}",
+                                      table(spec.config.replace(m_b=m_b), scheme),
+                                      [[m_b, "", scheme, "", "", ""]])]
+    header = ["m_b", name, "scheme", "max_k", "confidence", "n_trials", "error"]
     return "fig5_max_sus.csv", header, rows
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,7 +31,6 @@ __all__ = [
     "POLICY_LF",
     "POLICY_EQUAL_POWER",
     "POLICY_EQUAL_POWER_OPT",
-    "TrialOutcome",
     "ExperimentResult",
     "EmpiricalCdf",
     "trial_seed",
@@ -52,26 +51,6 @@ MAX_K_SWEEP = 64
 # with the first few trials per block, while a block's arrays (about
 # twice this budget live at once) add to the peak memory.
 _BLOCK_ELEMENTS = 2 ** 13
-
-
-@dataclass(frozen=True)
-class TrialOutcome:
-    """Verdicts and raw samples of a block of trials, trial axis first.
-
-    served applies the estimated constraints (rates, interference cap,
-    power budget, all at slack >= -1e-9); served_true applies the same
-    test on true channels.  error[t] names a per-trial failure
-    (AntennaShortageError etc.) counted by the caller, never raised.
-    """
-
-    served: np.ndarray
-    served_true: np.ndarray
-    sinr_est: np.ndarray
-    sinr_true: np.ndarray
-    int_to_pu_est: np.ndarray
-    int_to_pu_true: np.ndarray
-    p: np.ndarray
-    error: tuple[str | None, ...]
 
 
 @dataclass(frozen=True)
@@ -122,43 +101,25 @@ def _draw_block(config, master_seed, indices) -> ChannelRealization:
     return replace(real, **block)
 
 
-def _trial(real, t) -> ChannelRealization:
-    """Trial t of a block, keeping the trial axis."""
-    return replace(real, **{name: getattr(real, name)[t:t + 1] for name in _CHANNELS})
+def _run_block(config, scheme, policy, p_eq, master_seed, indices, out, start):
+    """Draw trials `indices` and write their rows of the run's buffers from row `start`.
 
-
-def _concat(outcomes) -> TrialOutcome:
-    if len(outcomes) == 1:
-        return outcomes[0]
-    return TrialOutcome(**{
-        f.name: (sum((o.error for o in outcomes), ()) if f.name == "error"
-                 else np.concatenate([getattr(o, f.name) for o in outcomes]))
-        for f in dataclass_fields(TrialOutcome)})
-
-
-def _failed(config, n, error) -> TrialOutcome:
-    nan_k = np.full((n, config.k_su), np.nan)
-    nan_l = np.full((n, config.l_rx), np.nan)
-    return TrialOutcome(
-        served=np.zeros(n, dtype=bool), served_true=np.zeros(n, dtype=bool),
-        sinr_est=nan_k, sinr_true=nan_k.copy(),
-        int_to_pu_est=nan_l, int_to_pu_true=nan_l.copy(),
-        p=np.zeros((n, config.k_su)), error=(error,) * n,
-    )
-
-
-def _run_block(config, scheme, policy, p_eq, real) -> TrialOutcome:
-    n = real.h_su.shape[0]
+    A failed trial keeps its NaN samples and unserved verdicts, and its
+    error names the exception.
+    """
+    n = len(indices)
+    rows = slice(start, start + n)
+    real = _draw_block(config, master_seed, indices)
     try:
         beams = compute_beams(real, scheme)
-    except AntennaShortageError as exc:
-        return _failed(config, n, type(exc).__name__)
-    except IllConditionedError as exc:
-        if n == 1:
-            return _failed(config, n, type(exc).__name__)
-        # find the ill-conditioned trials: every trial as a block of its own
-        return _concat([_run_block(config, scheme, policy, p_eq, _trial(real, t))
-                        for t in range(n)])
+    except (AntennaShortageError, IllConditionedError) as exc:
+        if isinstance(exc, IllConditionedError) and n > 1:
+            # find the ill-conditioned trials: redraw every trial as a block of its own
+            for t, i in enumerate(indices):
+                _run_block(config, scheme, policy, p_eq, master_seed, [i], out, start + t)
+        else:
+            out["error"][rows] = type(exc).__name__
+        return
 
     links = evaluate_links(real, beams.v, beams.u, config)
     if policy == POLICY_LF:
@@ -170,26 +131,31 @@ def _run_block(config, scheme, policy, p_eq, real) -> TrialOutcome:
         solver_ok = True
 
     est, true = slack_from_links(links, p, config)
-    return TrialOutcome(
-        served=solver_ok & est.all_met(),
-        served_true=solver_ok & true.all_met(),
-        sinr_est=est.sinr,
-        sinr_true=true.sinr,
-        int_to_pu_est=est.int_to_pu,
-        int_to_pu_true=true.int_to_pu,
-        p=p,
-        error=(None,) * n,
-    )
+    out["served"][rows] = solver_ok & est.all_met()
+    out["served_true"][rows] = solver_ok & true.all_met()
+    for flavor, report in (("est", est), ("true", true)):
+        out[f"sinr_{flavor}"][rows] = report.sinr
+        out[f"int_to_pu_{flavor}"][rows] = report.int_to_pu
 
 
-def _run_range(args) -> TrialOutcome:
-    """Trials `indices` in blocks; each trial draws its own channels."""
+def _run_range(args) -> dict:
+    """Trials `indices` in blocks, into one set of result buffers, trial axis first.
+
+    An error entry is None for a trial that ran.
+    """
     config, scheme, policy, p_eq, master_seed, indices = args
+    n = len(indices)
+    out = {"served": np.zeros(n, dtype=bool), "served_true": np.zeros(n, dtype=bool),
+           "sinr_est": np.full((n, config.k_su), np.nan),
+           "sinr_true": np.full((n, config.k_su), np.nan),
+           "int_to_pu_est": np.full((n, config.l_rx), np.nan),
+           "int_to_pu_true": np.full((n, config.l_rx), np.nan),
+           "error": np.full(n, None, dtype=object)}
     per_block = max(1, _BLOCK_ELEMENTS // (config.k_su * config.m_u * config.m_b))
-    return _concat([
-        _run_block(config, scheme, policy, p_eq,
-                   _draw_block(config, master_seed, indices[start:start + per_block]))
-        for start in range(0, len(indices), per_block)])
+    for start in range(0, n, per_block):
+        _run_block(config, scheme, policy, p_eq, master_seed,
+                   indices[start:start + per_block], out, start)
+    return out
 
 
 def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, seed: int,
@@ -231,11 +197,12 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
             for chunk in np.array_split(np.arange(n_trials), n_workers) if chunk.size
         ]
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            out = _concat(list(pool.map(_run_range, payloads)))
+            parts = list(pool.map(_run_range, payloads))
+        out = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
     else:
         out = _run_range((config, scheme, policy_run, p_eq, seed, range(n_trials)))
 
-    p_served = out.served.sum() / n_trials
+    p_served = out["served"].sum() / n_trials
     return ExperimentResult(
         config=config,
         scheme=scheme,
@@ -245,17 +212,17 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
         seed=seed,
         p_served=float(p_served),
         stderr=float(np.sqrt(p_served * (1.0 - p_served) / n_trials)),
-        p_served_true=float(out.served_true.sum() / n_trials),
-        csi_violation_rate=float((out.served & ~out.served_true).sum() / n_trials),
-        n_failed=sum(e is not None for e in out.error),
-        sinr_est=out.sinr_est.ravel(),
-        sinr_true=out.sinr_true.ravel(),
-        int_to_pu_est=out.int_to_pu_est.ravel(),
-        int_to_pu_true=out.int_to_pu_true.ravel(),
+        p_served_true=float(out["served_true"].sum() / n_trials),
+        csi_violation_rate=float((out["served"] & ~out["served_true"]).sum() / n_trials),
+        n_failed=sum(e is not None for e in out["error"]),
+        sinr_est=out["sinr_est"].ravel(),
+        sinr_true=out["sinr_true"].ravel(),
+        int_to_pu_est=out["int_to_pu_est"].ravel(),
+        int_to_pu_true=out["int_to_pu_true"].ravel(),
     )
 
 
-_AXIS_DIRECTION = {"r0": -1, "i0": +1, "p0": +1}
+_AXIS_DIRECTION = {"r0": -1, "i0": +1, "p0": +1, "i0_db": +1, "p0_db": +1}
 
 
 def max_sus_at_confidence(config_base: NetworkConfig, scheme: str, confidence: float,
@@ -264,19 +231,20 @@ def max_sus_at_confidence(config_base: NetworkConfig, scheme: str, confidence: f
                           p_eq: float | None = None) -> list[tuple[float, int]]:
     """Largest servable SU count per sweep value at the given confidence.
 
-    For each value of the swept config field, binary-searches the
+    For each value of the swept config key (a field or a dB key such as
+    p0_db, applied as NetworkConfig.with_items does), binary-searches the
     largest k with p_served >= confidence; k ranges over 1..min(64,
     m_b - l_rx) (the ZF antenna condition).  Returns [(value, max_k)].
-    Known constraint axes are checked for monotonicity: max_k should not
-    increase along tightening r0 nor decrease along loosening i0/p0.
+    An unknown key raises ValueError before any trial.  Known constraint
+    axes are checked for monotonicity: max_k should not increase along
+    tightening r0 nor decrease along loosening i0/p0 (linear or dB).
     Monte Carlo noise can break that near the confidence level, so a
     break emits a RuntimeWarning naming the rows, which are returned
     unchanged.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
-    if sweep_name not in {f.name for f in dataclass_fields(NetworkConfig)}:
-        raise ValueError(f"unknown sweep field {sweep_name!r}")
+    points = [(value, config_base.with_items({sweep_name: value})) for value in sweep_values]
     k_cap = min(MAX_K_SWEEP, config_base.m_b - config_base.l_rx)
     if k_cap < 1:
         raise ValueError("m_b - l_rx leaves no room for any SU")
@@ -286,8 +254,7 @@ def max_sus_at_confidence(config_base: NetworkConfig, scheme: str, confidence: f
         return res.p_served >= confidence
 
     rows = []
-    for value in sweep_values:
-        cfg = config_base.replace(**{sweep_name: value})
+    for value, cfg in points:
         if not passes(cfg, 1):
             rows.append((value, 0))
             continue

@@ -249,9 +249,10 @@ class LinkMetrics:
 
 def _cgauss(rng, shape, var):
     scale = np.sqrt(var / 2.0)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) * scale
+    z = np.empty(shape, dtype=complex)
+    z.real = rng.standard_normal(shape) * scale  # re drawn before im
+    z.imag = rng.standard_normal(shape) * scale
+    return z
 
 
 def generate_channels(config: NetworkConfig, seed) -> ChannelRealization:

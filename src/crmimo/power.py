@@ -60,13 +60,13 @@ class SlackReport:
     PU l; rate[k] = log2(1 + sinr[k]) - r0; power = p0 - sum(p).
     Nonnegative entries mean the constraint holds.  sinr and int_to_pu
     are the figures behind the margins.  For a block of trials every
-    field carries the leading trial axis, and min_slack and all_met
-    answer per trial.
+    array field carries the leading trial axis, power is an array over
+    it instead of a float, and min_slack and all_met answer per trial.
     """
 
     interference: np.ndarray
     rate: np.ndarray
-    power: float
+    power: float | np.ndarray
     use_estimates: bool
     sinr: np.ndarray
     int_to_pu: np.ndarray

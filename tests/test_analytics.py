@@ -118,6 +118,15 @@ class TestWishartMeans:
         assert v1 == v2
         assert 3.0 < v1 < 6.0  # between E[max] bounds for a 2x3 channel
 
+    def test_uncached_shape_warns_once(self, monkeypatch):
+        monkeypatch.setattr(analytics, "_cache", dict(analytics._get_cache()))
+        with pytest.warns(RuntimeWarning) as record:
+            expected_max_eig(2, 5)
+            expected_max_eig(2, 5)
+        (warning,) = record
+        assert "(2, 5)" in str(warning.message)
+        assert "simulated it in" in str(warning.message)
+
     def test_cache_round_trip(self, tmp_path):
         cache = {(2, 8): (10.5, 0.01, WISHART_SAMPLES), (4, 64): (85.154417, 0.0062, 100000)}
         path = tmp_path / "w.txt"

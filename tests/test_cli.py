@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import crmimo.cli
 from crmimo.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -89,6 +90,18 @@ class TestMainExitCodes:
                      "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "p_eq_db" in capsys.readouterr().err
+
+    def test_power_sweep_only_in_fig2(self, tmp_path, capsys):
+        # the other sweeps set config fields, so a power axis runs no trial
+        for experiment in ("fig3_meb_compare", "fig4_zfb_compare", "fig5_max_sus"):
+            for axis in ("p_eq", "p_eq_db"):
+                code = main(["--experiment", experiment, *TINY, "--sweep", f"{axis}=-10",
+                             "--trials", "2", "--out", str(tmp_path)])
+                assert code == EXIT_CONFIG
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert f"cannot sweep {axis!r}" in err
+        assert not list(tmp_path.iterdir())
 
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["--experiment", "single_solve",
@@ -287,9 +300,38 @@ class TestSweepExperiments:
                      "--confidence", "0.5", "--out", str(tmp_path)])
         assert code == EXIT_OK
         header, body = read_csv(tmp_path / "fig5_max_sus.csv")
-        assert header == ["m_b", "r0", "scheme", "max_k", "confidence", "n_trials"]
+        assert header == ["m_b", "r0", "scheme", "max_k", "confidence", "n_trials", "error"]
         assert len(body) == 1
         assert int(body[0][3]) >= 0
+        assert body[0][-1] == ""
+
+    def test_fig5_db_sweep(self, tmp_path, capsys):
+        code = main(["--experiment", "fig5_max_sus", *TINY, "--sweep", "i0_db=-10,0",
+                     "--trials", "10", "--schemes", "MEB", "--confidence", "0.5",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        header, body = read_csv(tmp_path / "fig5_max_sus.csv")
+        assert header[1] == "i0_db"
+        assert [row[1] for row in body] == ["-10.0", "0.0"]
+
+    def test_fig5_failed_scheme_keeps_the_others(self, tmp_path, capsys, monkeypatch):
+        search = crmimo.cli.max_sus_at_confidence
+
+        def failing_for_zfb(config, scheme, *args, **kwargs):
+            if scheme == "ZFB":
+                raise ValueError("no ZFB table")
+            return search(config, scheme, *args, **kwargs)
+
+        monkeypatch.setattr(crmimo.cli, "max_sus_at_confidence", failing_for_zfb)
+        code = main(["--experiment", "fig5_max_sus", *TINY, "--sweep", "r0=1,2",
+                     "--trials", "10", "--confidence", "0.5", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert "fig5 m_b=16 scheme=ZFB error=ValueError: no ZFB table" in capsys.readouterr().out
+        _, body = read_csv(tmp_path / "fig5_max_sus.csv")
+        assert [(row[1], row[2], row[-1]) for row in body[:2]] == [
+            ("1.0", "MEB", ""), ("2.0", "MEB", "")]
+        assert all(int(row[3]) >= 0 for row in body[:2])
+        assert body[2:] == [["16", "", "ZFB", "", "", "", "ValueError"]]
 
     def test_cdf_validation_tiny(self, tmp_path, capsys):
         code = main(["--experiment", "cdf_validation", *TINY,

@@ -305,7 +305,25 @@ class TestMaxSus:
             assert max_sus_at_confidence(SMALL, ZFB, 0.5, "r0", [1.0, 2.0],
                                          n_trials=3) == [(1.0, 2), (2.0, 1)]
 
-    def test_validation(self):
+    @pytest.mark.parametrize("key, field", [("p0_db", "p0"), ("i0_db", "i0")])
+    def test_db_sweep_sets_linear_field(self, key, field, monkeypatch):
+        # the fake table loses SUs as the budget or the cap loosens in dB, so it warns
+        seen = []
+
+        def fake_run_trials(config, scheme, policy, n_trials, seed, p_eq=None):
+            seen.append(getattr(config, field))
+            return SimpleNamespace(p_served=float(config.k_su <= (3 if seen[-1] < 5 else 1)))
+
+        monkeypatch.setattr(crmimo.montecarlo, "run_trials", fake_run_trials)
+        with pytest.warns(RuntimeWarning, match=f"not monotone along {key}"):
+            rows = max_sus_at_confidence(SMALL, ZFB, 0.5, key, [0.0, 10.0], n_trials=3)
+        assert rows == [(0.0, 3), (10.0, 1)]
+        assert set(seen) == {1.0, 10.0}
+
+    def test_validation(self, monkeypatch):
+        monkeypatch.setattr(crmimo.montecarlo, "run_trials", None)  # no trial may run
+        with pytest.raises(ValueError, match="unknown config key"):
+            max_sus_at_confidence(SMALL, ZFB, 0.9, "p_eq_db", [1.0])
         with pytest.raises(ValueError):
             max_sus_at_confidence(SMALL, ZFB, 1.5, "r0", [1.0])
         with pytest.raises(ValueError):
