@@ -9,6 +9,9 @@ aggregate interference at a receiving PU by a gamma law with shape
 k_su.  From the paper's laws, q_k gives the probability that all k_su
 SUs reach rate r0 while every receiving PU stays below the cap i0, and
 optimize_equal_power finds the best p_eq inside the feasible bracket.
+The law functions and q_k also take a 1-D array of powers and then
+return laws with array parameters and an array of q_k values, equal
+bit for bit to scalar calls (see specfun for how).
 
 The mean principal Wishart eigenvalue E[sigma2_k1] that the models
 need is estimated once per (m_u, m_b) by Monte Carlo and cached, with
@@ -28,7 +31,7 @@ import numpy as np
 
 from .beamforming import MEB, ZFB
 from .network import NetworkConfig
-from .specfun import regularized_incomplete_beta, regularized_lower_gamma
+from .specfun import _elementwise, regularized_incomplete_beta, regularized_lower_gamma
 
 __all__ = [
     "GammaParams",
@@ -53,6 +56,17 @@ __all__ = [
 ]
 
 
+def _check_positive(name: str, val):
+    """Raise ValueError unless val (a float or an array) is finite and positive."""
+    if isinstance(val, np.ndarray):
+        bad = ~(np.isfinite(val) & (val > 0.0))
+        if not bad.any():
+            return
+        val = val[bad][0].item()
+    if not math.isfinite(val) or val <= 0:
+        raise ValueError(f"{name} must be finite and positive, got {val!r}")
+
+
 @dataclass(frozen=True)
 class GammaParams:
     """Gamma distribution with density x^(shape-1) e^(-x/scale)."""
@@ -61,10 +75,8 @@ class GammaParams:
     scale: float
 
     def __post_init__(self):
-        for name in ("shape", "scale"):
-            val = getattr(self, name)
-            if not math.isfinite(val) or val <= 0:
-                raise ValueError(f"{name} must be finite and positive, got {val!r}")
+        _check_positive("shape", self.shape)
+        _check_positive("scale", self.scale)
 
     def cdf(self, x: float) -> float:
         if x <= 0.0:
@@ -84,10 +96,8 @@ class InverseGammaParams:
     theta: float
 
     def __post_init__(self):
-        for name in ("shape", "theta"):
-            val = getattr(self, name)
-            if not math.isfinite(val) or val <= 0:
-                raise ValueError(f"{name} must be finite and positive, got {val!r}")
+        _check_positive("shape", self.shape)
+        _check_positive("theta", self.theta)
 
     def cdf(self, s: float) -> float:
         if s <= 0.0:
@@ -109,9 +119,7 @@ class GenFParams:
 
     def __post_init__(self):
         for name in ("k_n", "k_d", "lam"):
-            val = getattr(self, name)
-            if not math.isfinite(val) or val <= 0:
-                raise ValueError(f"{name} must be finite and positive, got {val!r}")
+            _check_positive(name, getattr(self, name))
         if self.k_n < 1.0:
             raise ValueError(f"k_n must be at least 1, got {self.k_n!r}")
 
@@ -132,11 +140,10 @@ class PointMassParams:
     value: float
 
     def __post_init__(self):
-        if not math.isfinite(self.value) or self.value <= 0:
-            raise ValueError(f"value must be finite and positive, got {self.value!r}")
+        _check_positive("value", self.value)
 
     def cdf(self, s: float) -> float:
-        return 1.0 if s >= self.value else 0.0
+        return 1.0 * (s >= self.value)
 
 
 WISHART_SAMPLES = 100_000
@@ -240,17 +247,16 @@ def meb_sinr_params(config: NetworkConfig, p_eq: float) -> InverseGammaParams | 
     law is the inverse gamma with those values.  When b = 0 (k_su = 1
     with no transmitting PU) the SINR is the constant 1/c.
     """
-    if not (p_eq > 0.0) or not math.isfinite(p_eq):
-        raise ValueError(f"p_eq must be positive and finite, got {p_eq!r}")
+    _check_positive("p_eq", p_eq)
     e = expected_max_eig(config.m_u, config.m_b, config.sigma2_h)
     pu = config.l_tx * config.p_p * config.sigma2_h / (p_eq * e)
-    pu2 = config.l_tx * (config.p_p * config.sigma2_h / (p_eq * e)) ** 2
+    pu2 = config.l_tx * _elementwise(pow, config.p_p * config.sigma2_h / (p_eq * e), 2)
     a = pu + (config.k_su - 1) / config.m_b
     b = pu2 + (config.k_su - 1) / config.m_b ** 2
     c = config.sigma2_w / (p_eq * e)
-    if b == 0.0:
+    if config.k_su == 1 and not np.any(b):
         return PointMassParams(value=1.0 / c)
-    return InverseGammaParams(shape=(c + a) ** 2 / b, theta=b / (c + a))
+    return InverseGammaParams(shape=_elementwise(pow, c + a, 2) / b, theta=b / (c + a))
 
 
 def meb_sinr_cdf(law: InverseGammaParams | PointMassParams, s: float) -> float:
@@ -262,8 +268,7 @@ def meb_sinr_cdf(law: InverseGammaParams | PointMassParams, s: float) -> float:
 
 def meb_interference_cdf(config: NetworkConfig, p_eq: float, x: float) -> float:
     """Pr(interference at a receiving PU <= x) under MEB at power p_eq."""
-    if not (p_eq > 0.0) or not math.isfinite(p_eq):
-        raise ValueError(f"p_eq must be positive and finite, got {p_eq!r}")
+    _check_positive("p_eq", p_eq)
     if not (x >= 0.0):
         raise ValueError(f"x must be nonnegative, got {x!r}")
     return GammaParams(shape=float(config.k_su), scale=p_eq * config.sigma2_h).cdf(x)
@@ -277,8 +282,7 @@ def _zfb_numerator(config: NetworkConfig, p_eq: float) -> tuple[int, float]:
     beam of SU k nulls the other k_su - 1 streams and the l_rx
     estimated receiving-PU channels.
     """
-    if not (p_eq > 0.0) or not math.isfinite(p_eq):
-        raise ValueError(f"p_eq must be positive and finite, got {p_eq!r}")
+    _check_positive("p_eq", p_eq)
     k_n = config.m_b - config.k_su - config.l_rx + 1
     if k_n < 1:
         raise ValueError(
@@ -323,8 +327,7 @@ def zfb_interference_cdf(config: NetworkConfig, p_eq: float, x: float) -> float:
     the gamma scale uses sigma2_delta, and with perfect CSI the
     interference is identically zero (unit step at 0).
     """
-    if not (p_eq > 0.0) or not math.isfinite(p_eq):
-        raise ValueError(f"p_eq must be positive and finite, got {p_eq!r}")
+    _check_positive("p_eq", p_eq)
     if not (x >= 0.0):
         raise ValueError(f"x must be nonnegative, got {x!r}")
     if config.sigma2_delta == 0.0:
@@ -386,11 +389,21 @@ def zfb_sinr_exact_cdf(config: NetworkConfig, p_eq: float, s: float) -> float:
     return min(max(1.0 - tail, 0.0), 1.0)
 
 
-def q_k(scheme: str, config: NetworkConfig, p_eq: float) -> float:
+def _clip_unit(v):
+    """min(max(v, 0), 1), element by element for an array."""
+    if isinstance(v, np.ndarray):
+        v = np.where(0.0 > v, 0.0, v)
+        return np.where(1.0 < v, 1.0, v)
+    return min(max(v, 0.0), 1.0)
+
+
+def q_k(scheme: str, config: NetworkConfig, p_eq: float | np.ndarray) -> float | np.ndarray:
     """Probability of serving all k_su SUs at equal power p_eq.
 
     [1 - sinr_cdf(2^r0 - 1)]^k_su * [interference_cdf(i0)]^l_rx with the
-    scheme's distributions.
+    scheme's distributions.  p_eq may be a 1-D array of powers: the laws
+    then carry array parameters and the result is the array of q_k
+    values, equal element for element to scalar calls.
     """
     thr = 2.0 ** config.r0 - 1.0
     if scheme == MEB:
@@ -401,9 +414,8 @@ def q_k(scheme: str, config: NetworkConfig, p_eq: float) -> float:
         comply = zfb_interference_cdf(config, p_eq, config.i0)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    exceed = min(max(exceed, 0.0), 1.0)
-    comply = min(max(comply, 0.0), 1.0)
-    return exceed ** config.k_su * comply ** config.l_rx
+    return (_elementwise(pow, _clip_unit(exceed), config.k_su)
+            * _elementwise(pow, _clip_unit(comply), config.l_rx))
 
 
 def equal_power_bounds(config: NetworkConfig) -> tuple[float, float]:
@@ -438,8 +450,9 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 def optimize_equal_power(scheme: str, config: NetworkConfig) -> EqualPowerOptimum:
     """Maximize q_k over the equal-power bracket, deterministically.
 
-    A 256-point log-spaced grid scan guards against local maxima, then
-    golden-section refines around the best grid cell.  Exact ties keep
+    A 256-point log-spaced grid scan (one array call of q_k) guards
+    against local maxima, then golden-section refines around the best
+    grid cell with scalar calls.  Exact ties keep
     the lowest power (the grid argmax takes the first maximum and
     refinement must strictly improve to replace it).
     """
@@ -450,7 +463,7 @@ def optimize_equal_power(scheme: str, config: NetworkConfig) -> EqualPowerOptimu
 
     lo, hi = math.log10(p_min), math.log10(p_max)
     grid = np.logspace(lo, hi, _GRID_POINTS)
-    values = np.array([q_k(scheme, config, p) for p in grid])
+    values = q_k(scheme, config, grid)
     best = int(np.argmax(values))
     best_p, best_q = float(grid[best]), float(values[best])
 

@@ -74,6 +74,9 @@ class ExperimentSpec:
                 raise ValueError("sweep needs at least one value")
             if not np.isfinite(values).all():
                 raise ValueError(f"sweep values must be finite, got {values}")
+            if name not in ("p_eq", "p_eq_db"):
+                for value in values:  # a bad value fails here, before any trial
+                    self.config.with_items({name: value})
         for scheme in self.schemes:
             if scheme not in (MEB, ZFB):
                 raise ValueError(f"unknown scheme {scheme!r}")

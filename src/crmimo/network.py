@@ -125,7 +125,8 @@ class NetworkConfig:
         """Return a copy with {key: value} items applied, values as strings or numbers.
 
         Power fields also accept dB forms p0_db, i0_db, pp_db with
-        linear = 10^(dB/10).  Giving both forms of one field is an error.
+        linear = 10^(dB/10).  Giving both forms of one field is an error,
+        and so is a non-integral number (64.5, not 64.0) for an integer field.
         """
         field_types = {f.name: f.type for f in dataclasses.fields(self)}
         updates = {}
@@ -133,9 +134,14 @@ class NetworkConfig:
             if key in _DB_KEYS:
                 target = _DB_KEYS[key]
                 value = float(db_to_linear(float(raw)))
+            elif field_types.get(key) == "int":
+                if not isinstance(raw, str) and not float(raw).is_integer():
+                    raise ValueError(f"config key {key!r} needs an integer, got {raw!r}")
+                target = key
+                value = int(raw)
             elif key in field_types:
                 target = key
-                value = int(raw) if field_types[key] == "int" else float(raw)
+                value = float(raw)
             else:
                 raise ValueError(f"unknown config key {key!r}")
             if target in updates:

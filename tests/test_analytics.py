@@ -1,5 +1,6 @@
 """Closed-form distribution models against sampling and quadrature oracles."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -113,13 +114,13 @@ class TestWishartMeans:
         assert abs(cached - fresh) / fresh < 0.005
 
     def test_uncached_shape_computed_and_memoized(self):
-        v1 = expected_max_eig(2, 3)
+        with pytest.warns(RuntimeWarning, match=r"\(2, 3\)"):
+            v1 = expected_max_eig(2, 3)
         v2 = expected_max_eig(2, 3)
         assert v1 == v2
         assert 3.0 < v1 < 6.0  # between E[max] bounds for a 2x3 channel
 
-    def test_uncached_shape_warns_once(self, monkeypatch):
-        monkeypatch.setattr(analytics, "_cache", dict(analytics._get_cache()))
+    def test_uncached_shape_warns_once(self):
         with pytest.warns(RuntimeWarning) as record:
             expected_max_eig(2, 5)
             expected_max_eig(2, 5)
@@ -282,6 +283,7 @@ class TestZfbSinrModel:
     def test_antenna_floor_matches_beamformer(self, l_tx, l_rx):
         # the model's domain is exactly where compute_zfb has a null space
         for m_b in (10 + l_rx - 1, 10 + l_rx):
+            analytics._get_cache()[(4, m_b)] = (1.0, 0.0, 1)  # the value does not matter here
             cfg = NetworkConfig(m_b=m_b, k_su=10, l_tx=l_tx, l_rx=l_rx)
             real = generate_channels(cfg, 0)
             if m_b < 10 + l_rx:
@@ -450,6 +452,41 @@ class TestServingProbability:
                 expect = ((1.0 - law.cdf(thr)) ** cfg.k_su
                           * interference_cdf(cfg, p_eq, cfg.i0) ** cfg.l_rx)
                 assert q_k(scheme, cfg, p_eq) == pytest.approx(expect, abs=1e-15)
+
+    @pytest.mark.parametrize("cfg,laws", [
+        (BASE, (InverseGammaParams, GenFParams)),
+        (NetworkConfig(k_su=1, l_tx=0), (PointMassParams, GammaParams)),
+        (NetworkConfig(p_p=0.0), (InverseGammaParams, GammaParams)),
+        (NetworkConfig(k_su=4, sigma2_delta=0.0, r0=2.0), (InverseGammaParams, GenFParams)),
+    ])
+    def test_array_call_equals_scalar_calls(self, cfg, laws):
+        # p_eq from far below p_min to far above p_max, so q_k crosses every regime;
+        # sigma2_delta = 0 makes the ZFB compliance identically 1
+        grid = np.logspace(-4.0, 1.5, 300)
+        for scheme, params, law in ((MEB, meb_sinr_params, laws[0]),
+                                    (ZFB, zfb_sinr_params, laws[1])):
+            assert type(params(cfg, grid)) is law
+            expect = [q_k(scheme, cfg, p) for p in grid.tolist()]
+            assert np.array_equal(q_k(scheme, cfg, grid), expect)
+
+    def test_array_law_parameters_equal_scalar_ones(self):
+        # dense enough that numpy's arr ** 2 would differ from Python's pow somewhere
+        grid = np.logspace(-4.0, 1.5, 20000)
+        for cfg in (BASE, NetworkConfig(p_p=0.0)):
+            for params in (meb_sinr_params, zfb_sinr_params):
+                law = params(cfg, grid)
+                scalar_laws = [params(cfg, p) for p in grid.tolist()]
+                for field in dataclasses.fields(law):
+                    got = np.broadcast_to(getattr(law, field.name), grid.shape)
+                    assert np.array_equal(got, [getattr(x, field.name) for x in scalar_laws])
+
+    def test_array_with_invalid_power_raises_scalar_error(self):
+        for scheme in (MEB, ZFB):
+            with pytest.raises(ValueError) as scalar:
+                q_k(scheme, BASE, -0.5)
+            with pytest.raises(ValueError) as array:
+                q_k(scheme, BASE, np.array([0.1, -0.5, 0.2]))
+            assert str(array.value) == str(scalar.value)
 
     def test_in_unit_interval(self):
         for p_db in (-20, -10, 0, 10):

@@ -91,6 +91,18 @@ class TestMainExitCodes:
         assert code == EXIT_CONFIG
         assert "p_eq_db" in capsys.readouterr().err
 
+    def test_fractional_integer_sweep_runs_no_trial(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(crmimo.cli, "run_trials", no_trials)
+        monkeypatch.setattr(crmimo.cli, "max_sus_at_confidence", no_trials)
+        for experiment in ("fig3_meb_compare", "fig5_max_sus"):
+            code = main(["--experiment", experiment, *TINY, "--sweep", "m_b=16,16.5",
+                         "--trials", "2", "--out", str(tmp_path)])
+            assert code == EXIT_CONFIG
+            assert "needs an integer, got 16.5" in capsys.readouterr().err
+
     def test_power_sweep_only_in_fig2(self, tmp_path, capsys):
         # the other sweeps set config fields, so a power axis runs no trial
         for experiment in ("fig3_meb_compare", "fig4_zfb_compare", "fig5_max_sus"):
@@ -228,9 +240,10 @@ class TestSweepExperiments:
 
     def test_fig2_failed_scheme_keeps_the_others(self, tmp_path, capsys):
         # k_su = m_b leaves ZFB no null space: its SINR model rejects the config
-        code = main(["--experiment", "fig2_eq_power_sweep", "--set", "m_b=12",
-                     "--set", "k_su=12", "--sweep", "p_eq_db=-10,-5", "--trials", "20",
-                     "--out", str(tmp_path)])
+        with pytest.warns(RuntimeWarning, match=r"\(4, 12\)"):  # MEB's unshipped shape
+            code = main(["--experiment", "fig2_eq_power_sweep", "--set", "m_b=12",
+                         "--set", "k_su=12", "--sweep", "p_eq_db=-10,-5", "--trials", "20",
+                         "--out", str(tmp_path)])
         assert code == EXIT_OK
         assert "fig2 m_b=12 scheme=ZFB error=ValueError" in capsys.readouterr().out
         header, body = read_csv(tmp_path / "fig2_eq_power_sweep.csv")
@@ -282,9 +295,10 @@ class TestSweepExperiments:
     def test_fig4_failed_policy_keeps_the_others(self, tmp_path, capsys):
         # k_su = m_b leaves ZFB no null space: the optimizer rejects the config,
         # while LF records every trial as failed
-        code = main(["--experiment", "fig4_zfb_compare", "--set", "m_b=12",
-                     "--set", "k_su=12", "--trials", "5", "--sweep", "sigma2_delta=0.01",
-                     "--out", str(tmp_path)])
+        with pytest.warns(RuntimeWarning, match=r"\(4, 12\)"):  # the optimizer's bracket
+            code = main(["--experiment", "fig4_zfb_compare", "--set", "m_b=12",
+                         "--set", "k_su=12", "--trials", "5", "--sweep", "sigma2_delta=0.01",
+                         "--out", str(tmp_path)])
         assert code == EXIT_OK
         assert ("fig4_zfb_compare sigma2_delta=0.01 scheme=ZFB policy=EQUAL_POWER_OPT "
                 "error=ValueError") in capsys.readouterr().out
@@ -349,8 +363,9 @@ class TestSweepExperiments:
         assert (tmp_path / "samples_ZFB_interference.txt").exists()
 
     def test_cdf_validation_failed_scheme_keeps_the_others(self, tmp_path, capsys):
-        code = main(["--experiment", "cdf_validation", "--set", "m_b=12", "--set", "k_su=12",
-                     "--trials", "50", "--out", str(tmp_path)])
+        with pytest.warns(RuntimeWarning, match=r"\(4, 12\)"):  # MEB's unshipped shape
+            code = main(["--experiment", "cdf_validation", "--set", "m_b=12", "--set", "k_su=12",
+                         "--trials", "50", "--out", str(tmp_path)])
         assert code == EXIT_OK
         assert "cdf_validation scheme=ZFB error=ValueError" in capsys.readouterr().out
         header, body = read_csv(tmp_path / "cdf_validation.csv")

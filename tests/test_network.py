@@ -1,5 +1,7 @@
 """Config, channel generation and the exact link evaluator."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -68,6 +70,13 @@ class TestConfig:
         path.write_text("m_bb = 4\n")
         with pytest.raises(ValueError, match="unknown config key"):
             NetworkConfig.from_file(path)
+
+    def test_integer_fields_reject_fractions(self):
+        cfg = NetworkConfig()
+        assert cfg.with_items({"m_b": 64.0, "k_su": "3"}) == cfg.replace(m_b=64, k_su=3)
+        for raw in (64.5, np.float64(64.5), math.inf, "64.5"):
+            with pytest.raises(ValueError):
+                cfg.with_items({"m_b": raw})
 
     def test_replace(self):
         cfg = NetworkConfig().replace(k_su=5)

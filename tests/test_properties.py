@@ -1,10 +1,12 @@
-"""Property tests of the beamformers and the LF verdict over valid configs."""
+"""Property tests of the beamformers, the LF verdict and the array q_k over valid configs."""
+
+import math
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from crmimo.analytics import q_k
+from crmimo.analytics import equal_power_bounds, q_k
 from crmimo.beamforming import MEB, ZFB, compute_beams, compute_meb, compute_zfb, nulling_residuals
 from crmimo.network import NetworkConfig, evaluate_links, generate_channels
 from crmimo.power import lf_meb_constraints, slack_from_links, solve_lf
@@ -76,3 +78,38 @@ def test_lf_verdict(case):
         if alloc.feasible:
             assert slack_from_links(links, alloc.p, config)[0].all_met()
         assert 0.0 <= q_k(scheme, config, p_eq) <= 1.0
+
+
+@st.composite
+def q_configs(draw):
+    """Configs over every q_k law branch, with ZF room and shipped Wishart shapes."""
+    m_b = draw(st.sampled_from([4, 16, 64, 128, 1024]))
+    l_rx = draw(st.integers(0, 2))
+    return NetworkConfig(
+        m_b=m_b, m_u=draw(st.integers(2, 4)), k_su=draw(st.integers(1, min(60, m_b - l_rx))),
+        l_tx=draw(st.integers(0, 2)), l_rx=l_rx,
+        sigma2_delta=draw(st.sampled_from([0.0, 0.01, 0.1])),
+        p_p=draw(st.sampled_from([0.0, 0.1, 1.0, 10.0])),
+        r0=draw(st.floats(0.05, 6.0)),
+        i0=10.0 ** draw(st.floats(-3.0, 1.0)),
+        p0=10.0 ** draw(st.floats(-1.0, 2.0)),
+    )
+
+
+@hypothesis.settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@hypothesis.given(q_configs())
+def test_q_k_grid_call_matches_scalar_calls(config):
+    # the grid optimize_equal_power scores in one call
+    p_min, p_max = equal_power_bounds(config)
+    grid = np.logspace(math.log10(p_min), math.log10(p_max), 256)
+    for scheme in (MEB, ZFB):
+        try:
+            expect = [q_k(scheme, config, p) for p in grid.tolist()]
+        except ArithmeticError as exc:
+            # large MEB shapes near the series seam exceed MAX_ITER; the
+            # array call must fail the same way
+            with pytest.raises(ArithmeticError) as array:
+                q_k(scheme, config, grid)
+            assert str(array.value) == str(exc)
+            continue
+        assert np.array_equal(q_k(scheme, config, grid), expect)

@@ -163,3 +163,94 @@ class TestProperties:
             vals = [regularized_incomplete_beta(float(x), a, b) for x in xs]
             assert all(0.0 <= v <= 1.0 for v in vals)
             assert all(hi >= lo - 1e-14 for lo, hi in zip(vals, vals[1:]))
+
+
+def scalar_map(fn, *args):
+    """fn called element by element with Python floats, over the broadcast shape."""
+    arrays = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in args))
+    flat = zip(*(v.ravel().tolist() for v in arrays))
+    return np.array([fn(*vals) for vals in flat]).reshape(arrays[0].shape)
+
+
+class TestArrayForms:
+    """An array argument gives exactly the scalar result of every element."""
+
+    def gamma_grid(self):
+        rng = np.random.default_rng(41)
+        k = np.exp(rng.uniform(math.log(0.05), math.log(2000.0), size=(32, 32)))
+        x = rng.uniform(0.0, 3.0, size=k.shape) * k
+        seam = k[:4] + 1.0  # series below x = k + 1, continued fraction from it
+        x[:4] = seam
+        x[4:8] = np.nextafter(seam, 0.0)
+        x[8:12] = np.nextafter(seam, np.inf)
+        x[12, :8] = 0.0
+        x[12, 8:16] = np.inf
+        return k, x
+
+    def beta_grid(self):
+        rng = np.random.default_rng(42)
+        a = np.exp(rng.uniform(math.log(0.05), math.log(500.0), size=(32, 32)))
+        b = np.exp(rng.uniform(math.log(0.05), math.log(500.0), size=a.shape))
+        x = rng.uniform(0.0, 1.0, size=a.shape)
+        switch = (a[:4] + 1.0) / (a[:4] + b[:4] + 2.0)  # symmetry switch
+        x[:4] = switch
+        x[4:8] = np.nextafter(switch, 0.0)
+        x[8:12] = np.nextafter(switch, 1.0)
+        x[12, :8] = 0.0
+        x[12, 8:16] = 1.0
+        return x, a, b
+
+    def test_gamma_equals_scalar(self):
+        k, x = self.gamma_grid()
+        got = regularized_lower_gamma(k, x)
+        assert got.shape == k.shape
+        assert np.array_equal(got, scalar_map(regularized_lower_gamma, k, x))
+
+    def test_beta_equals_scalar(self):
+        x, a, b = self.beta_grid()
+        got = regularized_incomplete_beta(x, a, b)
+        assert got.shape == x.shape
+        assert np.array_equal(got, scalar_map(regularized_incomplete_beta, x, a, b))
+
+    @pytest.mark.parametrize("n", [1, 7, 256, 1024])
+    def test_broadcast_shapes(self, n):
+        # a float shape against an array argument, and the other way round
+        x = np.linspace(0.0, 30.0, n)
+        assert np.array_equal(regularized_lower_gamma(10.0, x),
+                              scalar_map(regularized_lower_gamma, 10.0, x))
+        k = np.linspace(0.5, 40.0, n)
+        assert np.array_equal(regularized_lower_gamma(k, 12.0),
+                              scalar_map(regularized_lower_gamma, k, 12.0))
+        u = np.linspace(0.0, 1.0, n)
+        assert np.array_equal(regularized_incomplete_beta(u, 54.0, 3.3),
+                              scalar_map(regularized_incomplete_beta, u, 54.0, 3.3))
+
+    def test_empty(self):
+        assert regularized_lower_gamma(2.0, np.array([])).shape == (0,)
+        assert regularized_incomplete_beta(np.array([]), 2.0, 3.0).shape == (0,)
+
+    @pytest.mark.parametrize("fn,scalar_args,array_args", [
+        (regularized_lower_gamma, (-2.0, 1.0), (np.array([1.0, -2.0, 3.0]), 1.0)),
+        (regularized_lower_gamma, (2.0, math.nan), (2.0, np.array([0.5, math.nan]))),
+        (regularized_incomplete_beta, (1.5, 2.0, 3.0), (np.array([0.5, 1.5]), 2.0, 3.0)),
+        (regularized_incomplete_beta, (0.5, 2.0, math.inf), (0.5, 2.0, np.array([1.0, math.inf]))),
+    ])
+    def test_domain_error_is_the_scalar_one(self, fn, scalar_args, array_args):
+        with pytest.raises(ValueError) as scalar:
+            fn(*scalar_args)
+        with pytest.raises(ValueError) as array:
+            fn(*array_args)
+        assert str(array.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("fn,args", [
+        # a huge shape just below the seam needs far more than MAX_ITER series terms
+        (regularized_lower_gamma, (1e6, 0.99e6)),
+        # huge equal shapes at the symmetry switch: the continued fraction is too slow
+        (regularized_incomplete_beta, (0.5, 1e8, 1e8)),
+    ])
+    def test_no_convergence_is_the_scalar_error(self, fn, args):
+        with pytest.raises(ArithmeticError) as scalar:
+            fn(*args)
+        with pytest.raises(ArithmeticError) as array:
+            fn(*(np.array([0.25, v]) for v in args))
+        assert str(array.value) == str(scalar.value)
