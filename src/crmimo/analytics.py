@@ -10,8 +10,12 @@ k_su.  From the paper's laws, q_k gives the probability that all k_su
 SUs reach rate r0 while every receiving PU stays below the cap i0, and
 optimize_equal_power finds the best p_eq inside the feasible bracket.
 The law functions and q_k also take a 1-D array of powers and then
-return laws with array parameters and an array of q_k values, equal
-bit for bit to scalar calls (see specfun for how).
+return laws with array parameters and an array of q_k values.  Every
+CDF, the laws' cdf methods and the public *_cdf functions, also
+takes an array of evaluation points and returns the array of values,
+so a KS validation is one call over all its samples.  Array results
+equal scalar calls bit for bit (see specfun for how); a Python float
+takes the scalar branches.
 
 The mean principal Wishart eigenvalue E[sigma2_k1] that the models
 need is estimated once per (m_u, m_b) by Monte Carlo and cached, with
@@ -24,14 +28,19 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 
 import numpy as np
 
 from .beamforming import MEB, ZFB
 from .network import NetworkConfig
-from .specfun import _elementwise, regularized_incomplete_beta, regularized_lower_gamma
+from .specfun import (
+    _elementwise,
+    _raise_domain_error,
+    regularized_incomplete_beta,
+    regularized_lower_gamma,
+)
 
 __all__ = [
     "GammaParams",
@@ -67,6 +76,27 @@ def _check_positive(name: str, val):
         raise ValueError(f"{name} must be finite and positive, got {val!r}")
 
 
+def _has_boundary(s: np.ndarray) -> bool:
+    """Whether an array of points holds one where a CDF is 0 or 1 by its branches."""
+    return bool((s <= 0.0).any() or (s == math.inf).any())
+
+
+def _cdf_array(s, cdf):
+    """cdf at an array s: 0.0 for s <= 0, 1.0 at s = inf, one call of cdf between.
+
+    The elements between hold no boundary point, so cdf evaluates its
+    formula on them directly (NaN among them raises the scalar
+    ValueError from specfun).  A law with array parameters takes array
+    points only when none is on the boundary.
+    """
+    top = s == math.inf
+    mid = ~((s <= 0.0) | top)
+    out = 1.0 * top
+    if mid.any():
+        out[mid] = cdf(s[mid])
+    return out
+
+
 @dataclass(frozen=True)
 class GammaParams:
     """Gamma distribution with density x^(shape-1) e^(-x/scale)."""
@@ -78,8 +108,11 @@ class GammaParams:
         _check_positive("shape", self.shape)
         _check_positive("scale", self.scale)
 
-    def cdf(self, x: float) -> float:
-        if x <= 0.0:
+    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
+        if isinstance(x, np.ndarray):
+            if _has_boundary(x):
+                return _cdf_array(x, self.cdf)
+        elif x <= 0.0:
             return 0.0
         return regularized_lower_gamma(self.shape, x / self.scale)
 
@@ -99,8 +132,11 @@ class InverseGammaParams:
         _check_positive("shape", self.shape)
         _check_positive("theta", self.theta)
 
-    def cdf(self, s: float) -> float:
-        if s <= 0.0:
+    def cdf(self, s: float | np.ndarray) -> float | np.ndarray:
+        if isinstance(s, np.ndarray):
+            if _has_boundary(s):
+                return _cdf_array(s, self.cdf)
+        elif s <= 0.0:
             return 0.0
         return 1.0 - regularized_lower_gamma(self.shape, 1.0 / (s * self.theta))
 
@@ -123,10 +159,13 @@ class GenFParams:
         if self.k_n < 1.0:
             raise ValueError(f"k_n must be at least 1, got {self.k_n!r}")
 
-    def cdf(self, s: float) -> float:
-        if s <= 0.0:
+    def cdf(self, s: float | np.ndarray) -> float | np.ndarray:
+        if isinstance(s, np.ndarray):
+            if _has_boundary(s):
+                return _cdf_array(s, self.cdf)
+        elif s <= 0.0:
             return 0.0
-        if math.isinf(s):
+        elif math.isinf(s):
             return 1.0
         z = self.lam * s
         return regularized_incomplete_beta(z / (1.0 + z), self.k_n, self.k_d)
@@ -142,7 +181,7 @@ class PointMassParams:
     def __post_init__(self):
         _check_positive("value", self.value)
 
-    def cdf(self, s: float) -> float:
+    def cdf(self, s: float | np.ndarray) -> float | np.ndarray:
         return 1.0 * (s >= self.value)
 
 
@@ -259,17 +298,23 @@ def meb_sinr_params(config: NetworkConfig, p_eq: float) -> InverseGammaParams | 
     return InverseGammaParams(shape=_elementwise(pow, c + a, 2) / b, theta=b / (c + a))
 
 
-def meb_sinr_cdf(law: InverseGammaParams | PointMassParams, s: float) -> float:
-    """Pr(MEB SINR <= s) under a law from meb_sinr_params."""
-    if not (s > 0.0):
+def meb_sinr_cdf(law: InverseGammaParams | PointMassParams,
+                 s: float | np.ndarray) -> float | np.ndarray:
+    """Pr(MEB SINR <= s) under a law from meb_sinr_params; s may be an array."""
+    if isinstance(s, np.ndarray):
+        _raise_domain_error(~(s > 0.0), partial(meb_sinr_cdf, law), s)
+    elif not (s > 0.0):
         raise ValueError(f"s must be positive, got {s!r}")
     return law.cdf(s)
 
 
-def meb_interference_cdf(config: NetworkConfig, p_eq: float, x: float) -> float:
-    """Pr(interference at a receiving PU <= x) under MEB at power p_eq."""
+def meb_interference_cdf(config: NetworkConfig, p_eq: float,
+                         x: float | np.ndarray) -> float | np.ndarray:
+    """Pr(interference at a receiving PU <= x) under MEB at power p_eq; x may be an array."""
     _check_positive("p_eq", p_eq)
-    if not (x >= 0.0):
+    if isinstance(x, np.ndarray):
+        _raise_domain_error(~(x >= 0.0), partial(meb_interference_cdf, config, p_eq), x)
+    elif not (x >= 0.0):
         raise ValueError(f"x must be nonnegative, got {x!r}")
     return GammaParams(shape=float(config.k_su), scale=p_eq * config.sigma2_h).cdf(x)
 
@@ -313,25 +358,30 @@ def zfb_sinr_params(config: NetworkConfig, p_eq: float) -> GenFParams | GammaPar
     return GenFParams(k_n=float(k_n), k_d=k_d, lam=lam)
 
 
-def zfb_sinr_cdf(law: GenFParams | GammaParams, s: float) -> float:
-    """Pr(ZFB SINR <= s) under a law from zfb_sinr_params."""
-    if not (s >= 0.0):
+def zfb_sinr_cdf(law: GenFParams | GammaParams, s: float | np.ndarray) -> float | np.ndarray:
+    """Pr(ZFB SINR <= s) under a law from zfb_sinr_params; s may be an array."""
+    if isinstance(s, np.ndarray):
+        _raise_domain_error(~(s >= 0.0), partial(zfb_sinr_cdf, law), s)
+    elif not (s >= 0.0):
         raise ValueError(f"s must be nonnegative, got {s!r}")
     return law.cdf(s)
 
 
-def zfb_interference_cdf(config: NetworkConfig, p_eq: float, x: float) -> float:
-    """Pr(interference at a receiving PU <= x) under ZFB at power p_eq.
+def zfb_interference_cdf(config: NetworkConfig, p_eq: float,
+                         x: float | np.ndarray) -> float | np.ndarray:
+    """Pr(interference at a receiving PU <= x) under ZFB at power p_eq; x may be an array.
 
     ZF nulls the estimated PU channels, so only the CSI error leaks:
     the gamma scale uses sigma2_delta, and with perfect CSI the
     interference is identically zero (unit step at 0).
     """
     _check_positive("p_eq", p_eq)
-    if not (x >= 0.0):
+    if isinstance(x, np.ndarray):
+        _raise_domain_error(~(x >= 0.0), partial(zfb_interference_cdf, config, p_eq), x)
+    elif not (x >= 0.0):
         raise ValueError(f"x must be nonnegative, got {x!r}")
     if config.sigma2_delta == 0.0:
-        return 1.0
+        return np.ones(x.shape) if isinstance(x, np.ndarray) else 1.0
     return GammaParams(shape=float(config.k_su), scale=p_eq * config.sigma2_delta).cdf(x)
 
 
@@ -348,7 +398,8 @@ def _exact_log_tables(k_n: int, l_tx: int):
     return j, log_fact, log_binom
 
 
-def zfb_sinr_exact_cdf(config: NetworkConfig, p_eq: float, s: float) -> float:
+def zfb_sinr_exact_cdf(config: NetworkConfig, p_eq: float,
+                       s: float | np.ndarray) -> float | np.ndarray:
     """Pr(ZFB SINR <= s) at power p_eq with the exact noise-plus-PU denominator.
 
     Under ZF the inter-stream term vanishes and the SINR is
@@ -360,19 +411,30 @@ def zfb_sinr_exact_cdf(config: NetworkConfig, p_eq: float, s: float) -> float:
     N1 ~ Poisson(s sigma2_w/theta_n) and
     N2 ~ NegBin(l_tx, s beta/(theta_n + s beta)): a finite sum of
     positive terms.  l_tx = 0 (or p_p = 0) makes N2 = 0, which is the
-    plain gamma law of zfb_sinr_params.
+    plain gamma law of zfb_sinr_params.  s may be an array (see
+    _exact_cdf_array); each element equals the scalar call.
     """
     k_n, e = _zfb_numerator(config, p_eq)
-    if not (s >= 0.0):
+    if isinstance(s, np.ndarray):
+        cdf = partial(zfb_sinr_exact_cdf, config, p_eq)
+        _raise_domain_error(~(s >= 0.0), cdf, s)
+        if _has_boundary(s):
+            return _cdf_array(s, cdf)
+    elif not (s >= 0.0):
         raise ValueError(f"s must be nonnegative, got {s!r}")
-    if s == 0.0:
+    elif s == 0.0:
         return 0.0
+    elif s == math.inf:  # inf * p_p is NaN at p_p = 0
+        return 1.0
     theta_n = p_eq * e / config.m_b
     lam1 = s * config.sigma2_w / theta_n
     x = s * config.p_p * config.sigma2_h / theta_n
+    tables = _exact_log_tables(k_n, config.l_tx)
+    if isinstance(s, np.ndarray):
+        return _exact_cdf_array(lam1, x, config.l_tx, *tables)
     if math.isinf(lam1 + x):
         return 1.0
-    j, log_fact, log_binom = _exact_log_tables(k_n, config.l_tx)
+    j, log_fact, log_binom = tables
     log_pmf = j * math.log(lam1)
     log_pmf -= log_fact
     log_pmf -= lam1
@@ -387,6 +449,49 @@ def zfb_sinr_exact_cdf(config: NetworkConfig, p_eq: float, s: float) -> float:
         log_pmf -= config.l_tx * log1p_x
         tail = float(np.exp(log_pmf) @ poisson_cdf[::-1])
     return min(max(1.0 - tail, 0.0), 1.0)
+
+
+# doubles in each (k_n, samples) temporary of _exact_cdf_array (1 MB), so that
+# its peak memory does not grow with the number of samples
+_EXACT_CHUNK_ELEMENTS = 2 ** 17
+
+
+def _exact_cdf_array(lam1, x, l_tx, j, log_fact, log_binom):
+    """zfb_sinr_exact_cdf's scalar branch on arrays of its Poisson and
+    negative-binomial parameters (points 0 < s < inf).
+
+    The samples are the columns of (k_n, chunk) arrays.  The final dot
+    product adds its terms in index order, as numpy's dot does over the
+    reversed (negative-stride) Poisson CDF of the scalar branch, so
+    each element equals the scalar call bit for bit.
+    """
+    shape = lam1.shape
+    lam1, x = lam1.ravel(), x.ravel()
+    top = np.isinf(lam1 + x)
+    out = 1.0 * top
+    mid = np.flatnonzero(~top)
+    step = max(1, _EXACT_CHUNK_ELEMENTS // j.size)
+    for start in range(0, mid.size, step):
+        cols = mid[start:start + step]
+        lam, xs = lam1[cols], x[cols]
+        log_pmf = j[:, None] * _elementwise(math.log, lam)
+        log_pmf -= log_fact[:, None]
+        log_pmf -= lam
+        poisson_cdf = np.add.accumulate(np.exp(log_pmf))
+        tail = poisson_cdf[-1].copy()
+        nb = np.zeros(cols.size, bool) if log_binom is None else xs != 0.0
+        if nb.any():
+            # sum over j of Pr(N2 = j) Pr(N1 <= k_n - 1 - j)
+            log1p_x = _elementwise(math.log1p, xs[nb])
+            log_pmf = j[:, None] * (_elementwise(math.log, xs[nb]) - log1p_x)
+            log_pmf += log_binom[:, None]
+            log_pmf -= l_tx * log1p_x
+            dot = np.zeros(log1p_x.size)
+            for pmf, cdf in zip(np.exp(log_pmf), poisson_cdf[::-1, nb]):
+                dot += pmf * cdf
+            tail[nb] = dot
+        out[cols] = _clip_unit(1.0 - tail)
+    return out.reshape(shape)
 
 
 def _clip_unit(v):

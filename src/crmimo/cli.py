@@ -180,12 +180,13 @@ def _rows_or_error(prefix, rows, failed_rows):
     """The rows an iterable yields, or failed_rows with the exception name appended.
 
     A model-domain error of one scheme or point (a ValueError such as
-    AntennaShortageError, or IllConditionedError) is printed and recorded
+    AntennaShortageError, IllConditionedError, or the ArithmeticError of
+    a special function that does not converge) is printed and recorded
     in the trailing error column instead of losing the rest of the run.
     """
     try:
         return list(rows)
-    except (ValueError, IllConditionedError) as exc:
+    except (ValueError, ArithmeticError, IllConditionedError) as exc:
         print(f"{prefix} error={type(exc).__name__}: {exc}")
         return [row + [type(exc).__name__] for row in failed_rows]
 

@@ -314,12 +314,23 @@ class EmpiricalCdf:
 
         `other` may be a second EmpiricalCdf (two-sample form) or any
         callable returning CDF values (checked on both sides of each
-        jump of this CDF).
+        jump of this CDF).  The callable is called once with the array
+        of sorted samples; the closed-form CDFs of crmimo.analytics
+        return the array of their values, equal to one call per sample.
+        If that call raises (TypeError, ValueError or ArithmeticError)
+        or returns another shape, the callable is called once per sample
+        instead: a scalar-only callable works, and a sample outside a
+        law's domain raises what the scalar call raises.
         """
         if isinstance(other, EmpiricalCdf):
             support = np.concatenate([self.samples, other.samples])
             return float(np.abs(self(support) - other(support)).max())
-        values = np.asarray([other(x) for x in self.samples], dtype=float)
+        try:
+            values = np.asarray(other(self.samples), dtype=float)
+        except (TypeError, ValueError, ArithmeticError):
+            values = None
+        if values is None or values.shape != self.samples.shape:
+            values = np.asarray([other(x) for x in self.samples], dtype=float)
         steps = np.arange(1, self.n + 1) / self.n
         upper = np.abs(values - steps).max()
         lower = np.abs(values - (steps - 1.0 / self.n)).max()

@@ -42,7 +42,7 @@ def ks_against(samples, cdf):
     n = xs.size
     f = np.array([cdf(float(x)) for x in xs])
     hi = np.arange(1, n + 1) / n
-    lo = np.arange(n) / n
+    lo = hi - 1.0 / n  # as EmpiricalCdf.ks_distance forms them, so the two agree bit for bit
     return float(max(np.max(np.abs(f - hi)), np.max(np.abs(f - lo))))
 
 
@@ -404,6 +404,12 @@ class TestZfbSinrExactLaw:
         assert zfb_sinr_exact_cdf(cfg, 0.5, 1e300) == 1.0
         assert zfb_sinr_exact_cdf(cfg, 0.5, math.inf) == 1.0
 
+    def test_mute_pus_at_infinity(self):
+        # inf * p_p is NaN at p_p = 0: s = inf must still give 1
+        cfg = NetworkConfig(l_tx=2, p_p=0.0)
+        assert zfb_sinr_exact_cdf(cfg, 0.5, math.inf) == 1.0
+        assert np.array_equal(zfb_sinr_exact_cdf(cfg, 0.5, np.array([math.inf, 0.0])), [1.0, 0.0])
+
     @pytest.mark.parametrize("cfg,p_eq", [
         (NetworkConfig(), 0.0),
         (NetworkConfig(), -1.0),
@@ -498,6 +504,119 @@ class TestServingProbability:
         # moderate power serves everyone with near certainty
         for p_db in (-10, -6, -2, 0):
             assert q_k(ZFB, BASE, 10.0 ** (p_db / 10)) > 0.99
+
+
+def seam(c):
+    """c and its neighbours: one ulp and one part in 10^9 to either side."""
+    return [c * (1.0 - 1e-9), np.nextafter(c, 0.0), c, np.nextafter(c, np.inf), c * (1.0 + 1e-9)]
+
+
+def law_points(law):
+    """Points over every branch of law.cdf: below 0, at 0, a log grid, inf, and each
+    side of the specfun seam (gamma series/continued fraction, beta switch) or point mass."""
+    if isinstance(law, GammaParams):
+        cut = (law.shape + 1.0) * law.scale
+    elif isinstance(law, InverseGammaParams):
+        cut = 1.0 / ((law.shape + 1.0) * law.theta)
+    elif isinstance(law, GenFParams):
+        u = (law.k_n + 1.0) / (law.k_n + law.k_d + 2.0)
+        cut = u / (1.0 - u) / law.lam
+    else:
+        cut = law.value
+    return np.array([-1.0, 0.0, *seam(cut), *(cut * np.logspace(-3, 3, 61)), math.inf])
+
+
+ARRAY_CONFIGS = [
+    BASE,                                   # inverse gamma, generalized F
+    NetworkConfig(l_tx=0),                  # inverse gamma, gamma
+    NetworkConfig(k_su=1, l_tx=0),          # point mass, gamma
+    NetworkConfig(p_p=0.0),                 # gamma with mute PUs
+    NetworkConfig(sigma2_delta=0.0),        # ZFB interference identically 0
+    NetworkConfig(m_b=128, k_su=5, l_tx=3, l_rx=2, p_p=2.0),
+]
+
+
+def public_cdfs(cfg, p_eq):
+    """(name, cdf of points, points) for the public CDFs of a config."""
+    meb, zfb = meb_sinr_params(cfg, p_eq), zfb_sinr_params(cfg, p_eq)
+    interference = GammaParams(shape=float(cfg.k_su), scale=p_eq * cfg.sigma2_h)
+    positive = law_points(meb)[2:]
+    return [
+        ("meb_sinr", lambda s: meb_sinr_cdf(meb, s), positive),
+        ("zfb_sinr", lambda s: zfb_sinr_cdf(zfb, s), law_points(zfb)[1:]),
+        ("meb_interference", lambda x: meb_interference_cdf(cfg, p_eq, x),
+         law_points(interference)[1:]),
+        ("zfb_interference", lambda x: zfb_interference_cdf(cfg, p_eq, x),
+         np.array([0.0, cfg.i0, *law_points(interference)[2:]])),
+        ("zfb_sinr_exact", lambda s: zfb_sinr_exact_cdf(cfg, p_eq, s), law_points(zfb)[1:]),
+    ]
+
+
+class TestArrayPoints:
+    """Every CDF takes an array of points and equals its scalar calls bit for bit."""
+
+    @pytest.mark.parametrize("law", [
+        GammaParams(shape=3.2, scale=0.7),
+        GammaParams(shape=500.0, scale=0.01),
+        meb_sinr_params(BASE, 0.05),
+        meb_sinr_params(NetworkConfig(k_su=1, l_tx=0), 0.05),
+        zfb_sinr_params(BASE, 0.05),
+        zfb_sinr_params(NetworkConfig(l_tx=0), 0.05),
+        zfb_sinr_params(NetworkConfig(m_b=1024, l_tx=3, p_p=10.0), 0.5),
+    ], ids=lambda law: type(law).__name__)
+    def test_law_cdf_equals_scalar_calls(self, law):
+        pts = law_points(law)
+        got = law.cdf(pts)
+        assert got.shape == pts.shape and got.dtype == float
+        assert np.array_equal(got, [law.cdf(float(x)) for x in pts])
+        assert np.array_equal(law.cdf(pts.reshape(3, 23)), got.reshape(3, 23))
+        assert np.array_equal(law.cdf(pts[2:]), got[2:])  # inf the only boundary point
+
+    @pytest.mark.parametrize("cfg", ARRAY_CONFIGS)
+    def test_public_cdfs_equal_scalar_calls(self, cfg):
+        for p_eq in (0.005, 0.05, 0.5):
+            for name, cdf, pts in public_cdfs(cfg, p_eq):
+                expect = [cdf(float(x)) for x in pts]
+                assert np.array_equal(cdf(pts), expect), name
+
+    # s = 1e308 overflows the Poisson rate to inf, silently for a float, with a
+    # RuntimeWarning for an array; both give 1
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_exact_law_in_chunks(self, monkeypatch):
+        # chunks of 3 samples at k_n = 123 (m_b=128), and a 2-D array of points
+        cfg = NetworkConfig(m_b=128, k_su=5, l_tx=3, l_rx=2, p_p=2.0)
+        pts = np.concatenate([[0.0, math.inf, 1e-300, 1e308], np.logspace(-4, 4, 96)])
+        expect = [zfb_sinr_exact_cdf(cfg, 0.05, float(s)) for s in pts]
+        monkeypatch.setattr(analytics, "_EXACT_CHUNK_ELEMENTS", 3 * 123)
+        assert np.array_equal(zfb_sinr_exact_cdf(cfg, 0.05, pts), expect)
+        got = zfb_sinr_exact_cdf(cfg, 0.05, pts.reshape(10, 10))
+        assert np.array_equal(got, np.reshape(expect, (10, 10)))
+
+    @pytest.mark.parametrize("cfg", [NetworkConfig(l_tx=0),
+                                     NetworkConfig(m_b=128, k_su=5, l_tx=3, l_rx=2, p_p=2.0)])
+    def test_exact_law_dense(self, cfg):
+        # dense enough that numpy's log or log1p would differ from math's somewhere
+        pts = np.logspace(-3.0, 3.0, 20000)
+        expect = [zfb_sinr_exact_cdf(cfg, 0.05, s) for s in pts.tolist()]
+        assert np.array_equal(zfb_sinr_exact_cdf(cfg, 0.05, pts), expect)
+
+    def test_array_with_bad_point_raises_scalar_error(self):
+        for name, cdf, _ in public_cdfs(NetworkConfig(l_tx=2), 0.05):
+            for bad in (-0.5, math.nan):
+                with pytest.raises(ValueError) as scalar:
+                    cdf(bad)
+                with pytest.raises(ValueError) as array:
+                    cdf(np.array([1.0, bad, 2.0, -1.0]))
+                assert str(array.value) == str(scalar.value), name
+
+    @pytest.mark.parametrize("cfg", ARRAY_CONFIGS)
+    def test_float_points_stay_float(self, cfg):
+        # a numpy round trip on the float path would return np.float64
+        for name, cdf, _ in public_cdfs(cfg, 0.05):
+            for s in (1e-3, 1.0, 30.0):
+                assert type(cdf(s)) is float, name
+        for law in (meb_sinr_params(cfg, 0.05), zfb_sinr_params(cfg, 0.05)):
+            assert type(law.cdf(1.0)) is float
 
 
 class TestEqualPowerSearch:

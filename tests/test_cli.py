@@ -271,6 +271,21 @@ class TestSweepExperiments:
         assert {row[1] for row in body} == {"MEB"}
         assert {row[2] for row in body} == {"LF"}
 
+    def test_fig3_non_converging_point_keeps_the_others(self, tmp_path, capsys):
+        # r0 = 0.125 with one SU pair and no transmitting PU gives the optimizer a
+        # MEB inverse-gamma shape near 5e5, where the gamma series does not converge
+        code = main(["--experiment", "fig3_meb_compare", "--set", "k_su=2",
+                     "--set", "l_tx=0", "--sweep", "r0=0.125,1", "--trials", "2",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert ("r0=0.125 scheme=MEB policy=EQUAL_POWER_OPT error=ArithmeticError: "
+                "gamma series did not converge") in capsys.readouterr().out
+        _, body = read_csv(tmp_path / "fig3_meb_compare.csv")
+        assert body[0] == ["0.125", "MEB", "EQUAL_POWER_OPT", "", "", "", "", "",
+                           "ArithmeticError"]
+        assert [(row[0], row[2], row[-1]) for row in body[1:]] == [
+            ("0.125", "LF", ""), ("1.0", "EQUAL_POWER_OPT", ""), ("1.0", "LF", "")]
+
     def test_fig3_every_scheme(self, tmp_path, capsys):
         code = main(["--experiment", "fig3_meb_compare", *TINY,
                      "--sweep", "sigma2_delta=0.05", "--trials", "4",

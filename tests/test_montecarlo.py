@@ -1,6 +1,7 @@
 """Seeded trials: determinism, serving logic, pooled samples and the CDF tools."""
 
 import dataclasses
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import pytest
 
 import crmimo.montecarlo
 import crmimo.power
-from crmimo.analytics import GammaParams
+from crmimo.analytics import GammaParams, meb_sinr_cdf, meb_sinr_params
 from crmimo.beamforming import MEB, ZFB, compute_beams
 from crmimo.montecarlo import (
     MAX_K_SWEEP,
@@ -396,3 +397,73 @@ class TestEmpiricalCdf:
         f = empirical_cdf(np.concatenate([failed.sinr_true, served.sinr_true]))
         assert (f.n, f.n_dropped) == (60, 60)
         assert np.array_equal(f.samples, np.sort(served.sinr_true))
+
+
+def ks_per_point(cdf, samples):
+    """KS distance with one cdf call per sorted sample, in ks_distance's arithmetic."""
+    xs = np.sort(np.asarray(samples, dtype=float))
+    values = np.array([cdf(x) for x in xs])
+    steps = np.arange(1, xs.size + 1) / xs.size
+    return float(max(np.abs(values - steps).max(),
+                     np.abs(values - (steps - 1.0 / xs.size)).max()))
+
+
+class TestKsDistanceContract:
+    """ks_distance calls a CDF once with the sample array, else once per sample."""
+
+    samples = np.random.default_rng(3).gamma(3.0, 2.0, 500)
+
+    def test_array_capable_callable_called_once(self):
+        law = GammaParams(shape=3.0, scale=2.0)
+        calls = []
+
+        def counted(x):
+            calls.append(x)
+            return law.cdf(x)
+
+        ks = empirical_cdf(self.samples).ks_distance(counted)
+        assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
+        assert np.array_equal(calls[0], np.sort(self.samples))
+        assert ks == ks_per_point(law.cdf, self.samples)
+
+    @pytest.mark.parametrize("cdf", [
+        lambda x: 1.0 - math.exp(-x / 6.0),                    # math.* rejects an array
+        lambda x: min(max(x / 20.0, 0.0), 1.0),                # so does Python's max
+        lambda x: GammaParams(shape=3.0, scale=2.0).cdf(float(x)),
+    ])
+    def test_scalar_only_callable_falls_back(self, cdf):
+        ks = empirical_cdf(self.samples).ks_distance(cdf)
+        assert ks == ks_per_point(cdf, self.samples)
+
+    def test_constant_callable_falls_back(self):
+        # a float for the whole array has the wrong shape: each sample gets its own call
+        calls = []
+
+        def constant(x):
+            calls.append(x)
+            return 0.5
+
+        n = self.samples.size
+        assert empirical_cdf(self.samples).ks_distance(constant) == 0.5
+        assert len(calls) == n + 1
+        f = EmpiricalCdf([1.0, 2.0, 3.0])
+        assert f.ks_distance(lambda x: 0.5) == ks_per_point(lambda x: 0.5, [1.0, 2.0, 3.0])
+
+    def test_sample_outside_domain_raises_scalar_error(self):
+        law = meb_sinr_params(NetworkConfig(), 0.1)
+        f = EmpiricalCdf(np.concatenate([[0.0], self.samples]))
+        with pytest.raises(ValueError) as scalar:
+            meb_sinr_cdf(law, f.samples[0])  # the per-sample call on the first sample
+        with pytest.raises(ValueError) as array:
+            f.ks_distance(lambda s: meb_sinr_cdf(law, s))
+        assert str(array.value) == str(scalar.value)
+
+    def test_non_convergence_raises_scalar_error(self):
+        # a shape near 5e5 close to the series seam exceeds the iteration cap
+        law = GammaParams(shape=501436.62702860456, scale=1.0)
+        f = EmpiricalCdf([1.0, 500728.5051273554, 600000.0])
+        with pytest.raises(ArithmeticError) as scalar:
+            law.cdf(f.samples[1])
+        with pytest.raises(ArithmeticError) as array:
+            f.ks_distance(law.cdf)
+        assert str(array.value) == str(scalar.value)

@@ -1,4 +1,5 @@
-"""Property tests of the beamformers, the LF verdict and the array q_k over valid configs."""
+"""Property tests of the beamformers, the LF verdict, the array q_k and the
+array KS validation over valid configs."""
 
 import math
 
@@ -6,11 +7,22 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from crmimo.analytics import equal_power_bounds, q_k
+from crmimo.analytics import (
+    equal_power_bounds,
+    meb_interference_cdf,
+    meb_sinr_params,
+    q_k,
+    zfb_interference_cdf,
+    zfb_sinr_exact_cdf,
+    zfb_sinr_params,
+)
 from crmimo.beamforming import MEB, ZFB, compute_beams, compute_meb, compute_zfb, nulling_residuals
 from crmimo.network import NetworkConfig, evaluate_links, generate_channels
 from crmimo.power import lf_meb_constraints, slack_from_links, solve_lf
 
+from crmimo.montecarlo import empirical_cdf
+
+from test_analytics import ks_against
 from test_beamforming import assert_principal_pair
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -113,3 +125,27 @@ def test_q_k_grid_call_matches_scalar_calls(config):
             assert str(array.value) == str(exc)
             continue
         assert np.array_equal(q_k(scheme, config, grid), expect)
+
+
+@hypothesis.settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@hypothesis.given(q_configs(), st.floats(-3.0, 1.0),
+                  st.lists(st.one_of(st.just(0.0), st.floats(-6.0, 6.0)), min_size=1,
+                           max_size=200))
+def test_ks_array_call_matches_per_point_oracle(config, log_p, exponents):
+    # samples from 1e-6 to 1e6, with exact zeros, against every law of the config
+    p_eq = 10.0 ** log_p
+    samples = np.array([e and 10.0 ** e for e in exponents])
+    cdfs = [meb_sinr_params(config, p_eq).cdf, zfb_sinr_params(config, p_eq).cdf,
+            lambda x: meb_interference_cdf(config, p_eq, x),
+            lambda x: zfb_interference_cdf(config, p_eq, x),
+            lambda s: zfb_sinr_exact_cdf(config, p_eq, s)]
+    for cdf in cdfs:
+        try:
+            expect = ks_against(samples, cdf)
+        except ArithmeticError as exc:
+            # a large shape near the series seam: the same error as the scalar loop
+            with pytest.raises(ArithmeticError) as array:
+                empirical_cdf(samples).ks_distance(cdf)
+            assert str(array.value) == str(exc)
+            continue
+        assert empirical_cdf(samples).ks_distance(cdf) == expect
