@@ -15,7 +15,7 @@ CDF, the laws' cdf methods and the public *_cdf functions, also
 takes an array of evaluation points and returns the array of values,
 so a KS validation is one call over all its samples.  Array results
 equal scalar calls bit for bit (see specfun for how); a Python float
-takes the scalar branches.
+takes the scalar branches, except in the exact ZFB law, which has none.
 
 The mean principal Wishart eigenvalue E[sigma2_k1] that the models
 need is estimated once per (m_u, m_b) by Monte Carlo and cached, with
@@ -138,7 +138,11 @@ class InverseGammaParams:
                 return _cdf_array(s, self.cdf)
         elif s <= 0.0:
             return 0.0
-        return 1.0 - regularized_lower_gamma(self.shape, 1.0 / (s * self.theta))
+        try:
+            x = 1.0 / (s * self.theta)
+        except ZeroDivisionError:  # s theta underflows to 0 (numpy gives inf)
+            return 0.0
+        return 1.0 - regularized_lower_gamma(self.shape, x)
 
 
 @dataclass(frozen=True)
@@ -165,10 +169,13 @@ class GenFParams:
                 return _cdf_array(s, self.cdf)
         elif s <= 0.0:
             return 0.0
-        elif math.isinf(s):
-            return 1.0
-        z = self.lam * s
-        return regularized_incomplete_beta(z / (1.0 + z), self.k_n, self.k_d)
+        z = self.lam * s  # inf at s = inf or on overflow, where the CDF is 1
+        if not isinstance(z, np.ndarray):
+            if z == math.inf:
+                return 1.0
+            return regularized_incomplete_beta(z / (1.0 + z), self.k_n, self.k_d)
+        x = np.divide(z, 1.0 + z, out=np.ones(z.shape), where=z != math.inf)
+        return regularized_incomplete_beta(x, self.k_n, self.k_d)
 
 
 @dataclass(frozen=True)
@@ -412,43 +419,21 @@ def zfb_sinr_exact_cdf(config: NetworkConfig, p_eq: float,
     N2 ~ NegBin(l_tx, s beta/(theta_n + s beta)): a finite sum of
     positive terms.  l_tx = 0 (or p_p = 0) makes N2 = 0, which is the
     plain gamma law of zfb_sinr_params.  s may be an array (see
-    _exact_cdf_array); each element equals the scalar call.
+    _exact_cdf_array); a float is evaluated as a one-element array.
     """
     k_n, e = _zfb_numerator(config, p_eq)
-    if isinstance(s, np.ndarray):
-        cdf = partial(zfb_sinr_exact_cdf, config, p_eq)
-        _raise_domain_error(~(s >= 0.0), cdf, s)
-        if _has_boundary(s):
-            return _cdf_array(s, cdf)
-    elif not (s >= 0.0):
-        raise ValueError(f"s must be nonnegative, got {s!r}")
-    elif s == 0.0:
-        return 0.0
-    elif s == math.inf:  # inf * p_p is NaN at p_p = 0
-        return 1.0
+    cdf = partial(zfb_sinr_exact_cdf, config, p_eq)
+    if not isinstance(s, np.ndarray):
+        if not (s >= 0.0):
+            raise ValueError(f"s must be nonnegative, got {s!r}")
+        return cdf(np.array([s], dtype=float)).item()
+    _raise_domain_error(~(s >= 0.0), cdf, s)
+    if _has_boundary(s):  # inf * p_p is NaN at p_p = 0, so s = inf takes this path
+        return _cdf_array(s, cdf)
     theta_n = p_eq * e / config.m_b
     lam1 = s * config.sigma2_w / theta_n
     x = s * config.p_p * config.sigma2_h / theta_n
-    tables = _exact_log_tables(k_n, config.l_tx)
-    if isinstance(s, np.ndarray):
-        return _exact_cdf_array(lam1, x, config.l_tx, *tables)
-    if math.isinf(lam1 + x):
-        return 1.0
-    j, log_fact, log_binom = tables
-    log_pmf = j * math.log(lam1)
-    log_pmf -= log_fact
-    log_pmf -= lam1
-    poisson_cdf = np.add.accumulate(np.exp(log_pmf))
-    if log_binom is None or x == 0.0:
-        tail = float(poisson_cdf[-1])
-    else:
-        # sum over j of Pr(N2 = j) Pr(N1 <= k_n - 1 - j)
-        log1p_x = math.log1p(x)
-        log_pmf = j * (math.log(x) - log1p_x)
-        log_pmf += log_binom
-        log_pmf -= config.l_tx * log1p_x
-        tail = float(np.exp(log_pmf) @ poisson_cdf[::-1])
-    return min(max(1.0 - tail, 0.0), 1.0)
+    return _exact_cdf_array(lam1, x, config.l_tx, *_exact_log_tables(k_n, config.l_tx))
 
 
 # doubles in each (k_n, samples) temporary of _exact_cdf_array (1 MB), so that
@@ -457,13 +442,13 @@ _EXACT_CHUNK_ELEMENTS = 2 ** 17
 
 
 def _exact_cdf_array(lam1, x, l_tx, j, log_fact, log_binom):
-    """zfb_sinr_exact_cdf's scalar branch on arrays of its Poisson and
-    negative-binomial parameters (points 0 < s < inf).
+    """zfb_sinr_exact_cdf at arrays of its Poisson and negative-binomial
+    parameters (points 0 < s < inf).
 
-    The samples are the columns of (k_n, chunk) arrays.  The final dot
-    product adds its terms in index order, as numpy's dot does over the
-    reversed (negative-stride) Poisson CDF of the scalar branch, so
-    each element equals the scalar call bit for bit.
+    The samples are the columns of (k_n, chunk) arrays.  Pr(N1 <= m)
+    is a running sum of the Poisson pmf, and the final sum over j
+    adds its terms in index order, so each element does not depend on
+    the others in its chunk: a one-element array gives the same bits.
     """
     shape = lam1.shape
     lam1, x = lam1.ravel(), x.ravel()

@@ -3,20 +3,23 @@
 Dispatches preset experiments (equal-power sweeps, allocation-policy
 comparisons, max-SU searches, distribution validation, single solves)
 over a base config assembled from defaults, an optional config file and
---set overrides.  Results land as versioned CSV files plus a one-line
-summary per sweep point; emit-plot-data splits any result CSV into
-whitespace-delimited .dat series files.  All powers cross the CLI
-boundary in dB; everything internal is linear.
+--set overrides in the config file's key = value syntax.  Each
+experiment's runner returns its CSV header and a sequence of units, one
+per scheme or sweep point; run consumes the units in order, turning a
+unit's model-domain error into an error row, and writes
+<out>/<experiment>.csv plus a one-line summary per point.
+emit-plot-data splits any result CSV into whitespace-delimited .dat
+series files.  All powers cross the CLI boundary in dB; everything
+internal is linear.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,12 +29,13 @@ from .montecarlo import (
     POLICY_EQUAL_POWER,
     POLICY_EQUAL_POWER_OPT,
     POLICY_LF,
+    _POLICIES,
     max_sus_at_confidence,
     empirical_cdf,
     run_trials,
 )
-from .network import (NetworkConfig, _DB_KEYS, db_to_linear, evaluate_links, generate_channels,
-                      linear_to_db)
+from .network import (NetworkConfig, _parse_kv_lines, db_to_linear, evaluate_links,
+                      generate_channels, linear_to_db)
 from .power import equal_power, slack_from_links, solve_lf
 from . import analytics
 
@@ -40,8 +44,6 @@ __all__ = ["ExperimentSpec", "build_spec", "run", "emit_plot_data", "main"]
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_IO = 3
-
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(NetworkConfig)}
 
 
 @dataclass(frozen=True)
@@ -67,40 +69,27 @@ class ExperimentSpec:
             raise ValueError(f"unknown experiment {self.experiment!r}")
         if self.sweep is not None:
             name, values = self.sweep
-            if name not in _CONFIG_FIELDS and name not in _DB_KEYS \
-                    and name not in ("p_eq", "p_eq_db"):
-                raise ValueError(f"unknown sweep parameter {name!r}")
             if not values:
-                raise ValueError("sweep needs at least one value")
+                raise ValueError(f"sweep {name!r} needs at least one value")
             if not np.isfinite(values).all():
                 raise ValueError(f"sweep values must be finite, got {values}")
             if name not in ("p_eq", "p_eq_db"):
-                for value in values:  # a bad value fails here, before any trial
+                for value in values:  # an unknown key or bad value fails here, before any trial
                     self.config.with_items({name: value})
         for scheme in self.schemes:
             if scheme not in (MEB, ZFB):
                 raise ValueError(f"unknown scheme {scheme!r}")
         for policy in self.policies:
-            if policy not in (POLICY_LF, POLICY_EQUAL_POWER, POLICY_EQUAL_POWER_OPT):
+            if policy not in _POLICIES:
                 raise ValueError(f"unknown policy {policy!r}")
         if self.n_trials < 1:
             raise ValueError("trials must be positive")
 
 
-def _parse_set_args(pairs) -> dict:
-    items = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"--set expects KEY=VALUE, got {pair!r}")
-        key, _, value = pair.partition("=")
-        items[key.strip()] = value.strip()
-    return items
-
-
 def build_spec(args) -> ExperimentSpec:
     """Turn parsed CLI arguments into a validated ExperimentSpec."""
     config = NetworkConfig.from_file(args.config) if args.config else NetworkConfig()
-    overrides = _parse_set_args(args.overrides)
+    overrides = _parse_kv_lines(args.overrides, where="--set")
     config = config.with_items(overrides)
 
     preset = _PRESETS[args.experiment]
@@ -162,33 +151,10 @@ def build_spec(args) -> ExperimentSpec:
     )
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        fh.write("# schema=1\n")
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _fmt(x):
     if isinstance(x, float):
         return repr(float(x))
     return x
-
-
-def _rows_or_error(prefix, rows, failed_rows):
-    """The rows an iterable yields, or failed_rows with the exception name appended.
-
-    A model-domain error of one scheme or point (a ValueError such as
-    AntennaShortageError, IllConditionedError, or the ArithmeticError of
-    a special function that does not converge) is printed and recorded
-    in the trailing error column instead of losing the rest of the run.
-    """
-    try:
-        return list(rows)
-    except (ValueError, ArithmeticError, IllConditionedError) as exc:
-        print(f"{prefix} error={type(exc).__name__}: {exc}")
-        return [row + [type(exc).__name__] for row in failed_rows]
 
 
 def _fig2(spec: ExperimentSpec):
@@ -206,13 +172,12 @@ def _fig2(spec: ExperimentSpec):
             yield [config.m_b, p_eq_db, scheme, _fmt(analytic), _fmt(res.p_served),
                    _fmt(res.stderr), res.n_trials, ""]
 
-    rows = [row for m_b in spec.m_b_list for scheme in spec.schemes
-            for row in _rows_or_error(f"fig2 m_b={m_b} scheme={scheme}",
-                                      sweep(spec.config.replace(m_b=m_b), scheme),
-                                      [[m_b, "", scheme, "", "", "", ""]])]
     header = ["m_b", "p_eq_db", "scheme", "p_served_analytical",
               "p_served_empirical", "stderr", "n_trials", "error"]
-    return "fig2_eq_power_sweep.csv", header, rows
+    return header, ((f"fig2 m_b={m_b} scheme={scheme}",
+                     sweep(spec.config.replace(m_b=m_b), scheme),
+                     [[m_b, "", scheme, "", "", "", ""]])
+                    for m_b in spec.m_b_list for scheme in spec.schemes)
 
 
 def _fig_compare(spec: ExperimentSpec):
@@ -230,14 +195,13 @@ def _fig_compare(spec: ExperimentSpec):
         yield [_fmt(float(value)), scheme, policy, _fmt(res.p_served),
                _fmt(res.stderr), analytic, p_eq_db, res.n_trials, ""]
 
-    rows = [row for value in values for scheme in spec.schemes for policy in spec.policies
-            for row in _rows_or_error(
-                f"{spec.experiment} {name}={value} scheme={scheme} policy={policy}",
-                compare(value, spec.config.with_items({name: value}), scheme, policy),
-                [[_fmt(float(value)), scheme, policy, "", "", "", "", ""]])]
     header = [name, "scheme", "policy", "p_served", "stderr",
               "q_analytical", "p_eq_db", "n_trials", "error"]
-    return f"{spec.experiment}.csv", header, rows
+    return header, ((f"{spec.experiment} {name}={value} scheme={scheme} policy={policy}",
+                     compare(value, spec.config.with_items({name: value}), scheme, policy),
+                     [[_fmt(float(value)), scheme, policy, "", "", "", "", ""]])
+                    for value in values for scheme in spec.schemes
+                    for policy in spec.policies)
 
 
 def _fig5(spec: ExperimentSpec):
@@ -252,12 +216,11 @@ def _fig5(spec: ExperimentSpec):
             yield [config.m_b, _fmt(float(value)), scheme, max_k,
                    _fmt(spec.confidence), spec.n_trials, ""]
 
-    rows = [row for m_b in spec.m_b_list for scheme in spec.schemes
-            for row in _rows_or_error(f"fig5 m_b={m_b} scheme={scheme}",
-                                      table(spec.config.replace(m_b=m_b), scheme),
-                                      [[m_b, "", scheme, "", "", ""]])]
     header = ["m_b", name, "scheme", "max_k", "confidence", "n_trials", "error"]
-    return "fig5_max_sus.csv", header, rows
+    return header, ((f"fig5 m_b={m_b} scheme={scheme}",
+                     table(spec.config.replace(m_b=m_b), scheme),
+                     [[m_b, "", scheme, "", "", ""]])
+                    for m_b in spec.m_b_list for scheme in spec.schemes)
 
 
 def _cdf_validation(spec: ExperimentSpec):
@@ -289,11 +252,9 @@ def _cdf_validation(spec: ExperimentSpec):
                            cdf.samples)
             yield [scheme, quantity, _fmt(ks), cdf.n, res.n_trials, _fmt(p_eq_db), ""]
 
-    rows = [row for scheme in spec.schemes
-            for row in _rows_or_error(f"cdf_validation scheme={scheme}", validate(scheme),
-                                      [[scheme, "", "", "", "", _fmt(p_eq_db)]])]
     header = ["scheme", "quantity", "ks_distance", "n_samples", "n_trials", "p_eq_db", "error"]
-    return "cdf_validation.csv", header, rows
+    return header, ((f"cdf_validation scheme={scheme}", validate(scheme),
+                     [[scheme, "", "", "", "", _fmt(p_eq_db)]]) for scheme in spec.schemes)
 
 
 def _single_solve(spec: ExperimentSpec):
@@ -322,12 +283,10 @@ def _single_solve(spec: ExperimentSpec):
                       else f"  P_{k} = {pk:.6e}")
                 yield [k, _fmt(float(pk)), _fmt(db), scheme, policy, feasible, ""]
 
-    rows = [row for scheme in spec.schemes
-            for row in _rows_or_error(f"single_solve scheme={scheme}", solve(scheme),
-                                      [["", "", "", scheme, policy, ""]
-                                       for policy in spec.policies])]
     header = ["su", "p", "p_db", "scheme", "policy", "feasible", "error"]
-    return "single_solve.csv", header, rows
+    return header, ((f"single_solve scheme={scheme}", solve(scheme),
+                     [["", "", "", scheme, policy, ""] for policy in spec.policies])
+                    for scheme in spec.schemes)
 
 
 @dataclass(frozen=True)
@@ -339,7 +298,7 @@ class _Preset:
     its own p_eq needs --p-eq-db to run EQUAL_POWER.
     """
 
-    runner: Callable[[ExperimentSpec], tuple]
+    runner: Callable[[ExperimentSpec], tuple[list, Iterable[tuple]]]
     trials: int
     sweep: tuple[str, tuple[float, ...]] | None
     schemes: tuple[str, ...]
@@ -372,11 +331,29 @@ EXPERIMENTS = tuple(_PRESETS)
 
 
 def run(spec: ExperimentSpec) -> int:
-    """Execute one experiment spec; returns a process exit status."""
+    """Execute one experiment spec and write <out_dir>/<experiment>.csv.
+
+    The runner returns the CSV header and units of (prefix, rows,
+    failed_rows).  A model-domain error while a unit yields its rows (a
+    ValueError such as AntennaShortageError, an IllConditionedError, or
+    the ArithmeticError of a special function that does not converge) is
+    printed after the prefix, and the unit records failed_rows with the
+    exception name in the trailing error column instead of losing the
+    rest of the run.  Returns a process exit status.
+    """
     os.makedirs(spec.out_dir, exist_ok=True)
-    filename, header, rows = _PRESETS[spec.experiment].runner(spec)
-    path = os.path.join(spec.out_dir, filename)
-    _write_csv(path, header, rows)
+    header, units = _PRESETS[spec.experiment].runner(spec)
+    rows = []
+    for prefix, unit_rows, failed_rows in units:
+        try:
+            rows += list(unit_rows)
+        except (ValueError, ArithmeticError, IllConditionedError) as exc:
+            print(f"{prefix} error={type(exc).__name__}: {exc}")
+            rows += [row + [type(exc).__name__] for row in failed_rows]
+    path = os.path.join(spec.out_dir, f"{spec.experiment}.csv")
+    with open(path, "w", newline="") as fh:
+        fh.write("# schema=1\n")
+        csv.writer(fh).writerows([header, *rows])
     print(f"wrote {path}")
     return EXIT_OK
 
@@ -452,35 +429,17 @@ def main(argv=None) -> int:
     parser.add_argument("--emit-plot-data", metavar="CSV",
                         help="convert a result CSV into .dat series files and exit")
     args = parser.parse_args(argv)
-
-    if args.emit_plot_data:
-        try:
-            written = emit_plot_data(args.emit_plot_data, out_dir=None)
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
-        for path in written:
-            print(f"wrote {path}")
-        return EXIT_OK
-
-    if not args.experiment:
+    if not args.emit_plot_data and not args.experiment:
         parser.error("--experiment is required (or use --emit-plot-data)")
     try:
-        spec = build_spec(args)
-    except (ValueError, OSError) as exc:
+        if args.emit_plot_data:
+            for path in emit_plot_data(args.emit_plot_data):
+                print(f"wrote {path}")
+            return EXIT_OK
+        return run(build_spec(args))
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO if isinstance(exc, OSError) else EXIT_CONFIG
-    try:
-        return run(spec)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

@@ -150,18 +150,20 @@ class NetworkConfig:
         return self.replace(**updates)
 
 
-def _parse_kv_lines(lines) -> dict:
+def _parse_kv_lines(lines, where="line") -> dict:
+    """{key: value} strings from key = value lines, '#' starting a comment;
+    an error names the n-th line as f"{where} {n}" (a file line, a --set pair)."""
     items = {}
     for lineno, line in enumerate(lines, 1):
         body = line.split("#", 1)[0].strip()
         if not body:
             continue
         if "=" not in body:
-            raise ValueError(f"line {lineno}: expected key = value, got {line.strip()!r}")
+            raise ValueError(f"{where} {lineno}: expected key = value, got {line.strip()!r}")
         key, _, val = body.partition("=")
         key, val = key.strip(), val.strip()
         if key in items:
-            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+            raise ValueError(f"{where} {lineno}: duplicate key {key!r}")
         items[key] = val
     return items
 

@@ -83,6 +83,31 @@ class TestDistributionPrimitives:
         assert ks < 0.01
         assert p.cdf(0.0) == 0.0 and p.cdf(math.inf) == 1.0
 
+    # numpy flags 1/0 and the overflow that the float forms hit silently
+    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    @pytest.mark.parametrize("form", [float, np.float64, lambda s: np.array([s])],
+                             ids=["float", "float64", "array"])
+    def test_inverse_gamma_where_s_theta_underflows(self, form):
+        # 5e-324 * 0.5 rounds to 0, so 1/(s theta) is inf and the CDF is 0
+        ig = InverseGammaParams(shape=3.0, theta=0.5)
+        for cdf in (ig.cdf, lambda s: meb_sinr_cdf(ig, s)):
+            got = cdf(form(5e-324))
+            assert np.shape(got) == np.shape(form(5e-324)) and got == 0.0
+            assert cdf(form(1e-3)) == ig.cdf(1e-3)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("form", [float, np.float64, lambda s: np.array([s])],
+                             ids=["float", "float64", "array"])
+    def test_genf_where_lam_s_overflows(self, form):
+        # 10 * 1e308 overflows to inf, where the CDF is 1
+        law = GenFParams(k_n=2.0, k_d=3.0, lam=10.0)
+        for cdf in (law.cdf, lambda s: zfb_sinr_cdf(law, s)):
+            got = cdf(form(1e308))
+            assert np.shape(got) == np.shape(form(1e308)) and got == 1.0
+            assert cdf(form(1e-3)) == law.cdf(1e-3)
+        assert np.array_equal(law.cdf(np.array([1e308, 1e-3, math.inf])),
+                              [1.0, law.cdf(1e-3), 1.0])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GammaParams(shape=0.0, scale=1.0)
@@ -335,6 +360,31 @@ def exact_law_oracle(cfg, p_eq, s):
     return value
 
 
+def exact_law_scalar_loop(cfg, p_eq, s):
+    """The exact law's finite sum at one point 0 < s < inf, on Python floats
+    through math's log, log1p and lgamma: the sum the array kernel must
+    equal bit for bit (numpy's SIMD log and log1p differ in the last bit)."""
+    k_n = cfg.m_b - cfg.k_su - cfg.l_rx + 1
+    theta_n = p_eq * expected_max_eig(cfg.m_u, cfg.m_b, cfg.sigma2_h) / cfg.m_b
+    lam1 = s * cfg.sigma2_w / theta_n
+    x = s * cfg.p_p * cfg.sigma2_h / theta_n
+    if math.isinf(lam1 + x):
+        return 1.0
+    j = np.arange(k_n, dtype=float)
+    log_fact = np.array([math.lgamma(i + 1.0) for i in range(k_n)])
+    poisson_cdf = np.add.accumulate(np.exp(j * math.log(lam1) - log_fact - lam1))
+    if cfg.l_tx == 0 or x == 0.0:
+        tail = float(poisson_cdf[-1])
+    else:
+        # sum over j of Pr(N2 = j) Pr(N1 <= k_n - 1 - j), in index order
+        log_binom = (np.array([math.lgamma(i + cfg.l_tx) for i in range(k_n)])
+                     - (math.lgamma(cfg.l_tx) + log_fact))
+        log1p_x = math.log1p(x)
+        log_pmf = j * (math.log(x) - log1p_x) + log_binom - cfg.l_tx * log1p_x
+        tail = float(np.exp(log_pmf) @ poisson_cdf[::-1])
+    return min(max(1.0 - tail, 0.0), 1.0)
+
+
 class TestZfbSinrExactLaw:
     @pytest.mark.parametrize("m_b", [64, 128, 1024])
     @pytest.mark.parametrize("l_tx", [0, 1, 2, 3])
@@ -579,8 +629,8 @@ class TestArrayPoints:
                 expect = [cdf(float(x)) for x in pts]
                 assert np.array_equal(cdf(pts), expect), name
 
-    # s = 1e308 overflows the Poisson rate to inf, silently for a float, with a
-    # RuntimeWarning for an array; both give 1
+    # s = 1e308 overflows the Poisson rate to inf, with a RuntimeWarning from
+    # numpy (a float point runs as a one-element array); the CDF there is 1
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_exact_law_in_chunks(self, monkeypatch):
         # chunks of 3 samples at k_n = 123 (m_b=128), and a 2-D array of points
@@ -597,7 +647,7 @@ class TestArrayPoints:
     def test_exact_law_dense(self, cfg):
         # dense enough that numpy's log or log1p would differ from math's somewhere
         pts = np.logspace(-3.0, 3.0, 20000)
-        expect = [zfb_sinr_exact_cdf(cfg, 0.05, s) for s in pts.tolist()]
+        expect = [exact_law_scalar_loop(cfg, 0.05, s) for s in pts.tolist()]
         assert np.array_equal(zfb_sinr_exact_cdf(cfg, 0.05, pts), expect)
 
     def test_array_with_bad_point_raises_scalar_error(self):

@@ -115,6 +115,24 @@ class TestMainExitCodes:
                 assert f"cannot sweep {axis!r}" in err
         assert not list(tmp_path.iterdir())
 
+    def test_repeated_set_key(self, tmp_path, capsys):
+        # as in a config file, a repeated key is an error, not last-wins
+        code = main(["--experiment", "single_solve", "--set", "k_su=2", "--set", "k_su=3",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "--set 2: duplicate key 'k_su'" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    def test_unknown_sweep_key(self, tmp_path, capsys):
+        for experiment in ("fig3_meb_compare", "fig5_max_sus", "single_solve"):
+            code = main(["--experiment", experiment, *TINY, "--sweep", "bogus=1",
+                         "--out", str(tmp_path)])
+            assert code == EXIT_CONFIG
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "'bogus'" in err
+        assert not list(tmp_path.iterdir())
+
     def test_missing_config_file(self, tmp_path, capsys):
         code = main(["--experiment", "single_solve",
                      "--config", str(tmp_path / "absent.cfg"), "--out", str(tmp_path)])
@@ -506,6 +524,13 @@ class TestBuildSpec:
     def test_explicit_mb_pins_list(self):
         spec = self.parse({"overrides": ["m_b=32"]})
         assert spec.m_b_list == (32,)
+
+    def test_set_takes_config_file_syntax(self, tmp_path):
+        cfg = tmp_path / "net.cfg"
+        cfg.write_text("m_b = 16 # note\n")
+        spec = self.parse({"overrides": ["m_b=16 # note", " k_su = 3 "]})
+        assert spec.config == NetworkConfig.from_file(cfg).replace(k_su=3)
+        assert spec.m_b_list == (16,)
 
     def test_preset_sweeps(self):
         spec = self.parse({"experiment": "fig2_eq_power_sweep"})
