@@ -13,9 +13,10 @@ The law functions and q_k also take a 1-D array of powers and then
 return laws with array parameters and an array of q_k values.  Every
 CDF, the laws' cdf methods and the public *_cdf functions, also
 takes an array of evaluation points and returns the array of values,
-so a KS validation is one call over all its samples.  Array results
-equal scalar calls bit for bit (see specfun for how); a Python float
-takes the scalar branches, except in the exact ZFB law, which has none.
+so a KS validation takes one call per pass over its samples.  Array
+results equal scalar calls bit for bit (see specfun for how); a Python
+float takes the scalar branches, except in the exact ZFB law, which has
+none.
 
 The mean principal Wishart eigenvalue E[sigma2_k1] that the models
 need is estimated once per (m_u, m_b) by Monte Carlo and cached, with
@@ -136,12 +137,15 @@ class InverseGammaParams:
         if isinstance(s, np.ndarray):
             if _has_boundary(s):
                 return _cdf_array(s, self.cdf)
+            with np.errstate(divide="ignore"):  # inf where s theta underflows to 0
+                x = 1.0 / (s * self.theta)
         elif s <= 0.0:
             return 0.0
-        try:
-            x = 1.0 / (s * self.theta)
-        except ZeroDivisionError:  # s theta underflows to 0 (numpy gives inf)
-            return 0.0
+        else:
+            try:
+                x = 1.0 / (float(s) * self.theta)
+            except ZeroDivisionError:  # s theta underflows to 0
+                return 0.0
         return 1.0 - regularized_lower_gamma(self.shape, x)
 
 
@@ -167,9 +171,12 @@ class GenFParams:
         if isinstance(s, np.ndarray):
             if _has_boundary(s):
                 return _cdf_array(s, self.cdf)
+            with np.errstate(over="ignore"):
+                z = self.lam * s  # inf on overflow, where the CDF is 1
         elif s <= 0.0:
             return 0.0
-        z = self.lam * s  # inf at s = inf or on overflow, where the CDF is 1
+        else:
+            z = self.lam * float(s)  # inf at s = inf or on overflow, where the CDF is 1
         if not isinstance(z, np.ndarray):
             if z == math.inf:
                 return 1.0
@@ -431,8 +438,9 @@ def zfb_sinr_exact_cdf(config: NetworkConfig, p_eq: float,
     if _has_boundary(s):  # inf * p_p is NaN at p_p = 0, so s = inf takes this path
         return _cdf_array(s, cdf)
     theta_n = p_eq * e / config.m_b
-    lam1 = s * config.sigma2_w / theta_n
-    x = s * config.p_p * config.sigma2_h / theta_n
+    with np.errstate(over="ignore"):  # inf where the CDF is 1
+        lam1 = s * config.sigma2_w / theta_n
+        x = s * config.p_p * config.sigma2_h / theta_n
     return _exact_cdf_array(lam1, x, config.l_tx, *_exact_log_tables(k_n, config.l_tx))
 
 

@@ -140,7 +140,7 @@ def build_spec(args) -> ExperimentSpec:
         sweep=sweep,
         schemes=schemes,
         policies=policies,
-        n_trials=args.trials if args.trials else preset.trials,
+        n_trials=preset.trials if args.trials is None else args.trials,
         seed=args.seed,
         out_dir=args.out,
         m_b_list=m_b_list,

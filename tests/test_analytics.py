@@ -83,8 +83,8 @@ class TestDistributionPrimitives:
         assert ks < 0.01
         assert p.cdf(0.0) == 0.0 and p.cdf(math.inf) == 1.0
 
-    # numpy flags 1/0 and the overflow that the float forms hit silently
-    @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+    # 1/0 and an overflow at a valid extreme point must not warn in any form
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("form", [float, np.float64, lambda s: np.array([s])],
                              ids=["float", "float64", "array"])
     def test_inverse_gamma_where_s_theta_underflows(self, form):
@@ -95,7 +95,7 @@ class TestDistributionPrimitives:
             assert np.shape(got) == np.shape(form(5e-324)) and got == 0.0
             assert cdf(form(1e-3)) == ig.cdf(1e-3)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("form", [float, np.float64, lambda s: np.array([s])],
                              ids=["float", "float64", "array"])
     def test_genf_where_lam_s_overflows(self, form):
@@ -629,9 +629,9 @@ class TestArrayPoints:
                 expect = [cdf(float(x)) for x in pts]
                 assert np.array_equal(cdf(pts), expect), name
 
-    # s = 1e308 overflows the Poisson rate to inf, with a RuntimeWarning from
-    # numpy (a float point runs as a one-element array); the CDF there is 1
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # s = 1e308 overflows the Poisson rate to inf, where the CDF is 1, without
+    # a warning (a float point runs as a one-element array)
+    @pytest.mark.filterwarnings("error")
     def test_exact_law_in_chunks(self, monkeypatch):
         # chunks of 3 samples at k_n = 123 (m_b=128), and a 2-D array of points
         cfg = NetworkConfig(m_b=128, k_su=5, l_tx=3, l_rx=2, p_p=2.0)

@@ -85,6 +85,13 @@ class TestMainExitCodes:
         assert code == EXIT_CONFIG
         assert "twice" in capsys.readouterr().err
 
+    def test_zero_trials(self, tmp_path, capsys):
+        # not read as "no --trials", which takes the preset's count
+        code = main(["--experiment", "single_solve", *TINY, "--trials", "0",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "trials must be positive" in capsys.readouterr().err
+
     def test_fig2_rejects_foreign_sweep(self, tmp_path, capsys):
         code = main(["--experiment", "fig2_eq_power_sweep", "--sweep", "r0=1,2",
                      "--out", str(tmp_path)])

@@ -10,7 +10,17 @@ import pytest
 
 import crmimo.montecarlo
 import crmimo.power
-from crmimo.analytics import GammaParams, meb_sinr_cdf, meb_sinr_params
+from crmimo.analytics import (
+    GammaParams,
+    PointMassParams,
+    meb_interference_cdf,
+    meb_sinr_cdf,
+    meb_sinr_params,
+    zfb_interference_cdf,
+    zfb_sinr_cdf,
+    zfb_sinr_exact_cdf,
+    zfb_sinr_params,
+)
 from crmimo.beamforming import MEB, ZFB, compute_beams
 from crmimo.montecarlo import (
     MAX_K_SWEEP,
@@ -408,22 +418,50 @@ def ks_per_point(cdf, samples):
                      np.abs(values - (steps - 1.0 / xs.size)).max()))
 
 
+def counting(cdf):
+    """cdf, recording the points of each call in the list .calls."""
+    def counted(x):
+        counted.calls.append(x)
+        return cdf(x)
+    counted.calls = []
+    return counted
+
+
+def crmimo_laws(config, p_eq):
+    """(scheme, quantity, name, cdf) of every closed-form law of crmimo at p_eq."""
+    meb, zfb = meb_sinr_params(config, p_eq), zfb_sinr_params(config, p_eq)
+    return [
+        (MEB, "sinr", "law", meb.cdf),
+        (MEB, "sinr", "meb_sinr_cdf", lambda s: meb_sinr_cdf(meb, s)),
+        # the benchmark's scalar-only form: Python's max rejects an array
+        (MEB, "sinr", "scalar meb_sinr_cdf", lambda s: meb_sinr_cdf(meb, max(s, 1e-300))),
+        (MEB, "interference", "meb_interference_cdf",
+         lambda x: meb_interference_cdf(config, p_eq, x)),
+        (ZFB, "sinr", "law", zfb.cdf),
+        (ZFB, "sinr", "zfb_sinr_cdf", lambda s: zfb_sinr_cdf(zfb, s)),
+        (ZFB, "sinr", "zfb_sinr_exact_cdf", lambda s: zfb_sinr_exact_cdf(config, p_eq, s)),
+        (ZFB, "interference", "zfb_interference_cdf",
+         lambda x: zfb_interference_cdf(config, p_eq, x)),
+    ]
+
+
 class TestKsDistanceContract:
-    """ks_distance calls a CDF once with the sample array, else once per sample."""
+    """ks_distance calls a CDF at most twice, on sorted sample subsets
+    (once per sample of a subset if it rejects the array), and returns
+    the value of evaluating it at every sample."""
 
     samples = np.random.default_rng(3).gamma(3.0, 2.0, 500)
 
-    def test_array_capable_callable_called_once(self):
+    def test_array_capable_callable_called_at_most_twice(self):
         law = GammaParams(shape=3.0, scale=2.0)
-        calls = []
-
-        def counted(x):
-            calls.append(x)
-            return law.cdf(x)
-
+        counted = counting(law.cdf)
         ks = empirical_cdf(self.samples).ks_distance(counted)
-        assert len(calls) == 1 and isinstance(calls[0], np.ndarray)
-        assert np.array_equal(calls[0], np.sort(self.samples))
+        xs = np.sort(self.samples)
+        assert 1 <= len(counted.calls) <= 2
+        for call in counted.calls:
+            assert isinstance(call, np.ndarray) and np.all(np.diff(call) >= 0)
+            assert np.isin(call, xs).all()
+        assert counted.calls[0][0] == xs[0] and counted.calls[0][-1] == xs[-1]
         assert ks == ks_per_point(law.cdf, self.samples)
 
     @pytest.mark.parametrize("cdf", [
@@ -436,18 +474,41 @@ class TestKsDistanceContract:
         assert ks == ks_per_point(cdf, self.samples)
 
     def test_constant_callable_falls_back(self):
-        # a float for the whole array has the wrong shape: each sample gets its own call
-        calls = []
-
-        def constant(x):
-            calls.append(x)
-            return 0.5
-
+        # a float for a whole array has the wrong shape: each sample of the
+        # pass gets its own call, and a flat CDF rules out every gap
+        counted = counting(lambda x: 0.5)
         n = self.samples.size
-        assert empirical_cdf(self.samples).ks_distance(constant) == 0.5
-        assert len(calls) == n + 1
+        assert empirical_cdf(self.samples).ks_distance(counted) == 0.5
+        assert len(counted.calls) < n // 4
         f = EmpiricalCdf([1.0, 2.0, 3.0])
         assert f.ks_distance(lambda x: 0.5) == ks_per_point(lambda x: 0.5, [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("scale", [2.0, 2.2], ids=["own law", "wrong scale"])
+    def test_few_evaluations_on_3000_samples(self, scale):
+        # the closer the law, the more gaps can hold the supremum: against
+        # its own law, 40 seeds of this set took 340 to 1276 evaluations
+        samples = np.random.default_rng(3).gamma(3.0, 2.0, 3000)
+        law = GammaParams(shape=3.0, scale=scale)
+        counted = counting(law.cdf)
+        ks = empirical_cdf(samples).ks_distance(counted)
+        assert sum(call.size for call in counted.calls) < samples.size / 4
+        assert ks == ks_per_point(law.cdf, samples)
+
+    @pytest.mark.parametrize("config", [NetworkConfig(), NetworkConfig(l_tx=0, l_rx=2),
+                                        NetworkConfig(k_su=1, l_tx=0, sigma2_delta=0.1)],
+                             ids=["base", "no pu transmits", "one su"])
+    def test_every_law_on_pooled_samples(self, config):
+        # Criterion-4-style pools: equal power p0/k_su, true-channel samples
+        p_eq = config.p0 / config.k_su
+        pools = {scheme: run_trials(config, scheme, POLICY_EQUAL_POWER, 300, seed=11,
+                                    p_eq=p_eq) for scheme in (MEB, ZFB)}
+        if config.k_su == 1:
+            assert isinstance(meb_sinr_params(config, p_eq), PointMassParams)
+        for scheme, quantity, name, cdf in crmimo_laws(config, p_eq):
+            res = pools[scheme]
+            samples = res.sinr_true if quantity == "sinr" else res.int_to_pu_true
+            ks = empirical_cdf(samples).ks_distance(cdf)
+            assert ks == ks_per_point(cdf, samples), (scheme, name)
 
     def test_sample_outside_domain_raises_scalar_error(self):
         law = meb_sinr_params(NetworkConfig(), 0.1)

@@ -1,6 +1,8 @@
 """Property tests of the beamformers, the LF verdict, the array q_k and the
-array KS validation over valid configs."""
+array KS validation over valid configs, and of the pruned KS distance over
+nondecreasing step functions."""
 
+import bisect
 import math
 
 import numpy as np
@@ -149,3 +151,36 @@ def test_ks_array_call_matches_per_point_oracle(config, log_p, exponents):
             assert str(array.value) == str(exc)
             continue
         assert empirical_cdf(samples).ks_distance(cdf) == expect
+
+
+@st.composite
+def step_cdfs(draw):
+    """Jump points and nondecreasing levels of a step function, often on
+    quarter-integer samples and often with plateaus at exactly 0 and 1."""
+    jumps = sorted(draw(st.lists(st.one_of(st.integers(0, 60).map(lambda i: i / 4),
+                                           st.floats(-1.0, 16.0)), max_size=40)))
+    levels = sorted(draw(st.lists(st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+                                  min_size=len(jumps) + 1, max_size=len(jumps) + 1)))
+    return jumps, levels
+
+
+@hypothesis.settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@hypothesis.given(step_cdfs(),
+                  st.lists(st.one_of(st.integers(0, 60).map(lambda i: i / 4),
+                                     st.floats(-1.0, 16.0)), min_size=1, max_size=500))
+# at 100 samples the first pass takes every other one; in each example the
+# supremum, 0.42, lies at sample 41 inside the gap (40, 42) and is reached by
+# one side of that gap's bound only, while the first pass finds 0.415
+@hypothesis.example(([41.5, 98.5], [0.0, 0.575, 1.0]), [float(i) for i in range(100)])
+@hypothesis.example(([40.5], [0.415, 0.83]), [float(i) for i in range(100)])
+def test_ks_pruning_matches_per_point_oracle(step, samples):
+    # duplicate samples, samples on a jump, and n from 1 to 500; an array
+    # call and a scalar-only call of the same step function
+    jumps, levels = step
+    table = np.array(levels)
+    array_cdf = lambda x: table[np.searchsorted(jumps, x, side="right")]
+    scalar_cdf = lambda x: levels[bisect.bisect_right(jumps, x)]  # rejects an array
+    samples = np.array(samples)
+    expect = ks_against(samples, scalar_cdf)
+    assert empirical_cdf(samples).ks_distance(array_cdf) == expect
+    assert empirical_cdf(samples).ks_distance(scalar_cdf) == expect
