@@ -11,15 +11,16 @@ SUs reach rate r0 while every receiving PU stays below the cap i0, and
 optimize_equal_power finds the best p_eq inside the feasible bracket.
 The law functions and q_k also take a 1-D array of powers and then
 return laws with array parameters and an array of q_k values.  Every
-CDF, the laws' cdf methods and the public *_cdf functions, also
-takes an array of evaluation points and returns the array of values,
-so a KS validation takes one call per pass over its samples.  Array
-results equal scalar calls bit for bit (see specfun for how); a Python
-float takes the scalar branches, except in the exact ZFB law, which has
-none.
+CDF, the laws' cdf methods and the public *_cdf functions, takes a
+float or an array of points, so a KS validation takes one call per pass
+over its samples.  All of them share two rules: _bounded_cdf gives 0 at
+s <= 0 and 1 at s = inf around each law's formula for the points
+between, and _check_point makes each public *_cdf reject a negative or
+NaN point.
+Array results equal scalar calls bit for bit (see specfun for how).
 
 The mean principal Wishart eigenvalue E[sigma2_k1] that the models
-need is estimated once per (m_u, m_b) by Monte Carlo and cached, with
+need is estimated once per shape by Monte Carlo and cached, with
 precomputed values shipped in data/wishart_means.txt.
 """
 
@@ -29,19 +30,14 @@ import math
 import time
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 
 from .beamforming import MEB, ZFB
 from .network import NetworkConfig
-from .specfun import (
-    _elementwise,
-    _raise_domain_error,
-    regularized_incomplete_beta,
-    regularized_lower_gamma,
-)
+from .specfun import _elementwise, regularized_incomplete_beta, regularized_lower_gamma
 
 __all__ = [
     "GammaParams",
@@ -77,25 +73,41 @@ def _check_positive(name: str, val):
         raise ValueError(f"{name} must be finite and positive, got {val!r}")
 
 
-def _has_boundary(s: np.ndarray) -> bool:
-    """Whether an array of points holds one where a CDF is 0 or 1 by its branches."""
-    return bool((s <= 0.0).any() or (s == math.inf).any())
+def _check_point(name: str, s):
+    """Raise ValueError unless s (a float or an array) is nonnegative; NaN is not."""
+    if isinstance(s, np.ndarray):
+        bad = ~(s >= 0.0)
+        if not bad.any():
+            return
+        s = s[bad][0].item()
+    if not (s >= 0.0):
+        raise ValueError(f"{name} must be nonnegative, got {s!r}")
 
 
-def _cdf_array(s, cdf):
-    """cdf at an array s: 0.0 for s <= 0, 1.0 at s = inf, one call of cdf between.
+def _bounded_cdf(formula):
+    """Make formula(law, s), the law's CDF at 0 < s < inf, its CDF at every s.
 
-    The elements between hold no boundary point, so cdf evaluates its
-    formula on them directly (NaN among them raises the scalar
-    ValueError from specfun).  A law with array parameters takes array
-    points only when none is on the boundary.
+    0.0 at s <= 0 and 1.0 at s = inf are Python floats for a float s,
+    whatever the law's parameters; other floats reach formula as floats.
+    An array s takes one call of formula on its points between (NaN too),
+    with numpy's overflow and divide warnings off as Python floats have
+    none; a law with array parameters takes only boundary-free arrays.
     """
-    top = s == math.inf
-    mid = ~((s <= 0.0) | top)
-    out = 1.0 * top
-    if mid.any():
-        out[mid] = cdf(s[mid])
-    return out
+    def cdf(law, s):
+        if not isinstance(s, np.ndarray):
+            if s <= 0.0:
+                return 0.0
+            return 1.0 if s == math.inf else formula(law, float(s))
+        top = s == math.inf
+        mid = ~((s <= 0.0) | top)
+        with np.errstate(over="ignore", divide="ignore"):
+            if mid.all():
+                return formula(law, s)
+            out = np.where(top, 1.0, 0.0)
+            if mid.any():
+                out[mid] = formula(law, s[mid])
+        return out
+    return cdf
 
 
 @dataclass(frozen=True)
@@ -109,12 +121,8 @@ class GammaParams:
         _check_positive("shape", self.shape)
         _check_positive("scale", self.scale)
 
+    @_bounded_cdf
     def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        if isinstance(x, np.ndarray):
-            if _has_boundary(x):
-                return _cdf_array(x, self.cdf)
-        elif x <= 0.0:
-            return 0.0
         return regularized_lower_gamma(self.shape, x / self.scale)
 
 
@@ -133,20 +141,12 @@ class InverseGammaParams:
         _check_positive("shape", self.shape)
         _check_positive("theta", self.theta)
 
+    @_bounded_cdf
     def cdf(self, s: float | np.ndarray) -> float | np.ndarray:
-        if isinstance(s, np.ndarray):
-            if _has_boundary(s):
-                return _cdf_array(s, self.cdf)
-            with np.errstate(divide="ignore"):  # inf where s theta underflows to 0
-                x = 1.0 / (s * self.theta)
-        elif s <= 0.0:
-            return 0.0
-        else:
-            try:
-                x = 1.0 / (float(s) * self.theta)
-            except ZeroDivisionError:  # s theta underflows to 0
-                return 0.0
-        return 1.0 - regularized_lower_gamma(self.shape, x)
+        st = s * self.theta
+        if not isinstance(st, np.ndarray) and st == 0.0:
+            return 0.0  # s theta underflows to 0; an array gets 1/0 = inf, so 0 too
+        return 1.0 - regularized_lower_gamma(self.shape, 1.0 / st)
 
 
 @dataclass(frozen=True)
@@ -167,21 +167,15 @@ class GenFParams:
         if self.k_n < 1.0:
             raise ValueError(f"k_n must be at least 1, got {self.k_n!r}")
 
+    @_bounded_cdf
     def cdf(self, s: float | np.ndarray) -> float | np.ndarray:
-        if isinstance(s, np.ndarray):
-            if _has_boundary(s):
-                return _cdf_array(s, self.cdf)
-            with np.errstate(over="ignore"):
-                z = self.lam * s  # inf on overflow, where the CDF is 1
-        elif s <= 0.0:
-            return 0.0
+        z = self.lam * s  # inf on overflow, where the CDF is 1
+        if isinstance(z, np.ndarray):
+            x = np.divide(z, 1.0 + z, out=np.ones(z.shape), where=z != math.inf)
+        elif z == math.inf:
+            return 1.0
         else:
-            z = self.lam * float(s)  # inf at s = inf or on overflow, where the CDF is 1
-        if not isinstance(z, np.ndarray):
-            if z == math.inf:
-                return 1.0
-            return regularized_incomplete_beta(z / (1.0 + z), self.k_n, self.k_d)
-        x = np.divide(z, 1.0 + z, out=np.ones(z.shape), where=z != math.inf)
+            x = z / (1.0 + z)
         return regularized_incomplete_beta(x, self.k_n, self.k_d)
 
 
@@ -195,6 +189,7 @@ class PointMassParams:
     def __post_init__(self):
         _check_positive("value", self.value)
 
+    @_bounded_cdf
     def cdf(self, s: float | np.ndarray) -> float | np.ndarray:
         return 1.0 * (s >= self.value)
 
@@ -265,15 +260,18 @@ def _get_cache() -> dict:
 def expected_max_eig(m_u: int, m_b: int, sigma2_h: float = 1.0) -> float:
     """Mean principal eigenvalue E[sigma2_k1] of an m_u x m_b channel.
 
-    Exact for m_u = 1 (chi-square mean sigma2_h * m_b); otherwise a
-    cached 10^5-sample Monte Carlo estimate, scaled linearly by
-    sigma2_h.  An uncached shape is simulated on first request, which
+    H H^H and H^H H share their largest eigenvalue, so the shape is taken
+    as (min, max).  Exact when min = 1 (chi-square mean sigma2_h * max);
+    otherwise a cached 10^5-sample Monte Carlo estimate, scaled linearly
+    by sigma2_h.  An uncached shape is simulated on first request, which
     emits a RuntimeWarning naming the shape and the seconds it took.
     """
-    if not 1 <= m_u <= m_b:
-        raise ValueError(f"need 1 <= m_u <= m_b, got m_u={m_u}, m_b={m_b}")
+    if m_u < 1 or m_b < 1:
+        raise ValueError(f"need m_u >= 1 and m_b >= 1, got m_u={m_u}, m_b={m_b}")
     if sigma2_h <= 0 or not math.isfinite(sigma2_h):
         raise ValueError(f"sigma2_h must be finite and positive, got {sigma2_h!r}")
+    if m_u > m_b:
+        m_u, m_b = m_b, m_u
     if m_u == 1:
         return sigma2_h * m_b
     cache = _get_cache()
@@ -315,22 +313,24 @@ def meb_sinr_params(config: NetworkConfig, p_eq: float) -> InverseGammaParams | 
 def meb_sinr_cdf(law: InverseGammaParams | PointMassParams,
                  s: float | np.ndarray) -> float | np.ndarray:
     """Pr(MEB SINR <= s) under a law from meb_sinr_params; s may be an array."""
-    if isinstance(s, np.ndarray):
-        _raise_domain_error(~(s > 0.0), partial(meb_sinr_cdf, law), s)
-    elif not (s > 0.0):
-        raise ValueError(f"s must be positive, got {s!r}")
+    _check_point("s", s)
     return law.cdf(s)
 
 
 def meb_interference_cdf(config: NetworkConfig, p_eq: float,
                          x: float | np.ndarray) -> float | np.ndarray:
     """Pr(interference at a receiving PU <= x) under MEB at power p_eq; x may be an array."""
+    return _interference_cdf(config, p_eq, x, config.sigma2_h)
+
+
+def _interference_cdf(config: NetworkConfig, p_eq: float, x, sigma2_leak: float):
+    """Pr(interference at a receiving PU <= x): the gamma CDF of shape k_su and
+    scale p_eq sigma2_leak, or the unit step at 0 when nothing leaks."""
     _check_positive("p_eq", p_eq)
-    if isinstance(x, np.ndarray):
-        _raise_domain_error(~(x >= 0.0), partial(meb_interference_cdf, config, p_eq), x)
-    elif not (x >= 0.0):
-        raise ValueError(f"x must be nonnegative, got {x!r}")
-    return GammaParams(shape=float(config.k_su), scale=p_eq * config.sigma2_h).cdf(x)
+    _check_point("x", x)
+    if sigma2_leak == 0.0:
+        return np.ones(x.shape) if isinstance(x, np.ndarray) else 1.0
+    return GammaParams(shape=float(config.k_su), scale=p_eq * sigma2_leak).cdf(x)
 
 
 def _zfb_numerator(config: NetworkConfig, p_eq: float) -> tuple[int, float]:
@@ -374,10 +374,7 @@ def zfb_sinr_params(config: NetworkConfig, p_eq: float) -> GenFParams | GammaPar
 
 def zfb_sinr_cdf(law: GenFParams | GammaParams, s: float | np.ndarray) -> float | np.ndarray:
     """Pr(ZFB SINR <= s) under a law from zfb_sinr_params; s may be an array."""
-    if isinstance(s, np.ndarray):
-        _raise_domain_error(~(s >= 0.0), partial(zfb_sinr_cdf, law), s)
-    elif not (s >= 0.0):
-        raise ValueError(f"s must be nonnegative, got {s!r}")
+    _check_point("s", s)
     return law.cdf(s)
 
 
@@ -389,14 +386,7 @@ def zfb_interference_cdf(config: NetworkConfig, p_eq: float,
     the gamma scale uses sigma2_delta, and with perfect CSI the
     interference is identically zero (unit step at 0).
     """
-    _check_positive("p_eq", p_eq)
-    if isinstance(x, np.ndarray):
-        _raise_domain_error(~(x >= 0.0), partial(zfb_interference_cdf, config, p_eq), x)
-    elif not (x >= 0.0):
-        raise ValueError(f"x must be nonnegative, got {x!r}")
-    if config.sigma2_delta == 0.0:
-        return np.ones(x.shape) if isinstance(x, np.ndarray) else 1.0
-    return GammaParams(shape=float(config.k_su), scale=p_eq * config.sigma2_delta).cdf(x)
+    return _interference_cdf(config, p_eq, x, config.sigma2_delta)
 
 
 @lru_cache(maxsize=64)
@@ -426,43 +416,38 @@ def zfb_sinr_exact_cdf(config: NetworkConfig, p_eq: float,
     N2 ~ NegBin(l_tx, s beta/(theta_n + s beta)): a finite sum of
     positive terms.  l_tx = 0 (or p_p = 0) makes N2 = 0, which is the
     plain gamma law of zfb_sinr_params.  s may be an array (see
-    _exact_cdf_array); a float is evaluated as a one-element array.
+    _exact_cdf); a float is evaluated as a one-element array.
     """
     k_n, e = _zfb_numerator(config, p_eq)
-    cdf = partial(zfb_sinr_exact_cdf, config, p_eq)
-    if not isinstance(s, np.ndarray):
-        if not (s >= 0.0):
-            raise ValueError(f"s must be nonnegative, got {s!r}")
-        return cdf(np.array([s], dtype=float)).item()
-    _raise_domain_error(~(s >= 0.0), cdf, s)
-    if _has_boundary(s):  # inf * p_p is NaN at p_p = 0, so s = inf takes this path
-        return _cdf_array(s, cdf)
-    theta_n = p_eq * e / config.m_b
-    with np.errstate(over="ignore"):  # inf where the CDF is 1
-        lam1 = s * config.sigma2_w / theta_n
-        x = s * config.p_p * config.sigma2_h / theta_n
-    return _exact_cdf_array(lam1, x, config.l_tx, *_exact_log_tables(k_n, config.l_tx))
+    _check_point("s", s)
+    return _exact_cdf((config, k_n, p_eq * e / config.m_b), s)
 
 
-# doubles in each (k_n, samples) temporary of _exact_cdf_array (1 MB), so that
+# doubles in each (k_n, samples) temporary of _exact_cdf (1 MB), so that
 # its peak memory does not grow with the number of samples
 _EXACT_CHUNK_ELEMENTS = 2 ** 17
 
 
-def _exact_cdf_array(lam1, x, l_tx, j, log_fact, log_binom):
-    """zfb_sinr_exact_cdf at arrays of its Poisson and negative-binomial
-    parameters (points 0 < s < inf).
+@_bounded_cdf
+def _exact_cdf(law, s):
+    """zfb_sinr_exact_cdf at points 0 < s < inf for law = (config, k_n, theta_n).
 
-    The samples are the columns of (k_n, chunk) arrays.  Pr(N1 <= m)
-    is a running sum of the Poisson pmf, and the final sum over j
-    adds its terms in index order, so each element does not depend on
-    the others in its chunk: a one-element array gives the same bits.
+    A float runs as a one-element array.  The samples are the columns of
+    (k_n, chunk) arrays.  Pr(N1 <= m) is a running sum of the Poisson
+    pmf, and the final sum over j adds its terms in index order, so each
+    element does not depend on the others in its chunk: a one-element
+    array gives the same bits.
     """
-    shape = lam1.shape
-    lam1, x = lam1.ravel(), x.ravel()
+    config, k_n, theta_n = law
+    l_tx = config.l_tx
+    j, log_fact, log_binom = _exact_log_tables(k_n, l_tx)
+    pts = np.array(s, dtype=float, ndmin=1).ravel()
+    with np.errstate(over="ignore"):  # inf where the CDF is 1
+        lam1 = pts * config.sigma2_w / theta_n
+        x = pts * config.p_p * config.sigma2_h / theta_n
     top = np.isinf(lam1 + x)
     out = 1.0 * top
-    mid = np.flatnonzero(~top)
+    mid = np.flatnonzero(~top & (lam1 > 0.0))  # the CDF is 0 where lam1 underflows to 0
     step = max(1, _EXACT_CHUNK_ELEMENTS // j.size)
     for start in range(0, mid.size, step):
         cols = mid[start:start + step]
@@ -484,7 +469,7 @@ def _exact_cdf_array(lam1, x, l_tx, j, log_fact, log_binom):
                 dot += pmf * cdf
             tail[nb] = dot
         out[cols] = _clip_unit(1.0 - tail)
-    return out.reshape(shape)
+    return out.reshape(s.shape) if isinstance(s, np.ndarray) else out.item()
 
 
 def _clip_unit(v):
@@ -505,11 +490,11 @@ def q_k(scheme: str, config: NetworkConfig, p_eq: float | np.ndarray) -> float |
     """
     thr = 2.0 ** config.r0 - 1.0
     if scheme == MEB:
-        exceed = 1.0 - meb_sinr_cdf(meb_sinr_params(config, p_eq), thr)
-        comply = meb_interference_cdf(config, p_eq, config.i0)
+        exceed = 1.0 - meb_sinr_params(config, p_eq).cdf(thr)
+        comply = _interference_cdf(config, p_eq, config.i0, config.sigma2_h)
     elif scheme == ZFB:
-        exceed = 1.0 - zfb_sinr_cdf(zfb_sinr_params(config, p_eq), thr)
-        comply = zfb_interference_cdf(config, p_eq, config.i0)
+        exceed = 1.0 - zfb_sinr_params(config, p_eq).cdf(thr)
+        comply = _interference_cdf(config, p_eq, config.i0, config.sigma2_delta)
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
     return (_elementwise(pow, _clip_unit(exceed), config.k_su)

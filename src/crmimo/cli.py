@@ -84,6 +84,10 @@ class ExperimentSpec:
                 raise ValueError(f"unknown policy {policy!r}")
         if self.n_trials < 1:
             raise ValueError("trials must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        if self.n_workers < 1:
+            raise ValueError(f"workers must be positive, got {self.n_workers}")
 
 
 def build_spec(args) -> ExperimentSpec:

@@ -178,7 +178,7 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
         n_trials: number of realizations, >= 1.
         seed: master seed; trial i uses sub-seed (seed, i).
         p_eq: per-SU power for POLICY_EQUAL_POWER.
-        n_workers: process count; the result does not depend on it.
+        n_workers: process count, >= 1; the result does not depend on it.
 
     Returns:
         ExperimentResult with exact p_served = (#served)/n_trials,
@@ -187,6 +187,8 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
     """
     if n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     if policy == POLICY_EQUAL_POWER_OPT:
@@ -333,7 +335,8 @@ class EmpiricalCdf:
         ValueError or ArithmeticError or returns another shape.  A
         sample outside a law's domain raises what the scalar call
         raises, as the end samples are always evaluated; a sample where
-        a law does not converge raises only if its gap is evaluated.
+        a law does not converge or is NaN raises only if it is evaluated,
+        NaN as a ValueError naming the first such sample.
         """
         if isinstance(other, EmpiricalCdf):
             support = np.concatenate([self.samples, other.samples])
@@ -370,6 +373,9 @@ def _cdf_values(cdf, points: np.ndarray) -> np.ndarray:
         values = None
     if values is None or values.shape != points.shape:
         values = np.asarray([cdf(x) for x in points], dtype=float)
+    nan = np.isnan(values)
+    if nan.any():
+        raise ValueError(f"CDF is NaN at sample {points[nan][0].item()!r}")
     return values
 
 

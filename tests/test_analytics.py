@@ -108,6 +108,14 @@ class TestDistributionPrimitives:
         assert np.array_equal(law.cdf(np.array([1e308, 1e-3, math.inf])),
                               [1.0, law.cdf(1e-3), 1.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_array_overflow_does_not_warn(self):
+        # x/scale and s theta overflow to inf at valid points, as Python floats do silently
+        for law, big in ((GammaParams(shape=3.0, scale=1e-10), 1e300),
+                         (InverseGammaParams(shape=3.0, theta=1e10), 1e300)):
+            assert law.cdf(big) == 1.0
+            assert np.array_equal(law.cdf(np.array([big, 1e-3])), [1.0, law.cdf(1e-3)])
+
     def test_validation(self):
         with pytest.raises(ValueError):
             GammaParams(shape=0.0, scale=1.0)
@@ -163,8 +171,8 @@ class TestWishartMeans:
     def test_validation(self):
         with pytest.raises(ValueError):
             expected_max_eig(0, 4)
-        with pytest.raises(ValueError):
-            expected_max_eig(5, 4)
+        # H H^H and H^H H share their largest eigenvalue
+        assert expected_max_eig(8, 4) == expected_max_eig(4, 8)
         with pytest.raises(ValueError):
             expected_max_eig(2, 4, sigma2_h=0.0)
 
@@ -227,8 +235,7 @@ class TestMebSinrModel:
         law = meb_sinr_params(BASE, 0.5)
         raw = InverseGammaParams(shape=law.shape, theta=law.theta)
         assert meb_sinr_cdf(raw, 1.0) == meb_sinr_cdf(law, 1.0) == law.cdf(1.0)
-        with pytest.raises(ValueError):
-            meb_sinr_cdf(law, 0.0)
+        assert meb_sinr_cdf(law, 0.0) == 0.0
 
 
 class TestInterferenceModels:
@@ -479,6 +486,16 @@ class TestZfbSinrExactLaw:
             with pytest.raises(ValueError):
                 zfb_sinr_exact_cdf(BASE, 1.0, s)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("cfg", [BASE, NetworkConfig(l_tx=0)])
+    def test_where_the_poisson_rate_underflows(self, cfg):
+        # s sigma2_w/theta_n rounds to 0 at s = 5e-324: the CDF is 0 there, as at s = 0
+        p_eq = 4.0
+        assert 5e-324 * cfg.sigma2_w / (p_eq * expected_max_eig(4, 64) / 64) == 0.0
+        assert zfb_sinr_exact_cdf(cfg, p_eq, 5e-324) == 0.0
+        got = zfb_sinr_exact_cdf(cfg, p_eq, np.array([5e-324, 1.0]))
+        assert np.array_equal(got, [0.0, zfb_sinr_exact_cdf(cfg, p_eq, 1.0)])
+
 
 class TestServingProbability:
     def test_vacuous_limits(self):
@@ -667,6 +684,30 @@ class TestArrayPoints:
                 assert type(cdf(s)) is float, name
         for law in (meb_sinr_params(cfg, 0.05), zfb_sinr_params(cfg, 0.05)):
             assert type(law.cdf(1.0)) is float
+
+
+class TestBoundaryPoints:
+    """Every CDF is 0 at s <= 0 and 1 at s = inf; a float point gives a Python float
+    there, also from a law with array parameters."""
+
+    @pytest.mark.parametrize("cfg", ARRAY_CONFIGS)
+    @pytest.mark.parametrize("p_eq", [0.05, np.logspace(-3.0, 0.0, 7)], ids=["float", "array"])
+    def test_float_boundary_points(self, cfg, p_eq):
+        meb, zfb = meb_sinr_params(cfg, p_eq), zfb_sinr_params(cfg, p_eq)
+        for law in (meb, zfb, GammaParams(shape=float(cfg.k_su), scale=p_eq * cfg.sigma2_h)):
+            for s, expect in ((-1.0, 0.0), (0.0, 0.0), (math.inf, 1.0)):
+                got = law.cdf(s)
+                assert type(got) is float and got == expect, (type(law).__name__, s)
+        # the public CDFs reject s < 0; ZFB interference is a unit step without CSI error
+        public = [(lambda s: meb_sinr_cdf(meb, s), 0.0), (lambda s: zfb_sinr_cdf(zfb, s), 0.0),
+                  (lambda x: meb_interference_cdf(cfg, p_eq, x), 0.0),
+                  (lambda x: zfb_interference_cdf(cfg, p_eq, x), float(cfg.sigma2_delta == 0.0))]
+        if not isinstance(p_eq, np.ndarray):
+            public.append((lambda s: zfb_sinr_exact_cdf(cfg, p_eq, s), 0.0))
+        for cdf, at_zero in public:
+            for s, expect in ((0.0, at_zero), (math.inf, 1.0)):
+                got = cdf(s)
+                assert type(got) is float and got == expect, s
 
 
 class TestEqualPowerSearch:

@@ -71,6 +71,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(**self.spec_kwargs(n_trials=0))
 
+    def test_bad_seed_or_workers(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            ExperimentSpec(**self.spec_kwargs(seed=-1))
+        for workers in (0, -3):
+            with pytest.raises(ValueError, match="workers must be positive"):
+                ExperimentSpec(**self.spec_kwargs(n_workers=workers))
+
 
 class TestMainExitCodes:
     def test_unknown_set_key(self, tmp_path, capsys):
@@ -91,6 +98,19 @@ class TestMainExitCodes:
                      "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "trials must be positive" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--seed", "-1", "seed must be nonnegative"),
+        ("--workers", "0", "workers must be positive"),
+        ("--workers", "-3", "workers must be positive"),
+    ])
+    def test_bad_seed_or_workers(self, tmp_path, capsys, flag, value, message):
+        # rejected before any trial: no CSV of error rows
+        code = main(["--experiment", "fig3_meb_compare", *TINY, flag, value,
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
 
     def test_fig2_rejects_foreign_sweep(self, tmp_path, capsys):
         code = main(["--experiment", "fig2_eq_power_sweep", "--sweep", "r0=1,2",

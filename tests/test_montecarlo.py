@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 from types import SimpleNamespace
 
@@ -154,6 +155,17 @@ class TestServingLogic:
             run_trials(SMALL, MEB, "GREEDY", 5, seed=0)
         with pytest.raises(ValueError):
             run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 5, seed=0)  # missing p_eq
+
+    @pytest.mark.parametrize("n_workers", [0, -3])
+    def test_worker_count_validated(self, n_workers):
+        with pytest.raises(ValueError, match="n_workers must be at least 1"):
+            run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 5, seed=0, p_eq=1.0, n_workers=n_workers)
+
+    def test_more_su_antennas_than_sbs_antennas(self):
+        # m_u > m_b is a valid config: the optimizer reads the (m_b, m_u) Wishart mean
+        cfg = NetworkConfig(m_b=4, m_u=8, k_su=2, l_tx=1, l_rx=1)
+        res = run_trials(cfg, MEB, POLICY_EQUAL_POWER_OPT, 5, seed=0)
+        assert res.n_failed == 0 and 0.0 <= res.p_served <= 1.0
 
     @pytest.mark.parametrize("scheme", ["meb", "bogus"])
     @pytest.mark.parametrize("policy", [POLICY_LF, POLICY_EQUAL_POWER])
@@ -512,12 +524,30 @@ class TestKsDistanceContract:
 
     def test_sample_outside_domain_raises_scalar_error(self):
         law = meb_sinr_params(NetworkConfig(), 0.1)
-        f = EmpiricalCdf(np.concatenate([[0.0], self.samples]))
+        f = EmpiricalCdf(np.concatenate([[-1.0], self.samples]))
         with pytest.raises(ValueError) as scalar:
             meb_sinr_cdf(law, f.samples[0])  # the per-sample call on the first sample
         with pytest.raises(ValueError) as array:
             f.ks_distance(lambda s: meb_sinr_cdf(law, s))
         assert str(array.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("form", ["array", "scalar-only"])
+    @pytest.mark.parametrize("which", ["first pass", "second pass"])
+    def test_nan_value_raises(self, form, which):
+        # a NaN where Python's max would drop it (second pass) must raise as
+        # one where np.max would keep it (first pass)
+        law = GammaParams(shape=3.0, scale=2.0)
+        counted = counting(law.cdf)
+        empirical_cdf(self.samples).ks_distance(counted)
+        assert len(counted.calls) == 2
+        coarse, fine = counted.calls
+        target = (coarse[coarse.size // 2] if which == "first pass" else fine[fine.size // 2]).item()
+        if form == "array":
+            cdf = lambda x: np.where(x == target, np.nan, law.cdf(x))
+        else:
+            cdf = lambda x: math.nan if x == target else law.cdf(float(x))
+        with pytest.raises(ValueError, match=re.escape(f"CDF is NaN at sample {target!r}")):
+            empirical_cdf(self.samples).ks_distance(cdf)
 
     def test_non_convergence_raises_scalar_error(self):
         # a shape near 5e5 close to the series seam exceeds the iteration cap
