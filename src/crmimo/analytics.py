@@ -296,12 +296,15 @@ def meb_sinr_params(config: NetworkConfig, p_eq: float) -> InverseGammaParams | 
     c = sigma2_w/(p_eq e).  The gamma with shape (c + a)^2/b and scale
     b/(c + a) has the mean c + a and variance b of c + x, so the SINR
     law is the inverse gamma with those values.  When b = 0 (k_su = 1
-    with no transmitting PU) the SINR is the constant 1/c.
+    with no transmitting PU) the SINR is the constant 1/c.  OverflowError
+    where a square leaves the float range (p_eq below about 1e-154).
     """
     _check_positive("p_eq", p_eq)
     e = expected_max_eig(config.m_u, config.m_b, config.sigma2_h)
     pu = config.l_tx * config.p_p * config.sigma2_h / (p_eq * e)
-    pu2 = config.l_tx * _elementwise(pow, config.p_p * config.sigma2_h / (p_eq * e), 2)
+    pu2 = 0.0  # no transmitting PU: a large p_p must not overflow an unused square
+    if config.l_tx:
+        pu2 = config.l_tx * _elementwise(pow, config.p_p * config.sigma2_h / (p_eq * e), 2)
     a = pu + (config.k_su - 1) / config.m_b
     b = pu2 + (config.k_su - 1) / config.m_b ** 2
     c = config.sigma2_w / (p_eq * e)
@@ -416,8 +419,11 @@ def zfb_sinr_exact_cdf(config: NetworkConfig, p_eq: float,
     N2 ~ NegBin(l_tx, s beta/(theta_n + s beta)): a finite sum of
     positive terms.  l_tx = 0 (or p_p = 0) makes N2 = 0, which is the
     plain gamma law of zfb_sinr_params.  s may be an array (see
-    _exact_cdf); a float is evaluated as a one-element array.
+    _exact_cdf); a float is evaluated as a one-element array.  p_eq is
+    one power: an array raises ValueError.
     """
+    if np.ndim(p_eq):
+        raise ValueError(f"p_eq must be one power, got an array of shape {np.shape(p_eq)}")
     k_n, e = _zfb_numerator(config, p_eq)
     _check_point("s", s)
     return _exact_cdf((config, k_n, p_eq * e / config.m_b), s)
@@ -490,7 +496,15 @@ def q_k(scheme: str, config: NetworkConfig, p_eq: float | np.ndarray) -> float |
     """
     thr = 2.0 ** config.r0 - 1.0
     if scheme == MEB:
-        exceed = 1.0 - meb_sinr_params(config, p_eq).cdf(thr)
+        try:
+            law = meb_sinr_params(config, p_eq)
+        except OverflowError:
+            # its squares overflow (p_eq below about 1e-154 at p_p = 1), where
+            # the SINR lies below every positive threshold
+            if isinstance(p_eq, np.ndarray):
+                return _elementwise(lambda p: q_k(scheme, config, p), p_eq)
+            law = PointMassParams(value=math.ulp(0.0))
+        exceed = 1.0 - law.cdf(thr)
         comply = _interference_cdf(config, p_eq, config.i0, config.sigma2_h)
     elif scheme == ZFB:
         exceed = 1.0 - zfb_sinr_params(config, p_eq).cdf(thr)

@@ -7,8 +7,10 @@ ZFB keeps the MEB receive beams but picks transmit beams from the
 pseudo-inverse of the stacked equivalent SU channels and estimated
 receiving-PU channels, so each stream nulls the other SUs and the PU
 estimates.  ZFB needs m_b > k_su - 1 + l_rx spatial degrees of freedom.
-Its stacking matrix keeps an SVD: a Gram form would square the condition
-number, and the 1e-10 rank cutoff could no longer be resolved.
+The beams come from a reduced QR of the stacking matrix G = QR, as
+Q R^-H, and the 1e-10 rank cutoff reads the singular values of the small
+R, which are those of G.  No Gram matrix is formed: it would square the
+condition number, and the cutoff could no longer be resolved.
 """
 
 from __future__ import annotations
@@ -133,16 +135,18 @@ def compute_zfb(real: ChannelRealization) -> BeamformingSolution:
         cols.append(real.hhat_pu_sbs[..., real.pu_rx, :].swapaxes(-1, -2))
     big_g = np.concatenate(cols, axis=-1)
 
-    un, s, vh = np.linalg.svd(big_g, full_matrices=False)
+    q, r = np.linalg.qr(big_g)
+    # R has the singular values of G
+    s = np.linalg.svd(r, compute_uv=False)
     if np.any(s[..., -1] < _COND_TOL * s[..., 0]):
         raise IllConditionedError(
             f"ZF stacking matrix has condition number {np.max(s[..., 0] / s[..., -1]):.3e}"
         )
-    # the SU-stream columns of pinv(G)^H = un diag(1/s) vh, normalized on
-    # the small side: un has orthonormal columns, so it keeps their norms
-    c = vh[..., :k] / s[..., None]
+    # the SU-stream columns of pinv(G)^H = Q R^-H, normalized on the small
+    # side: Q has orthonormal columns, so it keeps their norms
+    c = np.linalg.inv(r)[..., :k, :].conj().swapaxes(-1, -2)
     c /= np.linalg.norm(c, axis=-2)[..., None, :]
-    v = (un @ c).swapaxes(-1, -2)
+    v = (q @ c).swapaxes(-1, -2)
     gain = np.abs(np.einsum("...bk,...kb->...k", g.conj(), v)) ** 2
     for a in (v, gain):
         a.setflags(write=False)

@@ -47,11 +47,14 @@ _POLICIES = (POLICY_LF, POLICY_EQUAL_POWER, POLICY_EQUAL_POWER_OPT)
 
 MAX_K_SWEEP = 64
 
-# complex SU-channel elements per block of trials: 3 trials at m_b=64,
-# k_su=10, m_u=4 and one at m_b=1024.  Most of the batching gain comes
-# with the first few trials per block, while a block's arrays (about
-# twice this budget live at once) add to the peak memory.
-_BLOCK_ELEMENTS = 2 ** 13
+# complex SU-channel elements per block of trials: 12 trials at m_b=64,
+# k_su=10, m_u=4, 4-16 at m_b=128 with k_su=16-4, and one at m_b=1024.
+# A block's ~60 numpy calls for beams, links and slack are shared by its
+# trials: against 2^13 (3 trials at m_b=64), the benchmark's trials_m64
+# ran about 10% more trials per second while its peak memory rose 3%,
+# from 47.1 to 48.6 MB (a block's arrays, about twice this budget, live
+# at once).  2^16 ran no faster (541 against 530 us/trial) in 1.6 MB more.
+_BLOCK_ELEMENTS = 2 ** 15
 
 # added to a gap's deviation bound in ks_distance before it is compared with
 # the largest deviation found: far above the laws' rounding (about 1e-14)

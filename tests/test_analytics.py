@@ -422,6 +422,14 @@ class TestZfbSinrExactLaw:
         ks = ks_against(samples[::400], lambda s: zfb_sinr_exact_cdf(cfg, p_eq, s))
         assert ks < 0.01
 
+    def test_array_power_raises(self):
+        with pytest.raises(ValueError, match="p_eq"):
+            zfb_sinr_exact_cdf(BASE, np.array([0.1, 0.2]), 1.0)
+        with pytest.raises(ValueError, match="p_eq"):
+            zfb_sinr_exact_cdf(BASE, np.array([0.1, 0.2]), np.array([1.0, 2.0]))
+        # a numpy scalar is one power
+        assert zfb_sinr_exact_cdf(BASE, np.float64(0.1), 1.0) == zfb_sinr_exact_cdf(BASE, 0.1, 1.0)
+
     def test_no_pu_equals_gamma_law(self):
         cfg = NetworkConfig(l_tx=0, l_rx=2)
         model = zfb_sinr_params(cfg, 0.4)
@@ -552,6 +560,26 @@ class TestServingProbability:
                 for field in dataclasses.fields(law):
                     got = np.broadcast_to(getattr(law, field.name), grid.shape)
                     assert np.array_equal(got, [getattr(x, field.name) for x in scalar_laws])
+
+    @pytest.mark.parametrize("cfg", [BASE, NetworkConfig(l_tx=0), NetworkConfig(p_p=0.0),
+                                     NetworkConfig(l_tx=3, p_p=1e-3)])
+    def test_powers_where_the_meb_squares_overflow(self, cfg):
+        # (p_p sigma2_h/(p_eq e))^2 or (c + a)^2 exceeds the float range: nothing is served
+        assert q_k(MEB, cfg, 1e-160) == 0.0
+        assert type(q_k(MEB, cfg, 1e-160)) is float
+        grid = np.array([1e-160, 1e-3, 0.5, 1e-200])
+        expect = [0.0, q_k(MEB, cfg, 1e-3), q_k(MEB, cfg, 0.5), 0.0]
+        assert np.array_equal(q_k(MEB, cfg, grid), expect)
+
+    def test_overflowing_power_at_a_zero_threshold(self):
+        # 2^r0 - 1 rounds to 0: every SU is served at any power, as at p_eq = 1e-100
+        cfg = NetworkConfig(r0=1e-17, i0=1e6)
+        assert q_k(MEB, cfg, 1e-160) == q_k(MEB, cfg, 1e-100) == 1.0
+
+    def test_huge_mute_pu_power_still_evaluates(self):
+        # no transmitting PU: the unused PU square must not decide q_k
+        cfg = NetworkConfig(l_tx=0, p_p=1e200)
+        assert q_k(MEB, cfg, 0.1) == q_k(MEB, NetworkConfig(l_tx=0), 0.1) > 0.0
 
     def test_array_with_invalid_power_raises_scalar_error(self):
         for scheme in (MEB, ZFB):

@@ -1,6 +1,7 @@
 """Beamforming schemes against eigensolver oracles and exact identities."""
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,9 @@ from crmimo.beamforming import (
     nulling_residuals,
 )
 from crmimo.network import NetworkConfig, generate_channels
+
+# m_b = 24, 128 and 1024, and a square stacking matrix (k_su = m_b - l_rx)
+ZF_SHAPES = [{}, dict(m_b=128, k_su=32), dict(m_b=1024), dict(k_su=22)]
 
 
 def make(seed=0, **kw):
@@ -178,6 +182,57 @@ class TestZfb:
         )
         with pytest.raises(IllConditionedError):
             compute_zfb(clone)
+
+
+def pinv_beams(real):
+    """Unit-norm SU-stream columns of pinv(G)^H, G stacking H_k^H u_k and the
+    estimated receiving-PU channels: the ZF beams by their definition."""
+    u = compute_meb(real).u
+    g = [real.h_su[k].conj().T @ u[k] for k in range(real.k_su)]
+    g += [real.hhat_pu_sbs[l] for l in real.pu_rx]
+    cols = np.linalg.pinv(np.array(g).T).conj().T[:, :real.k_su]
+    return (cols / np.linalg.norm(cols, axis=0)).T
+
+
+def stack(reals):
+    """The realizations as one block along a leading trial axis."""
+    names = ("h_su", "h_pu_sbs", "h_pu_su", "hhat_pu_sbs", "hhat_pu_su")
+    return replace(reals[0], **{n: np.stack([getattr(r, n) for r in reals]) for n in names})
+
+
+class TestZfbOracle:
+    """compute_zfb against numpy's SVD-based pseudo-inverse."""
+
+    @pytest.mark.parametrize("shape", ZF_SHAPES)
+    def test_beams_are_pinv_columns(self, shape):
+        _, real = make(seed=4, **shape)
+        assert np.abs(compute_zfb(real).v - pinv_beams(real)).max() < 1e-10
+
+    @pytest.mark.parametrize("shape", ZF_SHAPES)
+    def test_nulling_residuals_relative_to_gain(self, shape):
+        _, real = make(seed=5, **shape)
+        beams = compute_zfb(real)
+        pu_res, stream_res = nulling_residuals(real, beams)
+        assert (pu_res / beams.gain).max() < 1e-20
+        assert (stream_res / beams.gain).max() < 1e-20
+
+    def test_block_of_trials(self):
+        cfg, _ = make()
+        reals = [generate_channels(cfg, seed) for seed in range(5)]
+        beams = compute_zfb(stack(reals))
+        assert beams.v.shape == (5, cfg.k_su, cfg.m_b)
+        for t, real in enumerate(reals):
+            assert np.abs(beams.v[t] - pinv_beams(real)).max() < 1e-10
+            assert np.array_equal(beams.v[t], compute_zfb(real).v)
+
+    def test_block_with_duplicated_pu_raises(self):
+        cfg, _ = make(l_rx=2)
+        reals = [generate_channels(cfg, seed) for seed in range(3)]
+        hhat = reals[1].hhat_pu_sbs.copy()
+        hhat[reals[1].pu_rx[1]] = hhat[reals[1].pu_rx[0]]
+        reals[1] = replace(reals[1], hhat_pu_sbs=hhat)
+        with pytest.raises(IllConditionedError):
+            compute_zfb(stack(reals))
 
 
 class TestComputeBeams:
