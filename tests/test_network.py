@@ -1,10 +1,12 @@
 """Config, channel generation and the exact link evaluator."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from crmimo.montecarlo import trial_seed
 from crmimo.network import (
     NetworkConfig,
     db_to_linear,
@@ -124,6 +126,33 @@ class TestGeneration:
         assert abs(var - 0.1) / 0.1 < 0.05
         var_h = np.mean(np.abs(real.h_pu_sbs) ** 2)
         assert abs(var_h - 1.0) < 0.05
+
+    # first 16 hex digits of the SHA-256 of each array a trial reads, drawn at
+    # trial_seed(5, 7): RNG output only (no BLAS), so they pin the draw order
+    # on any platform with the same numpy
+    _PINNED = {
+        (): dict(h_su="4ee1a8db8c3e3bf1", h_pu_rx="b67265356f52140a",
+                 hhat_pu_rx="d6061d49dec2a044", h_pu_tx="6778f62051e79de4",
+                 hhat_pu_tx="dace799c1dcd15ad"),
+        (("l_tx", 0),): dict(h_su="4ee1a8db8c3e3bf1", h_pu_rx="b56a15fe5f5c3914",
+                             hhat_pu_rx="9081bc1eead91ba8"),
+        (("l_rx", 0),): dict(h_su="4ee1a8db8c3e3bf1", h_pu_tx="2422008a5c1643c2",
+                             hhat_pu_tx="3ec703a5e3973ad7"),
+    }
+
+    @pytest.mark.parametrize("variant", list(_PINNED))
+    def test_draw_stream_pinned(self, variant):
+        cfg = NetworkConfig(m_b=8, m_u=2, k_su=3, l_tx=2, l_rx=3).replace(**dict(variant))
+        real = generate_channels(cfg, trial_seed(5, 7))
+        arrays = dict(h_su=real.h_su, h_pu_rx=real.h_pu_sbs[real.pu_rx],
+                      hhat_pu_rx=real.hhat_pu_sbs[real.pu_rx],
+                      h_pu_tx=real.h_pu_su[real.pu_tx], hhat_pu_tx=real.hhat_pu_su[real.pu_tx])
+        assert arrays["h_su"].shape == (3, 2, 8)
+        assert arrays["h_pu_rx"].shape == arrays["hhat_pu_rx"].shape == (cfg.l_rx, 8)
+        assert arrays["h_pu_tx"].shape == arrays["hhat_pu_tx"].shape == (cfg.l_tx, 3, 2)
+        got = {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()[:16]
+               for name, a in arrays.items() if a.size}
+        assert got == self._PINNED[variant]
 
     def test_zero_error_collapse(self):
         cfg = small_config(sigma2_delta=0.0)
