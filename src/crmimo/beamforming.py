@@ -52,7 +52,7 @@ class IllConditionedError(RuntimeError):
 
 @dataclass(frozen=True)
 class BeamformingSolution:
-    """Beams plus the per-SU effective gains.
+    """Beams of one scheme; network.evaluate_links turns them into link gains.
 
     The arrays carry the leading trial axes of the realization.
 
@@ -62,15 +62,14 @@ class BeamformingSolution:
         u: (k_su, m_u) unit-norm receive beams under both schemes: the
             principal left singular vectors, i.e. the top eigenvectors of
             each H_k H_k^H.
-        sigma2_k1: squared principal singular value of each SU channel.
-        gain: effective link gain |u_k^H H_k v_k|^2.
+        sigma2_k1: squared principal singular value of each SU channel,
+            which is the MEB link gain |u_k^H H_k v_k|^2.
     """
 
     scheme: str
     v: np.ndarray
     u: np.ndarray
     sigma2_k1: np.ndarray
-    gain: np.ndarray
 
 
 def _fix_phase(v, u):
@@ -88,12 +87,6 @@ def compute_meb(real: ChannelRealization) -> BeamformingSolution:
     Gram matrix H_k H_k^H, then v_k = H_k^H u_k / sqrt(lambda): one
     batched eigh of k_su tiny matrices instead of an SVD of each
     m_u x m_b channel.  lambda is the squared principal singular value.
-
-    Args:
-        real: channel realization.
-
-    Returns:
-        BeamformingSolution with gain equal to sigma2_k1.
     """
     h = real.h_su
     lam, vec = np.linalg.eigh(h @ h.conj().swapaxes(-1, -2))
@@ -105,7 +98,7 @@ def compute_meb(real: ChannelRealization) -> BeamformingSolution:
     v, u = _fix_phase(v, u)
     for a in (v, u, sigma2_k1):
         a.setflags(write=False)
-    return BeamformingSolution(scheme=MEB, v=v, u=u, sigma2_k1=sigma2_k1, gain=sigma2_k1)
+    return BeamformingSolution(scheme=MEB, v=v, u=u, sigma2_k1=sigma2_k1)
 
 
 def compute_zfb(real: ChannelRealization) -> BeamformingSolution:
@@ -121,8 +114,7 @@ def compute_zfb(real: ChannelRealization) -> BeamformingSolution:
         IllConditionedError: if G is numerically rank deficient (in any
             trial of a block).
     """
-    k, mb = real.k_su, real.m_b
-    l_rx = real.pu_rx.size
+    k, mb, l_rx = real.k_su, real.m_b, real.hhat_pu_rx.shape[-2]
     if mb <= k - 1 + l_rx:
         raise AntennaShortageError(
             f"ZFB needs m_b > k_su - 1 + l_rx, got m_b={mb}, k_su={k}, l_rx={l_rx}"
@@ -130,10 +122,7 @@ def compute_zfb(real: ChannelRealization) -> BeamformingSolution:
     meb = compute_meb(real)
     # g_k = H_k^H u_k = sqrt(sigma2_k1) v_k, phase fix included
     g = meb.v.swapaxes(-1, -2) * np.sqrt(meb.sigma2_k1)[..., None, :]
-    cols = [g]
-    if l_rx:
-        cols.append(real.hhat_pu_sbs[..., real.pu_rx, :].swapaxes(-1, -2))
-    big_g = np.concatenate(cols, axis=-1)
+    big_g = np.concatenate([g, real.hhat_pu_rx.swapaxes(-1, -2)], axis=-1)
 
     q, r = np.linalg.qr(big_g)
     # R has the singular values of G
@@ -147,12 +136,8 @@ def compute_zfb(real: ChannelRealization) -> BeamformingSolution:
     c = np.linalg.inv(r)[..., :k, :].conj().swapaxes(-1, -2)
     c /= np.linalg.norm(c, axis=-2)[..., None, :]
     v = (q @ c).swapaxes(-1, -2)
-    gain = np.abs(np.einsum("...bk,...kb->...k", g.conj(), v)) ** 2
-    for a in (v, gain):
-        a.setflags(write=False)
-    return BeamformingSolution(
-        scheme=ZFB, v=v, u=meb.u, sigma2_k1=meb.sigma2_k1, gain=gain
-    )
+    v.setflags(write=False)
+    return BeamformingSolution(scheme=ZFB, v=v, u=meb.u, sigma2_k1=meb.sigma2_k1)
 
 
 def compute_beams(real: ChannelRealization, scheme: str) -> BeamformingSolution:
@@ -176,12 +161,7 @@ def nulling_residuals(real: ChannelRealization, beams: BeamformingSolution):
         over receiving PUs (zeros when l_rx = 0) and of |u_k^H H_k v_j|^2
         over j != k.
     """
-    k = real.k_su
-    if real.pu_rx.size:
-        hhat_rx = real.hhat_pu_sbs[real.pu_rx]
-        pu_res = (np.abs(beams.v.conj() @ hhat_rx.T) ** 2).max(axis=1)
-    else:
-        pu_res = np.zeros(k)
+    pu_res = (np.abs(beams.v.conj() @ real.hhat_pu_rx.T) ** 2).max(axis=1, initial=0.0)
     eff = _cross_gains(real, beams.v, beams.u)
     np.fill_diagonal(eff, 0.0)
     return pu_res, eff.max(axis=1)
@@ -190,6 +170,7 @@ def nulling_residuals(real: ChannelRealization, beams: BeamformingSolution):
 def export_diagnostics(real: ChannelRealization, beams: BeamformingSolution, path):
     """Write one CSV row per SU: scheme, gains and nulling residuals."""
     pu_res, stream_res = nulling_residuals(real, beams)
+    gain = np.diagonal(_cross_gains(real, beams.v, beams.u))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(
@@ -197,6 +178,6 @@ def export_diagnostics(real: ChannelRealization, beams: BeamformingSolution, pat
         )
         for k in range(real.k_su):
             writer.writerow(
-                [beams.scheme, k, repr(float(beams.sigma2_k1[k])), repr(float(beams.gain[k])),
+                [beams.scheme, k, repr(float(beams.sigma2_k1[k])), repr(float(gain[k])),
                  repr(float(pu_res[k])), repr(float(stream_res[k]))]
             )

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -88,9 +88,6 @@ def trial_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(master_seed), int(index)))
 
 
-_CHANNELS = ("h_su", "h_pu_sbs", "h_pu_su", "hhat_pu_sbs", "hhat_pu_su")
-
-
 def _draw_block(config, master_seed, indices) -> ChannelRealization:
     """Trials `indices`, each drawn from its own sub-seed, along a leading trial axis.
 
@@ -98,16 +95,16 @@ def _draw_block(config, master_seed, indices) -> ChannelRealization:
     """
     n, block = len(indices), {}
     for t, i in enumerate(indices):
-        real = generate_channels(config, trial_seed(master_seed, i))
+        real = vars(generate_channels(config, trial_seed(master_seed, i)))
         if n == 1:
-            return replace(real, **{name: getattr(real, name)[None] for name in _CHANNELS})
-        for name in _CHANNELS:
+            return ChannelRealization(**{name: a[None] for name, a in real.items()})
+        for name, a in real.items():
             if t == 0:
-                block[name] = np.empty((n, *getattr(real, name).shape), dtype=complex)
-            block[name][t] = getattr(real, name)
+                block[name] = np.empty((n, *a.shape), dtype=complex)
+            block[name][t] = a
     for a in block.values():
         a.setflags(write=False)
-    return replace(real, **block)
+    return ChannelRealization(**block)
 
 
 def _run_block(config, scheme, policy, p_eq, master_seed, indices, out, start):

@@ -170,28 +170,25 @@ def _parse_kv_lines(lines, where="line") -> dict:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """One fading realization; all arrays are read-only.
+    """One fading realization: the channels a trial reads, all read-only.
 
-    The channel arrays may carry leading trial axes (a block of
-    realizations stacked along axis 0); pu_tx and pu_rx never do.
+    A transmitting PU keeps only its links to the SUs, a receiving PU
+    only its link to the SBS.  The arrays may carry leading trial axes
+    (a block of realizations stacked along axis 0).
 
     Attributes:
         h_su: (k_su, m_u, m_b) true SBS-to-SU channels.
-        h_pu_sbs: (l_pu, m_b) true PU-to-SBS channels.
-        h_pu_su: (l_pu, k_su, m_u) true PU-to-SU channels.
-        hhat_pu_sbs: (l_pu, m_b) estimated PU-to-SBS channels.
-        hhat_pu_su: (l_pu, k_su, m_u) estimated PU-to-SU channels.
-        pu_tx: indices of transmitting PUs (first l_tx).
-        pu_rx: indices of receiving PUs (the rest).
+        h_pu_rx, hhat_pu_rx: (l_rx, m_b) true and estimated channels
+            between the SBS and each receiving PU.
+        h_pu_tx, hhat_pu_tx: (l_tx, k_su, m_u) true and estimated
+            channels from each transmitting PU to the SUs.
     """
 
     h_su: np.ndarray
-    h_pu_sbs: np.ndarray
-    h_pu_su: np.ndarray
-    hhat_pu_sbs: np.ndarray
-    hhat_pu_su: np.ndarray
-    pu_tx: np.ndarray
-    pu_rx: np.ndarray
+    h_pu_rx: np.ndarray
+    hhat_pu_rx: np.ndarray
+    h_pu_tx: np.ndarray
+    hhat_pu_tx: np.ndarray
 
     @property
     def k_su(self):
@@ -270,7 +267,9 @@ def generate_channels(config: NetworkConfig, seed) -> ChannelRealization:
     sigma2_delta) and delta ~ CN(0, sigma2_delta), with the true channel
     h = hhat + delta.  This gives h the full variance sigma2_h, keeps
     h - hhat = delta exactly, and makes the error orthogonal to the
-    estimate as an estimation model requires.
+    estimate as an estimation model requires.  Every PU's links are
+    drawn for both roles, so the draw order does not depend on l_tx;
+    the first l_tx PUs transmit and the rest receive.
 
     Args:
         config: scenario parameters.
@@ -289,14 +288,13 @@ def generate_channels(config: NetworkConfig, seed) -> ChannelRealization:
     hhat_pu_su = _cgauss(rng, (l, k, mu), s2hat)
     delta_pu_su = _cgauss(rng, (l, k, mu), config.sigma2_delta)
 
+    tx, rx = slice(config.l_tx), slice(config.l_tx, l)
     arrays = dict(
         h_su=h_su,
-        h_pu_sbs=hhat_pu_sbs + delta_pu_sbs,
-        h_pu_su=hhat_pu_su + delta_pu_su,
-        hhat_pu_sbs=hhat_pu_sbs,
-        hhat_pu_su=hhat_pu_su,
-        pu_tx=np.arange(config.l_tx),
-        pu_rx=np.arange(config.l_tx, l),
+        h_pu_rx=hhat_pu_sbs[rx] + delta_pu_sbs[rx],
+        hhat_pu_rx=hhat_pu_sbs[rx],
+        h_pu_tx=hhat_pu_su[tx] + delta_pu_su[tx],
+        hhat_pu_tx=hhat_pu_su[tx],
     )
     for a in arrays.values():
         a.setflags(write=False)
@@ -325,15 +323,15 @@ def evaluate_links(real: ChannelRealization, v, u, config: NetworkConfig) -> Lin
         if arr.shape != shape:
             raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
     # |u_k^H h_lk|^2 of each transmitting PU l at SU k
-    tx, rx, uc = real.pu_tx, real.pu_rx, u.conj()
-    pu_true = np.abs(np.einsum("...ku,...lku->...lk", uc, real.h_pu_su[..., tx, :, :])) ** 2
-    pu_est = np.abs(np.einsum("...ku,...lku->...lk", uc, real.hhat_pu_su[..., tx, :, :])) ** 2
+    uc = u.conj()
+    pu_true = np.abs(np.einsum("...ku,...lku->...lk", uc, real.h_pu_tx)) ** 2
+    pu_est = np.abs(np.einsum("...ku,...lku->...lk", uc, real.hhat_pu_tx)) ** 2
     return LinkMetrics(
         cross=_cross_gains(real, v, u),
         pu_to_su_true=config.p_p * pu_true.sum(axis=-2),
         pu_to_su_est=config.p_p * (pu_est + config.sigma2_delta).sum(axis=-2),
-        leak_true=np.abs(v.conj() @ real.h_pu_sbs[..., rx, :].swapaxes(-1, -2)) ** 2,
-        leak_est=np.abs(v.conj() @ real.hhat_pu_sbs[..., rx, :].swapaxes(-1, -2)) ** 2
+        leak_true=np.abs(v.conj() @ real.h_pu_rx.swapaxes(-1, -2)) ** 2,
+        leak_est=np.abs(v.conj() @ real.hhat_pu_rx.swapaxes(-1, -2)) ** 2
         + config.sigma2_delta,
         noise=config.sigma2_w,
     )

@@ -26,8 +26,6 @@ from .beamforming import MEB, ZFB, BeamformingSolution
 from .network import ChannelRealization, LinkMetrics, NetworkConfig, evaluate_links
 
 __all__ = [
-    "LF_MEB",
-    "LF_ZFB_EQUAL_RATE",
     "ZeroGainError",
     "SlackReport",
     "PowerAllocation",
@@ -41,9 +39,6 @@ __all__ = [
     "slack_from_links",
     "verify_allocation",
 ]
-
-LF_MEB = "LF_MEB"
-LF_ZFB_EQUAL_RATE = "LF_ZFB_EQUAL_RATE"
 
 SLACK_TOL = -1e-9
 
@@ -59,15 +54,16 @@ class SlackReport:
     interference[l] = i0 - int_to_pu[l], the cap margin at receiving
     PU l; rate[k] = log2(1 + sinr[k]) - r0; power = p0 - sum(p).
     Nonnegative entries mean the constraint holds.  sinr and int_to_pu
-    are the figures behind the margins.  For a block of trials every
-    array field carries the leading trial axis, power is an array over
-    it instead of a float, and min_slack and all_met answer per trial.
+    are the figures behind the margins.  A report does not name its
+    view: slack_from_links returns the (estimated, true) pair.  For a
+    block of trials every array field carries the leading trial axis,
+    power is an array over it instead of a float, and min_slack and
+    all_met answer per trial.
     """
 
     interference: np.ndarray
     rate: np.ndarray
     power: float | np.ndarray
-    use_estimates: bool
     sinr: np.ndarray
     int_to_pu: np.ndarray
 
@@ -81,7 +77,7 @@ class SlackReport:
 
 @dataclass(frozen=True)
 class PowerAllocation:
-    """Solver output: powers and verdict.
+    """Solver output: powers and verdict, whichever solver made them.
 
     Audit the powers with verify_allocation.  blocking names the
     constraint family that makes the system infeasible, None when it is
@@ -92,7 +88,6 @@ class PowerAllocation:
 
     p: np.ndarray
     feasible: bool
-    scheme: str
     blocking: str | None = None
 
 
@@ -167,15 +162,13 @@ def solve_lf_meb(links: LinkMetrics, config: NetworkConfig) -> PowerAllocation:
     except np.linalg.LinAlgError:
         p = np.full(own.size, np.nan)
     if not (np.isfinite(p).all() and np.all(p >= 0.0)):
-        return PowerAllocation(p=np.zeros(own.size), feasible=False, scheme=LF_MEB,
-                               blocking="rate")
+        return PowerAllocation(p=np.zeros(own.size), feasible=False, blocking="rate")
     worst = {"interference": np.max(links.int_to_pu(p, use_estimates=True) - config.i0,
                                     initial=-np.inf),
              "power": p.sum() - config.p0}
     family = max(worst, key=worst.get)
     feasible = bool(worst[family] <= 0.0)
-    return PowerAllocation(p=p, feasible=feasible, scheme=LF_MEB,
-                           blocking=None if feasible else family)
+    return PowerAllocation(p=p, feasible=feasible, blocking=None if feasible else family)
 
 
 def solve_lf_zfb(links: LinkMetrics, config: NetworkConfig) -> PowerAllocation:
@@ -199,7 +192,7 @@ def solve_lf_zfb(links: LinkMetrics, config: NetworkConfig) -> PowerAllocation:
     over_cap = bool(np.any(links.int_to_pu(p, use_estimates=True) > config.i0))
     feasible = not (over_budget or over_cap)
     return PowerAllocation(
-        p=p, feasible=feasible, scheme=LF_ZFB_EQUAL_RATE,
+        p=p, feasible=feasible,
         blocking=None if feasible else ("power" if over_budget else "interference"),
     )
 
@@ -235,7 +228,6 @@ def slack_from_links(links: LinkMetrics, p, config: NetworkConfig
             interference=config.i0 - int_to_pu,
             rate=np.log2(1.0 + sinr) - config.r0,
             power=power,
-            use_estimates=use_estimates,
             sinr=sinr,
             int_to_pu=int_to_pu,
         ))

@@ -1,7 +1,7 @@
 """Beamforming schemes against eigensolver oracles and exact identities."""
 
 import csv
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from crmimo.beamforming import (
     export_diagnostics,
     nulling_residuals,
 )
-from crmimo.network import NetworkConfig, generate_channels
+from crmimo.network import NetworkConfig, evaluate_links, generate_channels
 
 # m_b = 24, 128 and 1024, and a square stacking matrix (k_su = m_b - l_rx)
 ZF_SHAPES = [{}, dict(m_b=128, k_su=32), dict(m_b=1024), dict(k_su=22)]
@@ -29,6 +29,11 @@ def make(seed=0, **kw):
     base.update(kw)
     cfg = NetworkConfig(**base)
     return cfg, generate_channels(cfg, seed)
+
+
+def link_gain(real, beams, cfg):
+    """Effective link gains |u_k^H H_k v_k|^2, the diagonal of the links' cross gains."""
+    return np.diagonal(evaluate_links(real, beams.v, beams.u, cfg).cross, axis1=-2, axis2=-1)
 
 
 def assert_principal_pair(hk, sigma2, u, v):
@@ -51,14 +56,14 @@ class TestMeb:
     def test_gain_is_principal_eigenvalue(self):
         # oracle: a per-SU SVD, independent of the Gram eigensolver under test
         for shape in ({}, dict(m_u=4, m_b=3), dict(m_u=1)):
-            _, real = make(**shape)
+            cfg, real = make(**shape)
             beams = compute_meb(real)
             for k in range(real.k_su):
                 hk = real.h_su[k]
                 assert_principal_pair(hk, beams.sigma2_k1[k], beams.u[k], beams.v[k])
                 got = abs(np.conj(beams.u[k]) @ hk @ beams.v[k]) ** 2
                 assert got == pytest.approx(beams.sigma2_k1[k], rel=1e-9)
-            assert np.array_equal(beams.gain, beams.sigma2_k1)
+            assert link_gain(real, beams, cfg) == pytest.approx(beams.sigma2_k1, rel=1e-9)
 
     def test_optimality_over_random_probes(self):
         _, real = make(seed=7)
@@ -71,18 +76,14 @@ class TestMeb:
                 b = rng.standard_normal(real.m_b) + 1j * rng.standard_normal(real.m_b)
                 a /= np.linalg.norm(a)
                 b /= np.linalg.norm(b)
-                assert abs(np.conj(a) @ hk @ b) ** 2 <= beams.gain[k] * (1 + 1e-12)
+                assert abs(np.conj(a) @ hk @ b) ** 2 <= beams.sigma2_k1[k] * (1 + 1e-12)
 
     def test_rank_one_channel(self):
         cfg, real = make(k_su=1, m_u=2, m_b=3, l_tx=0, l_rx=0)
         a = np.array([1.0, 1j]) / np.sqrt(2)
         b = np.array([1.0, -1.0, 2j]) / np.sqrt(6)
         h = 3.0 * np.outer(a, b.conj())
-        real = type(real)(
-            h_su=h[None], h_pu_sbs=real.h_pu_sbs, h_pu_su=real.h_pu_su,
-            hhat_pu_sbs=real.hhat_pu_sbs, hhat_pu_su=real.hhat_pu_su,
-            pu_tx=real.pu_tx, pu_rx=real.pu_rx,
-        )
+        real = replace(real, h_su=h[None])
         beams = compute_meb(real)
         assert beams.sigma2_k1[0] == pytest.approx(9.0, rel=1e-12)
         assert abs(np.conj(beams.u[0]) @ h @ beams.v[0]) ** 2 == pytest.approx(9.0, rel=1e-12)
@@ -132,23 +133,24 @@ class TestZfb:
             assert (stream_res / beams.sigma2_k1).max() < 1e-18
 
     def test_gain_recompute_and_bound(self):
-        _, real = make(seed=2)
+        cfg, real = make(seed=2)
         meb = compute_meb(real)
         zfb = compute_zfb(real)
+        gain = link_gain(real, zfb, cfg)
         for k in range(real.k_su):
             got = abs(np.conj(zfb.u[k]) @ real.h_su[k] @ zfb.v[k]) ** 2
-            assert zfb.gain[k] == pytest.approx(got, rel=1e-9)
-        assert np.all(zfb.gain <= meb.gain * (1 + 1e-12))
-        assert np.all(zfb.gain > 0)
+            assert gain[k] == pytest.approx(got, rel=1e-9)
+        assert np.all(gain <= meb.sigma2_k1 * (1 + 1e-12))
+        assert np.all(gain > 0)
 
     def test_gain_approaches_meb_with_many_antennas(self):
         # with m_b >> k_su + l_rx the ZF projection loses little gain
         ratios = []
         for seed in range(20):
-            _, real = make(seed=seed, m_b=512, k_su=10, l_rx=1, sigma2_delta=0.01)
+            cfg, real = make(seed=seed, m_b=512, k_su=10, l_rx=1, sigma2_delta=0.01)
             meb = compute_meb(real)
             zfb = compute_zfb(real)
-            ratios.append(zfb.gain / meb.gain)
+            ratios.append(link_gain(real, zfb, cfg) / meb.sigma2_k1)
         assert np.mean(ratios) > 0.8
 
     def test_no_receiving_pus(self):
@@ -159,10 +161,10 @@ class TestZfb:
         assert stream_res.max() < 1e-18
 
     def test_single_su_no_rx_pu_matches_matched_filter(self):
-        _, real = make(k_su=1, l_rx=0)
+        cfg, real = make(k_su=1, l_rx=0)
         beams = compute_zfb(real)
         # nothing to null: v is the normalized equivalent channel, gain = sigma2_k1
-        assert beams.gain[0] == pytest.approx(beams.sigma2_k1[0], rel=1e-10)
+        assert link_gain(real, beams, cfg)[0] == pytest.approx(beams.sigma2_k1[0], rel=1e-10)
 
     def test_antenna_shortage(self):
         _, real = make(m_b=6, k_su=5, l_rx=2)
@@ -173,15 +175,10 @@ class TestZfb:
 
     def test_ill_conditioned(self):
         _, real = make(l_rx=2)
-        hhat = real.hhat_pu_sbs.copy()
-        hhat[real.pu_rx[1]] = hhat[real.pu_rx[0]]  # duplicate protected PU column
-        clone = type(real)(
-            h_su=real.h_su, h_pu_sbs=real.h_pu_sbs, h_pu_su=real.h_pu_su,
-            hhat_pu_sbs=hhat, hhat_pu_su=real.hhat_pu_su,
-            pu_tx=real.pu_tx, pu_rx=real.pu_rx,
-        )
+        hhat = real.hhat_pu_rx.copy()
+        hhat[1] = hhat[0]  # duplicate protected PU column
         with pytest.raises(IllConditionedError):
-            compute_zfb(clone)
+            compute_zfb(replace(real, hhat_pu_rx=hhat))
 
 
 def pinv_beams(real):
@@ -189,15 +186,15 @@ def pinv_beams(real):
     estimated receiving-PU channels: the ZF beams by their definition."""
     u = compute_meb(real).u
     g = [real.h_su[k].conj().T @ u[k] for k in range(real.k_su)]
-    g += [real.hhat_pu_sbs[l] for l in real.pu_rx]
+    g += list(real.hhat_pu_rx)
     cols = np.linalg.pinv(np.array(g).T).conj().T[:, :real.k_su]
     return (cols / np.linalg.norm(cols, axis=0)).T
 
 
 def stack(reals):
     """The realizations as one block along a leading trial axis."""
-    names = ("h_su", "h_pu_sbs", "h_pu_su", "hhat_pu_sbs", "hhat_pu_su")
-    return replace(reals[0], **{n: np.stack([getattr(r, n) for r in reals]) for n in names})
+    return replace(reals[0], **{f.name: np.stack([getattr(r, f.name) for r in reals])
+                                for f in fields(reals[0])})
 
 
 class TestZfbOracle:
@@ -210,11 +207,12 @@ class TestZfbOracle:
 
     @pytest.mark.parametrize("shape", ZF_SHAPES)
     def test_nulling_residuals_relative_to_gain(self, shape):
-        _, real = make(seed=5, **shape)
+        cfg, real = make(seed=5, **shape)
         beams = compute_zfb(real)
         pu_res, stream_res = nulling_residuals(real, beams)
-        assert (pu_res / beams.gain).max() < 1e-20
-        assert (stream_res / beams.gain).max() < 1e-20
+        gain = link_gain(real, beams, cfg)
+        assert (pu_res / gain).max() < 1e-20
+        assert (stream_res / gain).max() < 1e-20
 
     def test_block_of_trials(self):
         cfg, _ = make()
@@ -228,9 +226,9 @@ class TestZfbOracle:
     def test_block_with_duplicated_pu_raises(self):
         cfg, _ = make(l_rx=2)
         reals = [generate_channels(cfg, seed) for seed in range(3)]
-        hhat = reals[1].hhat_pu_sbs.copy()
-        hhat[reals[1].pu_rx[1]] = hhat[reals[1].pu_rx[0]]
-        reals[1] = replace(reals[1], hhat_pu_sbs=hhat)
+        hhat = reals[1].hhat_pu_rx.copy()
+        hhat[1] = hhat[0]
+        reals[1] = replace(reals[1], hhat_pu_rx=hhat)
         with pytest.raises(IllConditionedError):
             compute_zfb(stack(reals))
 
@@ -246,8 +244,9 @@ class TestComputeBeams:
 
 class TestDiagnostics:
     def test_export(self, tmp_path):
-        _, real = make()
+        cfg, real = make()
         beams = compute_zfb(real)
+        gain = link_gain(real, beams, cfg)
         path = tmp_path / "diag.csv"
         export_diagnostics(real, beams, path)
         with open(path, newline="") as fh:
@@ -256,7 +255,7 @@ class TestDiagnostics:
         assert rows[0]["scheme"] == ZFB
         for k, row in enumerate(rows):
             assert int(row["su"]) == k
-            assert float(row["gain"]) == beams.gain[k]
+            assert float(row["gain"]) == gain[k]
             assert float(row["max_pu_residual"]) < 1e-18
 
     def test_solution_reuse(self):

@@ -272,9 +272,9 @@ class TestBlocks:
             real = draw(config, seed)
             if seed.entropy[1] != 3:
                 return real
-            hhat = real.hhat_pu_sbs.copy()
-            hhat[real.pu_rx[1]] = hhat[real.pu_rx[0]]
-            return dataclasses.replace(real, hhat_pu_sbs=hhat)
+            hhat = real.hhat_pu_rx.copy()
+            hhat[1] = hhat[0]
+            return dataclasses.replace(real, hhat_pu_rx=hhat)
 
         trials_per_block(monkeypatch, cfg, 6)
         clean = run_trials(cfg, ZFB, POLICY_EQUAL_POWER, 8, seed=1, p_eq=0.3)

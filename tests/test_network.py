@@ -90,7 +90,7 @@ class TestGeneration:
         cfg = small_config()
         a = generate_channels(cfg, 42)
         b = generate_channels(cfg, 42)
-        for name in ("h_su", "h_pu_sbs", "h_pu_su", "hhat_pu_sbs", "hhat_pu_su"):
+        for name in ("h_su", "h_pu_rx", "hhat_pu_rx", "h_pu_tx", "hhat_pu_tx"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
         c = generate_channels(cfg, 43)
         assert not np.array_equal(a.h_su, c.h_su)
@@ -99,9 +99,13 @@ class TestGeneration:
         cfg = small_config()
         real = generate_channels(cfg, 0)
         assert real.h_su.shape == (4, 3, 16)
-        assert real.h_pu_sbs.shape == (4, 16)
-        assert real.h_pu_su.shape == (4, 4, 3)
-        assert list(real.pu_tx) == [0, 1] and list(real.pu_rx) == [2, 3]
+        assert real.h_pu_rx.shape == real.hhat_pu_rx.shape == (2, 16)
+        assert real.h_pu_tx.shape == real.hhat_pu_tx.shape == (2, 4, 3)
+        # the PU order is fixed: with one more transmitting PU, the first
+        # receiving PU takes the transmit role and keeps its draws
+        more_tx = generate_channels(cfg.replace(l_tx=3, l_rx=1), 0)
+        assert np.array_equal(more_tx.h_pu_tx[:2], real.h_pu_tx)
+        assert np.array_equal(more_tx.h_pu_rx, real.h_pu_rx[1:])
 
     def test_read_only(self):
         real = generate_channels(small_config(), 0)
@@ -119,13 +123,15 @@ class TestGeneration:
         assert abs(np.var(parts) - 1.0) < 0.05
 
     def test_error_variance_and_consistency(self):
-        cfg = NetworkConfig(m_b=256, k_su=10, l_tx=10, l_rx=10, sigma2_delta=0.1)
+        # 20 x 256 = 5120 entries per receive-role array, 128 x 10 x 4 per transmit-role one
+        cfg = NetworkConfig(m_b=256, k_su=10, l_tx=128, l_rx=20, sigma2_delta=0.1)
         real = generate_channels(cfg, 11)
-        delta = real.h_pu_sbs - real.hhat_pu_sbs
-        var = np.mean(np.abs(delta) ** 2)
-        assert abs(var - 0.1) / 0.1 < 0.05
-        var_h = np.mean(np.abs(real.h_pu_sbs) ** 2)
-        assert abs(var_h - 1.0) < 0.05
+        for h, hhat in ((real.h_pu_rx, real.hhat_pu_rx), (real.h_pu_tx, real.hhat_pu_tx)):
+            assert h.size == 5120
+            var = np.mean(np.abs(h - hhat) ** 2)
+            assert abs(var - 0.1) / 0.1 < 0.05
+            var_h = np.mean(np.abs(h) ** 2)
+            assert abs(var_h - 1.0) < 0.05
 
     # first 16 hex digits of the SHA-256 of each array a trial reads, drawn at
     # trial_seed(5, 7): RNG output only (no BLAS), so they pin the draw order
@@ -144,9 +150,8 @@ class TestGeneration:
     def test_draw_stream_pinned(self, variant):
         cfg = NetworkConfig(m_b=8, m_u=2, k_su=3, l_tx=2, l_rx=3).replace(**dict(variant))
         real = generate_channels(cfg, trial_seed(5, 7))
-        arrays = dict(h_su=real.h_su, h_pu_rx=real.h_pu_sbs[real.pu_rx],
-                      hhat_pu_rx=real.hhat_pu_sbs[real.pu_rx],
-                      h_pu_tx=real.h_pu_su[real.pu_tx], hhat_pu_tx=real.hhat_pu_su[real.pu_tx])
+        arrays = dict(h_su=real.h_su, h_pu_rx=real.h_pu_rx, hhat_pu_rx=real.hhat_pu_rx,
+                      h_pu_tx=real.h_pu_tx, hhat_pu_tx=real.hhat_pu_tx)
         assert arrays["h_su"].shape == (3, 2, 8)
         assert arrays["h_pu_rx"].shape == arrays["hhat_pu_rx"].shape == (cfg.l_rx, 8)
         assert arrays["h_pu_tx"].shape == arrays["hhat_pu_tx"].shape == (cfg.l_tx, 3, 2)
@@ -157,8 +162,8 @@ class TestGeneration:
     def test_zero_error_collapse(self):
         cfg = small_config(sigma2_delta=0.0)
         real = generate_channels(cfg, 5)
-        assert np.array_equal(real.h_pu_sbs, real.hhat_pu_sbs)
-        assert np.array_equal(real.h_pu_su, real.hhat_pu_su)
+        assert np.array_equal(real.h_pu_rx, real.hhat_pu_rx)
+        assert np.array_equal(real.h_pu_tx, real.hhat_pu_tx)
 
 
 class TestEvaluators:
@@ -182,7 +187,7 @@ class TestEvaluators:
     def test_aligned_beam(self):
         cfg = small_config(k_su=1, l_tx=0, l_rx=1, m_u=1)
         real = generate_channels(cfg, 2)
-        h = real.h_pu_sbs[real.pu_rx][0]
+        h = real.h_pu_rx[0]
         v = (h / np.linalg.norm(h))[None, :]
         links = evaluate_links(real, v, np.ones((1, 1)), cfg)
         assert links.leak_true[0, 0] == pytest.approx(np.linalg.norm(h) ** 2, rel=1e-12)
@@ -194,11 +199,11 @@ class TestEvaluators:
         links = evaluate_links(real, v, u, cfg)
         int_true = links.int_to_pu(p, use_estimates=False)
         int_est = links.int_to_pu(p, use_estimates=True)
-        for i, l in enumerate(real.pu_rx):
+        for i in range(cfg.l_rx):
             acc_t = acc_e = 0.0
             for k in range(cfg.k_su):
-                dot_t = sum(np.conj(v[k][b]) * real.h_pu_sbs[l][b] for b in range(cfg.m_b))
-                dot_e = sum(np.conj(v[k][b]) * real.hhat_pu_sbs[l][b] for b in range(cfg.m_b))
+                dot_t = sum(np.conj(v[k][b]) * real.h_pu_rx[i][b] for b in range(cfg.m_b))
+                dot_e = sum(np.conj(v[k][b]) * real.hhat_pu_rx[i][b] for b in range(cfg.m_b))
                 assert links.leak_true[k, i] == pytest.approx(abs(dot_t) ** 2, rel=1e-12)
                 assert links.leak_est[k, i] == pytest.approx(abs(dot_e) ** 2 + cfg.sigma2_delta,
                                                              rel=1e-12)
@@ -220,11 +225,11 @@ class TestEvaluators:
             sig = p[k] * abs(np.conj(u[k]) @ hk @ v[k]) ** 2
             inter = sum(p[j] * abs(np.conj(u[k]) @ hk @ v[j]) ** 2
                         for j in range(cfg.k_su) if j != k)
-            pu_t = sum(cfg.p_p * abs(np.conj(u[k]) @ real.h_pu_su[l, k]) ** 2
-                       for l in real.pu_tx)
-            pu_e = sum(cfg.p_p * (abs(np.conj(u[k]) @ real.hhat_pu_su[l, k]) ** 2
+            pu_t = sum(cfg.p_p * abs(np.conj(u[k]) @ real.h_pu_tx[l, k]) ** 2
+                       for l in range(cfg.l_tx))
+            pu_e = sum(cfg.p_p * (abs(np.conj(u[k]) @ real.hhat_pu_tx[l, k]) ** 2
                                   + cfg.sigma2_delta)
-                       for l in real.pu_tx)
+                       for l in range(cfg.l_tx))
             assert links.pu_to_su_true[k] == pytest.approx(pu_t, rel=1e-12)
             assert links.pu_to_su_est[k] == pytest.approx(pu_e, rel=1e-12)
             assert sinr_true[k] == pytest.approx(sig / (cfg.sigma2_w + pu_t + inter), rel=1e-12)

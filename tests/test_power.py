@@ -9,8 +9,6 @@ from scipy.optimize import linprog
 from crmimo.beamforming import compute_meb, compute_zfb
 from crmimo.network import NetworkConfig, evaluate_links, generate_channels
 from crmimo.power import (
-    LF_MEB,
-    LF_ZFB_EQUAL_RATE,
     PowerAllocation,
     ZeroGainError,
     equal_power,
@@ -91,7 +89,7 @@ class TestSolveLfMeb:
         alloc = solve_lf_meb(links, cfg)
         a, b, _ = lf_meb_constraints(links, cfg)
         assert alloc.feasible == oracle_verdict(a, b)
-        assert alloc.scheme == LF_MEB
+        assert (alloc.blocking is None) == alloc.feasible
 
     def test_feasible_point_meets_all_constraints(self):
         hits = 0
@@ -167,14 +165,14 @@ class TestEqualRateZfb:
         alloc = solve_lf_zfb(links_of(real, beams, cfg), cfg)
         slack = verify_allocation(real, beams, alloc.p, cfg, use_estimates=True)
         assert np.max(np.abs(slack.rate)) < 1e-9
-        assert alloc.scheme == LF_ZFB_EQUAL_RATE
+        assert (alloc.blocking is None) == alloc.feasible
 
     def test_unit_case(self):
         # gain g, no PUs: p = (2^r0 - 1) sigma2_w / g exactly
         cfg, real = scenario(l_tx=0, r0=2.0, sigma2_w=3.0)
-        beams = compute_zfb(real)
-        expect = 3.0 * 3.0 / beams.gain
-        alloc = solve_lf_zfb(links_of(real, beams, cfg), cfg)
+        links = links_of(real, compute_zfb(real), cfg)
+        expect = 3.0 * 3.0 / np.diagonal(links.cross)
+        alloc = solve_lf_zfb(links, cfg)
         assert np.allclose(alloc.p, expect, rtol=1e-12)
 
     def test_feasibility_is_exact_budget_test(self):
@@ -228,7 +226,7 @@ class TestSolveLf:
         for beams, solver in ((compute_meb(real), solve_lf_meb), (compute_zfb(real), solve_lf_zfb)):
             links = links_of(real, beams, cfg)
             got, want = solve_lf(links, beams.scheme, cfg), solver(links, cfg)
-            assert got.scheme == want.scheme and got.feasible == want.feasible
+            assert got.feasible == want.feasible and got.blocking == want.blocking
             assert np.array_equal(got.p, want.p)
 
     def test_unknown_scheme_rejected(self):
@@ -255,8 +253,8 @@ class TestAudits:
         p = rng.uniform(0.0, 2.0, cfg.k_su)
         slack = verify_allocation(real, beams, p, cfg, use_estimates=False)
         # scalar recomputation of each margin
-        for i, l in enumerate(real.pu_rx):
-            acc = sum(p[k] * abs(np.conj(beams.v[k]) @ real.h_pu_sbs[l]) ** 2
+        for i in range(cfg.l_rx):
+            acc = sum(p[k] * abs(np.conj(beams.v[k]) @ real.h_pu_rx[i]) ** 2
                       for k in range(cfg.k_su))
             assert slack.interference[i] == pytest.approx(cfg.i0 - acc, rel=1e-12, abs=1e-15)
         for k in range(cfg.k_su):
@@ -264,8 +262,8 @@ class TestAudits:
             sig = p[k] * abs(np.conj(beams.u[k]) @ hk @ beams.v[k]) ** 2
             inter = sum(p[j] * abs(np.conj(beams.u[k]) @ hk @ beams.v[j]) ** 2
                         for j in range(cfg.k_su) if j != k)
-            pu = sum(cfg.p_p * abs(np.conj(beams.u[k]) @ real.h_pu_su[l, k]) ** 2
-                     for l in real.pu_tx)
+            pu = sum(cfg.p_p * abs(np.conj(beams.u[k]) @ real.h_pu_tx[l, k]) ** 2
+                     for l in range(cfg.l_tx))
             rate = np.log2(1 + sig / (cfg.sigma2_w + pu + inter))
             assert slack.rate[k] == pytest.approx(rate - cfg.r0, rel=1e-12, abs=1e-12)
         assert slack.power == pytest.approx(cfg.p0 - p.sum(), rel=1e-12)
@@ -293,6 +291,11 @@ class TestAudits:
     def test_allocation_dataclass(self):
         cfg, real = scenario()
         beams = compute_meb(real)
-        alloc = solve_lf_meb(links_of(real, beams, cfg), cfg)
+        links = links_of(real, beams, cfg)
+        alloc = solve_lf_meb(links, cfg)
         assert isinstance(alloc, PowerAllocation)
-        assert verify_allocation(real, beams, alloc, cfg, use_estimates=True).use_estimates
+        # use_estimates=True audits the SBS view, the first report of slack_from_links
+        est, true = slack_from_links(links, alloc.p, cfg)
+        got = verify_allocation(real, beams, alloc, cfg, use_estimates=True)
+        assert np.array_equal(got.sinr, est.sinr) and not np.array_equal(got.sinr, true.sinr)
+        assert np.array_equal(got.int_to_pu, est.int_to_pu)
