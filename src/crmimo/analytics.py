@@ -63,14 +63,26 @@ __all__ = [
 
 
 def _check_positive(name: str, val):
-    """Raise ValueError unless val (a float or an array) is finite and positive."""
+    """Raise ValueError unless val (a float or an array) is finite and positive;
+    the error's `bad` marks the offending elements (True for a float)."""
+    bad = True
     if isinstance(val, np.ndarray):
         bad = ~(np.isfinite(val) & (val > 0.0))
         if not bad.any():
             return
         val = val[bad][0].item()
     if not math.isfinite(val) or val <= 0:
-        raise ValueError(f"{name} must be finite and positive, got {val!r}")
+        exc = ValueError(f"{name} must be finite and positive, got {val!r}")
+        exc.bad = bad
+        raise exc
+
+
+def _square(v):
+    """pow(v, 2) (element by element for an array, see specfun), inf where it overflows."""
+    try:
+        return _elementwise(pow, v, 2)
+    except OverflowError:
+        return _elementwise(_square, v) if isinstance(v, np.ndarray) else math.inf
 
 
 def _check_point(name: str, s):
@@ -296,21 +308,21 @@ def meb_sinr_params(config: NetworkConfig, p_eq: float) -> InverseGammaParams | 
     c = sigma2_w/(p_eq e).  The gamma with shape (c + a)^2/b and scale
     b/(c + a) has the mean c + a and variance b of c + x, so the SINR
     law is the inverse gamma with those values.  When b = 0 (k_su = 1
-    with no transmitting PU) the SINR is the constant 1/c.  OverflowError
-    where a square leaves the float range (p_eq below about 1e-154).
+    with no transmitting PU) the SINR is the constant 1/c.  ValueError
+    where a parameter leaves the float range (p_eq below about 1e-154).
     """
     _check_positive("p_eq", p_eq)
     e = expected_max_eig(config.m_u, config.m_b, config.sigma2_h)
     pu = config.l_tx * config.p_p * config.sigma2_h / (p_eq * e)
     pu2 = 0.0  # no transmitting PU: a large p_p must not overflow an unused square
     if config.l_tx:
-        pu2 = config.l_tx * _elementwise(pow, config.p_p * config.sigma2_h / (p_eq * e), 2)
+        pu2 = config.l_tx * _square(config.p_p * config.sigma2_h / (p_eq * e))
     a = pu + (config.k_su - 1) / config.m_b
     b = pu2 + (config.k_su - 1) / config.m_b ** 2
     c = config.sigma2_w / (p_eq * e)
     if config.k_su == 1 and not np.any(b):
         return PointMassParams(value=1.0 / c)
-    return InverseGammaParams(shape=_elementwise(pow, c + a, 2) / b, theta=b / (c + a))
+    return InverseGammaParams(shape=_square(c + a) / b, theta=b / (c + a))
 
 
 def meb_sinr_cdf(law: InverseGammaParams | PointMassParams,
@@ -492,27 +504,59 @@ def q_k(scheme: str, config: NetworkConfig, p_eq: float | np.ndarray) -> float |
     [1 - sinr_cdf(2^r0 - 1)]^k_su * [interference_cdf(i0)]^l_rx with the
     scheme's distributions.  p_eq may be a 1-D array of powers: the laws
     then carry array parameters and the result is the array of q_k
-    values, equal element for element to scalar calls.
+    values, equal element for element to scalar calls.  Where a law's
+    parameters leave the float range, the SINR and the interference
+    vanish below the mean noise-plus-PU power, p_eq e < sigma2_w +
+    l_tx p_p sigma2_h, and grow without bound above it.
     """
     thr = 2.0 ** config.r0 - 1.0
     if scheme == MEB:
-        try:
-            law = meb_sinr_params(config, p_eq)
-        except OverflowError:
-            # its squares overflow (p_eq below about 1e-154 at p_p = 1), where
-            # the SINR lies below every positive threshold
-            if isinstance(p_eq, np.ndarray):
-                return _elementwise(lambda p: q_k(scheme, config, p), p_eq)
-            law = PointMassParams(value=math.ulp(0.0))
-        exceed = 1.0 - law.cdf(thr)
-        comply = _interference_cdf(config, p_eq, config.i0, config.sigma2_h)
+        sinr_params, sigma2_leak = meb_sinr_params, config.sigma2_h
     elif scheme == ZFB:
-        exceed = 1.0 - zfb_sinr_params(config, p_eq).cdf(thr)
-        comply = _interference_cdf(config, p_eq, config.i0, config.sigma2_delta)
+        sinr_params, sigma2_leak = zfb_sinr_params, config.sigma2_delta
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
+    exceed = _where_in_range(lambda p: 1.0 - sinr_params(config, p).cdf(thr), config, p_eq,
+                             float(thr == 0.0), 1.0)
+    comply = _where_in_range(lambda p: _interference_cdf(config, p, config.i0, sigma2_leak),
+                             config, p_eq, 1.0, 0.0)
     return (_elementwise(pow, _clip_unit(exceed), config.k_su)
             * _elementwise(pow, _clip_unit(comply), config.l_rx))
+
+
+def _where_in_range(fn, config, p_eq, vanishing, unbounded):
+    """fn(p_eq), and the limit (vanishing or unbounded) where the law fn builds
+    leaves the float range: it raises the ValueError of _check_positive,
+    whose `bad` marks the powers, or divides by 0 (a float p_eq e that
+    underflows).  An array is built again on the rest, so each power
+    keeps its scalar value."""
+    if not isinstance(p_eq, np.ndarray):
+        try:
+            return fn(p_eq)
+        except (ValueError, ZeroDivisionError) as exc:
+            bad = getattr(exc, "bad", isinstance(exc, ZeroDivisionError))
+            if not (bad and 0 < p_eq < math.inf):
+                raise  # another error, or p_eq itself is bad
+            return _float_range_limit(config, p_eq, vanishing, unbounded).item()
+    _check_positive("p_eq", p_eq)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        out = _float_range_limit(config, p_eq, vanishing, unbounded)
+        live = np.ones(p_eq.shape, dtype=bool)
+        while live.any():
+            try:
+                out[live] = fn(p_eq[live])
+                break
+            except ValueError as exc:
+                if getattr(exc, "bad", None) is None:
+                    raise
+                live[live] = np.logical_not(exc.bad)
+    return out
+
+
+def _float_range_limit(config, p_eq, vanishing, unbounded):
+    e = expected_max_eig(config.m_u, config.m_b, config.sigma2_h)
+    low = p_eq * e < config.sigma2_w + config.l_tx * config.p_p * config.sigma2_h
+    return np.where(low, vanishing, unbounded)
 
 
 def equal_power_bounds(config: NetworkConfig) -> tuple[float, float]:

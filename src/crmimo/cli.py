@@ -88,6 +88,8 @@ class ExperimentSpec:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_workers < 1:
             raise ValueError(f"workers must be positive, got {self.n_workers}")
+        if not 0.0 < self.confidence < 1.0:
+            raise ValueError(f"confidence must lie in (0, 1), got {self.confidence!r}")
 
 
 def build_spec(args) -> ExperimentSpec:

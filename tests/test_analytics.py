@@ -571,6 +571,46 @@ class TestServingProbability:
         expect = [0.0, q_k(MEB, cfg, 1e-3), q_k(MEB, cfg, 0.5), 0.0]
         assert np.array_equal(q_k(MEB, cfg, grid), expect)
 
+    # powers where a law's parameters leave the float range: lam overflows,
+    # the gamma scale underflows, the point mass sinks to 0, the shape is NaN,
+    # and p_eq e underflows to 0 (a division by zero)
+    SUBNORMAL = [(ZFB, BASE, 1e-315), (ZFB, NetworkConfig(l_tx=0), 5e-324),
+                 (MEB, NetworkConfig(k_su=1, l_tx=0), 1e-315), (MEB, BASE, 5e-324),
+                 (MEB, NetworkConfig(sigma2_h=1e-3, sigma2_delta=1e-4), 5e-324),
+                 (ZFB, NetworkConfig(sigma2_h=1e-3, sigma2_delta=1e-4), 5e-324)]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scheme, cfg, p", SUBNORMAL)
+    def test_subnormal_power_serves_nobody(self, scheme, cfg, p):
+        q = q_k(scheme, cfg, p)
+        assert q == 0.0 and type(q) is float
+        grid = np.array([0.1, p, 1e-3, 1e-300])
+        expect = [q_k(scheme, cfg, 0.1), 0.0, q_k(scheme, cfg, 1e-3), q_k(scheme, cfg, 1e-300)]
+        assert np.array_equal(q_k(scheme, cfg, grid), expect)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_budget_optimum(self):
+        for scheme in (MEB, ZFB):
+            opt = optimize_equal_power(scheme, NetworkConfig(p0=1e-318))
+            assert opt == EqualPowerOptimum(p_eq=1e-319, q=0.0, range_feasible=False)
+
+    def test_subnormal_power_keeps_config_errors(self):
+        cfg = BASE.replace(k_su=64)  # m_b < k_su + l_rx
+        for p in (1e-315, np.array([0.1, 1e-315])):
+            with pytest.raises(ValueError, match="need m_b >= k_su \\+ l_rx"):
+                q_k(ZFB, cfg, p)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scheme, cfg", [(ZFB, BASE), (ZFB, NetworkConfig(l_tx=0)),
+                                             (MEB, NetworkConfig(k_su=1))])
+    def test_overflowing_power_is_served_until_a_cap_binds(self, scheme, cfg):
+        # p_eq e overflows: the SINR and the PU interference grow without bound
+        assert q_k(scheme, cfg.replace(l_rx=0), 1.7e308) == 1.0
+        assert q_k(scheme, cfg.replace(l_rx=1), 1.7e308) < 1e-300
+        for cfg in (cfg.replace(l_rx=0), cfg.replace(l_rx=1)):
+            expect = [q_k(scheme, cfg, 0.1), q_k(scheme, cfg, 1.7e308)]
+            assert np.array_equal(q_k(scheme, cfg, np.array([0.1, 1.7e308])), expect)
+
     def test_overflowing_power_at_a_zero_threshold(self):
         # 2^r0 - 1 rounds to 0: every SU is served at any power, as at p_eq = 1e-100
         cfg = NetworkConfig(r0=1e-17, i0=1e6)

@@ -78,6 +78,11 @@ class TestSpecValidation:
             with pytest.raises(ValueError, match="workers must be positive"):
                 ExperimentSpec(**self.spec_kwargs(n_workers=workers))
 
+    def test_confidence_outside_unit_interval(self):
+        for confidence in (0.0, 1.0, 1.5, -0.2, np.nan):
+            with pytest.raises(ValueError, match="confidence must lie in"):
+                ExperimentSpec(**self.spec_kwargs(confidence=confidence))
+
 
 class TestMainExitCodes:
     def test_unknown_set_key(self, tmp_path, capsys):
@@ -110,6 +115,14 @@ class TestMainExitCodes:
                      "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert message in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
+    def test_bad_confidence(self, tmp_path, capsys):
+        # rejected before any trial, as a bad seed is: no CSV of error rows
+        code = main(["--experiment", "fig5_max_sus", *TINY, "--confidence", "1.5",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "confidence must lie in (0, 1), got 1.5" in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
     def test_fig2_rejects_foreign_sweep(self, tmp_path, capsys):
