@@ -63,18 +63,14 @@ __all__ = [
 
 
 def _check_positive(name: str, val):
-    """Raise ValueError unless val (a float or an array) is finite and positive;
-    the error's `bad` marks the offending elements (True for a float)."""
-    bad = True
+    """Raise ValueError unless val (a float or an array) is finite and positive."""
     if isinstance(val, np.ndarray):
         bad = ~(np.isfinite(val) & (val > 0.0))
         if not bad.any():
             return
         val = val[bad][0].item()
     if not math.isfinite(val) or val <= 0:
-        exc = ValueError(f"{name} must be finite and positive, got {val!r}")
-        exc.bad = bad
-        raise exc
+        raise ValueError(f"{name} must be finite and positive, got {val!r}")
 
 
 def _square(v):
@@ -308,21 +304,30 @@ def meb_sinr_params(config: NetworkConfig, p_eq: float) -> InverseGammaParams | 
     c = sigma2_w/(p_eq e).  The gamma with shape (c + a)^2/b and scale
     b/(c + a) has the mean c + a and variance b of c + x, so the SINR
     law is the inverse gamma with those values.  When b = 0 (k_su = 1
-    with no transmitting PU) the SINR is the constant 1/c.  ValueError
-    where a parameter leaves the float range (p_eq below about 1e-154).
+    with no transmitting PU, or one whose square underflows) the SINR is
+    the constant 1/(c + a).  ValueError where a parameter leaves the
+    float range (p_eq below about 1e-154 at p_p = 1).
     """
+    law, params, _ = _meb_sinr_law(config, p_eq)
+    return law(*params)
+
+
+def _meb_sinr_law(config: NetworkConfig, p_eq):
+    """meb_sinr_params as its law class, unchecked parameters and SINR scale 1/(c + a)."""
     _check_positive("p_eq", p_eq)
     e = expected_max_eig(config.m_u, config.m_b, config.sigma2_h)
-    pu = config.l_tx * config.p_p * config.sigma2_h / (p_eq * e)
-    pu2 = 0.0  # no transmitting PU: a large p_p must not overflow an unused square
-    if config.l_tx:
-        pu2 = config.l_tx * _square(config.p_p * config.sigma2_h / (p_eq * e))
+    u = p_eq * e
+    pu = pu2 = 0.0  # no PU transmits: a large p_p must not overflow an unused square
+    if config.l_tx and config.p_p:
+        pu = config.l_tx * config.p_p * config.sigma2_h / u
+        pu2 = config.l_tx * _square(config.p_p * config.sigma2_h / u)
     a = pu + (config.k_su - 1) / config.m_b
     b = pu2 + (config.k_su - 1) / config.m_b ** 2
-    c = config.sigma2_w / (p_eq * e)
+    c = config.sigma2_w / u
+    scale = 1.0 / (c + a)
     if config.k_su == 1 and not np.any(b):
-        return PointMassParams(value=1.0 / c)
-    return InverseGammaParams(shape=_square(c + a) / b, theta=b / (c + a))
+        return PointMassParams, (scale,), scale
+    return InverseGammaParams, (_square(c + a) / b, b / (c + a)), scale
 
 
 def meb_sinr_cdf(law: InverseGammaParams | PointMassParams,
@@ -376,15 +381,22 @@ def zfb_sinr_params(config: NetworkConfig, p_eq: float) -> GenFParams | GammaPar
     p_p = 0) the denominator is the constant sigma2_w and the SINR is
     the plain scaled gamma.
     """
+    law, params, _ = _zfb_sinr_law(config, p_eq)
+    return law(*params)
+
+
+def _zfb_sinr_law(config: NetworkConfig, p_eq):
+    """zfb_sinr_params as its law class, unchecked parameters and SINR scale (scale or 1/lam)."""
     k_n, e = _zfb_numerator(config, p_eq)
     theta_n = p_eq * e / config.m_b
     if config.l_tx == 0 or config.p_p == 0.0:
-        return GammaParams(shape=float(k_n), scale=theta_n / config.sigma2_w)
+        scale = theta_n / config.sigma2_w
+        return GammaParams, (float(k_n), scale), scale
     pu_mean = config.l_tx * config.p_p * config.sigma2_h
     pu_var = config.l_tx * (config.p_p * config.sigma2_h) ** 2
     k_d = (config.sigma2_w + pu_mean) ** 2 / pu_var
     lam = pu_mean * config.m_b / (p_eq * e * (config.sigma2_w + pu_mean))
-    return GenFParams(k_n=float(k_n), k_d=k_d, lam=lam)
+    return GenFParams, (float(k_n), k_d, lam), 1.0 / lam
 
 
 def zfb_sinr_cdf(law: GenFParams | GammaParams, s: float | np.ndarray) -> float | np.ndarray:
@@ -498,65 +510,68 @@ def _clip_unit(v):
     return min(max(v, 0.0), 1.0)
 
 
+# numpy's RuntimeWarnings where a float result overflows or divides by 0 silently
+_FLOAT_RANGE_WARNINGS = "overflow encountered|divide by zero encountered"
+
+
 def q_k(scheme: str, config: NetworkConfig, p_eq: float | np.ndarray) -> float | np.ndarray:
     """Probability of serving all k_su SUs at equal power p_eq.
 
     [1 - sinr_cdf(2^r0 - 1)]^k_su * [interference_cdf(i0)]^l_rx with the
     scheme's distributions.  p_eq may be a 1-D array of powers: the laws
     then carry array parameters and the result is the array of q_k
-    values, equal element for element to scalar calls.  Where a law's
-    parameters leave the float range, the SINR and the interference
-    vanish below the mean noise-plus-PU power, p_eq e < sigma2_w +
-    l_tx p_p sigma2_h, and grow without bound above it.
+    values, equal element for element to scalar calls.  Where p_eq takes
+    a law's own parameters out of the float range, q_k takes the law's
+    limit, the point mass at its scale: 1/(c + a) for the MEB SINR (see
+    meb_sinr_params), the gamma scale or 1/lam for the ZFB SINR and
+    p_eq sigma2_leak for the interference.  A float power whose laws
+    raise runs as a one-element array, which raises again for a bad
+    config or power.
     """
     thr = 2.0 ** config.r0 - 1.0
     if scheme == MEB:
-        sinr_params, sigma2_leak = meb_sinr_params, config.sigma2_h
+        sinr_law, sigma2_leak = _meb_sinr_law, config.sigma2_h
     elif scheme == ZFB:
-        sinr_params, sigma2_leak = zfb_sinr_params, config.sigma2_delta
+        sinr_law, sigma2_leak = _zfb_sinr_law, config.sigma2_delta
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    exceed = _where_in_range(lambda p: 1.0 - sinr_params(config, p).cdf(thr), config, p_eq,
-                             float(thr == 0.0), 1.0)
-    comply = _where_in_range(lambda p: _interference_cdf(config, p, config.i0, sigma2_leak),
-                             config, p_eq, 1.0, 0.0)
+    if isinstance(p_eq, np.ndarray):
+        # out of the float range a parameter is 0, inf or NaN and a CDF term
+        # overflows, silently as for a float (filters: np.errstate slows ufuncs)
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _FLOAT_RANGE_WARNINGS + "|invalid value",
+                                    RuntimeWarning)
+            law, params, sinr_scale = sinr_law(config, p_eq)
+            leak = p_eq * sigma2_leak
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", _FLOAT_RANGE_WARNINGS, RuntimeWarning)
+            exceed = 1.0 - _cdf_in_range(law, params, sinr_scale, thr)
+            comply = _cdf_in_range(GammaParams, (float(config.k_su), leak), leak, config.i0)
+    else:
+        try:
+            p = float(p_eq)
+            law, params, _ = sinr_law(config, p)
+            exceed = 1.0 - law(*params).cdf(thr)
+            comply = _interference_cdf(config, p, config.i0, sigma2_leak)
+        except (ValueError, ZeroDivisionError):
+            return q_k(scheme, config, np.array([p_eq], dtype=float)).item()
     return (_elementwise(pow, _clip_unit(exceed), config.k_su)
             * _elementwise(pow, _clip_unit(comply), config.l_rx))
 
 
-def _where_in_range(fn, config, p_eq, vanishing, unbounded):
-    """fn(p_eq), and the limit (vanishing or unbounded) where the law fn builds
-    leaves the float range: it raises the ValueError of _check_positive,
-    whose `bad` marks the powers, or divides by 0 (a float p_eq e that
-    underflows).  An array is built again on the rest, so each power
-    keeps its scalar value."""
-    if not isinstance(p_eq, np.ndarray):
-        try:
-            return fn(p_eq)
-        except (ValueError, ZeroDivisionError) as exc:
-            bad = getattr(exc, "bad", isinstance(exc, ZeroDivisionError))
-            if not (bad and 0 < p_eq < math.inf):
-                raise  # another error, or p_eq itself is bad
-            return _float_range_limit(config, p_eq, vanishing, unbounded).item()
-    _check_positive("p_eq", p_eq)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        out = _float_range_limit(config, p_eq, vanishing, unbounded)
-        live = np.ones(p_eq.shape, dtype=bool)
-        while live.any():
-            try:
-                out[live] = fn(p_eq[live])
-                break
-            except ValueError as exc:
-                if getattr(exc, "bad", None) is None:
-                    raise
-                live[live] = np.logical_not(exc.bad)
+def _cdf_in_range(law, params, scale, s):
+    """law(*params).cdf(s) where its array parameters (one per power) are
+    finite and positive, else the unit step at scale (0 at s <= 0).  A
+    bad float parameter (the config's) raises."""
+    ok = np.logical_and.reduce([np.isfinite(v) & (v > 0.0)
+                                for v in params if isinstance(v, np.ndarray)])
+    if ok.all():
+        return law(*params).cdf(s)
+    out = 1.0 * ((s > 0.0) & (s >= scale))
+    law = law(*(v[ok] if isinstance(v, np.ndarray) else v for v in params))
+    if ok.any():
+        out[ok] = law.cdf(s)
     return out
-
-
-def _float_range_limit(config, p_eq, vanishing, unbounded):
-    e = expected_max_eig(config.m_u, config.m_b, config.sigma2_h)
-    low = p_eq * e < config.sigma2_w + config.l_tx * config.p_p * config.sigma2_h
-    return np.where(low, vanishing, unbounded)
 
 
 def equal_power_bounds(config: NetworkConfig) -> tuple[float, float]:

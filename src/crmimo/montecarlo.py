@@ -261,18 +261,31 @@ def max_sus_at_confidence(config_base: NetworkConfig, scheme: str, confidence: f
         res = run_trials(cfg.replace(k_su=k), scheme, policy, n_trials, seed, p_eq=p_eq)
         return res.p_served >= confidence
 
-    def max_k(cfg):
-        # k = 1, then doubling up to k_cap until one fails, then bisection
-        lo, hi = 0, k_cap + 1  # the largest k known to pass, the smallest known to fail
-        while hi - lo > 1:
-            k = (lo + hi) // 2 if hi <= k_cap else max(1, min(2 * lo, k_cap))
+    rows = []
+    for value, cfg in points:
+        if not passes(cfg, 1):
+            rows.append((value, 0))
+            continue
+        lo = 1  # largest k known to pass
+        hi = None  # smallest k known to fail
+        while hi is None and lo * 2 <= k_cap:
+            k = lo * 2
             if passes(cfg, k):
                 lo = k
             else:
                 hi = k
-        return lo
-
-    rows = [(value, max_k(cfg)) for value, cfg in points]
+        if hi is None and lo < k_cap:
+            if passes(cfg, k_cap):
+                lo = k_cap
+            else:
+                hi = k_cap
+        while hi is not None and hi - lo > 1:
+            mid = (lo + hi) // 2
+            if passes(cfg, mid):
+                lo = mid
+            else:
+                hi = mid
+        rows.append((value, lo))
 
     direction = _AXIS_DIRECTION.get(sweep_name)
     if direction is not None and len(rows) > 1:

@@ -191,8 +191,10 @@ def solve_lf_zfb(links: LinkMetrics, config: NetworkConfig) -> PowerAllocation:
     over_budget = p.sum() > config.p0
     over_cap = bool(np.any(links.int_to_pu(p, use_estimates=True) > config.i0))
     feasible = not (over_budget or over_cap)
-    blocking = None if feasible else ("power" if over_budget else "interference")
-    return PowerAllocation(p=p, feasible=feasible, blocking=blocking)
+    return PowerAllocation(
+        p=p, feasible=feasible,
+        blocking=None if feasible else ("power" if over_budget else "interference"),
+    )
 
 
 def solve_lf(links: LinkMetrics, scheme: str, config: NetworkConfig) -> PowerAllocation:

@@ -601,6 +601,26 @@ class TestServingProbability:
                 q_k(ZFB, cfg, p)
 
     @pytest.mark.filterwarnings("error")
+    def test_config_out_of_float_range_raises_at_every_power(self):
+        # the ZFB denominator shape k_d depends on the config alone: p_p^2 sigma2_h^2
+        # is subnormal (k_d = inf) or 0 (k_d divides by 0), and no power is a limit
+        for p_p, error in ((1e-160, ValueError), (1e-170, ZeroDivisionError)):
+            cfg = NetworkConfig(p_p=p_p)
+            for p in (0.1, 1e-315, np.array([0.1]), np.array([0.1, 1e-315])):
+                with pytest.raises(error):
+                    q_k(ZFB, cfg, p)
+
+    @pytest.mark.filterwarnings("error")
+    def test_interference_limit_follows_its_own_scale(self):
+        # p_eq sigma2_delta underflows to 0, so nothing leaks and every cap holds,
+        # while p_eq e is far above the noise: every SU is served
+        cfg = NetworkConfig(sigma2_w=1e-310, l_tx=0, sigma2_delta=1e-20)
+        q = q_k(ZFB, cfg, 1e-305)
+        assert q == q_k(ZFB, cfg.replace(l_rx=0), 1e-305) > 0.99
+        assert np.array_equal(q_k(ZFB, cfg, np.array([1e-305, 1e-3])),
+                              [q, q_k(ZFB, cfg, 1e-3)])
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scheme, cfg", [(ZFB, BASE), (ZFB, NetworkConfig(l_tx=0)),
                                              (MEB, NetworkConfig(k_su=1))])
     def test_overflowing_power_is_served_until_a_cap_binds(self, scheme, cfg):
