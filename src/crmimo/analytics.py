@@ -510,10 +510,6 @@ def _clip_unit(v):
     return min(max(v, 0.0), 1.0)
 
 
-# numpy's RuntimeWarnings where a float result overflows or divides by 0 silently
-_FLOAT_RANGE_WARNINGS = "overflow encountered|divide by zero encountered"
-
-
 def q_k(scheme: str, config: NetworkConfig, p_eq: float | np.ndarray) -> float | np.ndarray:
     """Probability of serving all k_su SUs at equal power p_eq.
 
@@ -537,14 +533,11 @@ def q_k(scheme: str, config: NetworkConfig, p_eq: float | np.ndarray) -> float |
         raise ValueError(f"unknown scheme {scheme!r}")
     if isinstance(p_eq, np.ndarray):
         # out of the float range a parameter is 0, inf or NaN and a CDF term
-        # overflows, silently as for a float (filters: np.errstate slows ufuncs)
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", _FLOAT_RANGE_WARNINGS + "|invalid value",
-                                    RuntimeWarning)
+        # overflows, silently as for a float whatever the caller's error state
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             law, params, sinr_scale = sinr_law(config, p_eq)
             leak = p_eq * sigma2_leak
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", _FLOAT_RANGE_WARNINGS, RuntimeWarning)
+        with np.errstate(over="ignore", divide="ignore"):
             exceed = 1.0 - _cdf_in_range(law, params, sinr_scale, thr)
             comply = _cdf_in_range(GammaParams, (float(config.k_su), leak), leak, config.i0)
     else:
@@ -617,7 +610,8 @@ def optimize_equal_power(scheme: str, config: NetworkConfig) -> EqualPowerOptimu
         return EqualPowerOptimum(p_eq=p_max, q=q_k(scheme, config, p_max),
                                  range_feasible=False)
 
-    lo, hi = math.log10(p_min), math.log10(p_max)
+    # p_min is 0 where 2^r0 - 1 rounds to 0; q then only falls with power
+    lo, hi = math.log10(max(p_min, math.ulp(0.0))), math.log10(p_max)
     grid = np.logspace(lo, hi, _GRID_POINTS)
     values = q_k(scheme, config, grid)
     best = int(np.argmax(values))

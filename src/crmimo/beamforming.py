@@ -15,12 +15,11 @@ condition number, and the cutoff could no longer be resolved.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ChannelRealization, _cross_gains
+from .network import ChannelRealization
 
 __all__ = [
     "MEB",
@@ -31,8 +30,6 @@ __all__ = [
     "compute_meb",
     "compute_zfb",
     "compute_beams",
-    "nulling_residuals",
-    "export_diagnostics",
 ]
 
 MEB = "MEB"
@@ -52,12 +49,12 @@ class IllConditionedError(RuntimeError):
 
 @dataclass(frozen=True)
 class BeamformingSolution:
-    """Beams of one scheme; network.evaluate_links turns them into link gains.
+    """Beams of the scheme the caller chose; network.evaluate_links turns
+    them into link gains, the ZF nulling residuals among them.
 
     The arrays carry the leading trial axes of the realization.
 
     Attributes:
-        scheme: MEB or ZFB.
         v: (k_su, m_b) unit-norm transmit beams.
         u: (k_su, m_u) unit-norm receive beams under both schemes: the
             principal left singular vectors, i.e. the top eigenvectors of
@@ -66,7 +63,6 @@ class BeamformingSolution:
             which is the MEB link gain |u_k^H H_k v_k|^2.
     """
 
-    scheme: str
     v: np.ndarray
     u: np.ndarray
     sigma2_k1: np.ndarray
@@ -98,7 +94,7 @@ def compute_meb(real: ChannelRealization) -> BeamformingSolution:
     v, u = _fix_phase(v, u)
     for a in (v, u, sigma2_k1):
         a.setflags(write=False)
-    return BeamformingSolution(scheme=MEB, v=v, u=u, sigma2_k1=sigma2_k1)
+    return BeamformingSolution(v=v, u=u, sigma2_k1=sigma2_k1)
 
 
 def compute_zfb(real: ChannelRealization) -> BeamformingSolution:
@@ -137,7 +133,7 @@ def compute_zfb(real: ChannelRealization) -> BeamformingSolution:
     c /= np.linalg.norm(c, axis=-2)[..., None, :]
     v = (q @ c).swapaxes(-1, -2)
     v.setflags(write=False)
-    return BeamformingSolution(scheme=ZFB, v=v, u=meb.u, sigma2_k1=meb.sigma2_k1)
+    return BeamformingSolution(v=v, u=meb.u, sigma2_k1=meb.sigma2_k1)
 
 
 def compute_beams(real: ChannelRealization, scheme: str) -> BeamformingSolution:
@@ -151,33 +147,3 @@ def compute_beams(real: ChannelRealization, scheme: str) -> BeamformingSolution:
     if scheme == ZFB:
         return compute_zfb(real)
     raise ValueError(f"unknown scheme {scheme!r}")
-
-
-def nulling_residuals(real: ChannelRealization, beams: BeamformingSolution):
-    """Residual leakage of the transmit beams, for diagnostics and audits.
-
-    Returns:
-        (pu_residual, stream_residual): per-SU maxima of |v_k^H hhat_l0|^2
-        over receiving PUs (zeros when l_rx = 0) and of |u_k^H H_k v_j|^2
-        over j != k.
-    """
-    pu_res = (np.abs(beams.v.conj() @ real.hhat_pu_rx.T) ** 2).max(axis=1, initial=0.0)
-    eff = _cross_gains(real, beams.v, beams.u)
-    np.fill_diagonal(eff, 0.0)
-    return pu_res, eff.max(axis=1)
-
-
-def export_diagnostics(real: ChannelRealization, beams: BeamformingSolution, path):
-    """Write one CSV row per SU: scheme, gains and nulling residuals."""
-    pu_res, stream_res = nulling_residuals(real, beams)
-    gain = np.diagonal(_cross_gains(real, beams.v, beams.u))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["scheme", "su", "sigma2_k1", "gain", "max_pu_residual", "max_stream_residual"]
-        )
-        for k in range(real.k_su):
-            writer.writerow(
-                [beams.scheme, k, repr(float(beams.sigma2_k1[k])), repr(float(gain[k])),
-                 repr(float(pu_res[k])), repr(float(stream_res[k]))]
-            )

@@ -267,32 +267,31 @@ def _single_solve(spec: ExperimentSpec):
     config = spec.config
     real = generate_channels(config, spec.seed)
 
-    def solve(scheme):
+    def solve(scheme, policy):
         beams = compute_beams(real, scheme)
         links = evaluate_links(real, beams.v, beams.u, config)
-        for policy in spec.policies:
-            if policy == POLICY_LF:
-                alloc = solve_lf(links, scheme, config)
-                p, feasible = alloc.p, alloc.feasible
-            else:
-                p_eq = spec.p_eq
-                if p_eq is None and policy == POLICY_EQUAL_POWER_OPT:
-                    p_eq = analytics.optimize_equal_power(scheme, config).p_eq
-                if p_eq is None:
-                    p_eq = config.p0 / config.k_su
-                p = equal_power(config, p_eq)
-                feasible = bool(slack_from_links(links, p, config)[0].all_met())
-            print(f"single_solve scheme={scheme} policy={policy} feasible={feasible}")
-            for k, pk in enumerate(p):
-                db = float(linear_to_db(pk)) if pk > 0 else float("-inf")
-                print(f"  P_{k} = {pk:.6e} ({db:+.2f} dB)" if pk > 0
-                      else f"  P_{k} = {pk:.6e}")
-                yield [k, _fmt(float(pk)), _fmt(db), scheme, policy, feasible, ""]
+        if policy == POLICY_LF:
+            alloc = solve_lf(links, scheme, config)
+            p, feasible = alloc.p, alloc.feasible
+        else:
+            p_eq = spec.p_eq
+            if p_eq is None and policy == POLICY_EQUAL_POWER_OPT:
+                p_eq = analytics.optimize_equal_power(scheme, config).p_eq
+            if p_eq is None:
+                p_eq = config.p0 / config.k_su
+            p = equal_power(config, p_eq)
+            feasible = bool(slack_from_links(links, p, config)[0].all_met())
+        print(f"single_solve scheme={scheme} policy={policy} feasible={feasible}")
+        for k, pk in enumerate(p):
+            db = float(linear_to_db(pk)) if pk > 0 else float("-inf")
+            print(f"  P_{k} = {pk:.6e} ({db:+.2f} dB)" if pk > 0
+                  else f"  P_{k} = {pk:.6e}")
+            yield [k, _fmt(float(pk)), _fmt(db), scheme, policy, feasible, ""]
 
     header = ["su", "p", "p_db", "scheme", "policy", "feasible", "error"]
-    return header, ((f"single_solve scheme={scheme}", solve(scheme),
-                     [["", "", "", scheme, policy, ""] for policy in spec.policies])
-                    for scheme in spec.schemes)
+    return header, ((f"single_solve scheme={scheme} policy={policy}", solve(scheme, policy),
+                     [["", "", "", scheme, policy, ""]])
+                    for scheme in spec.schemes for policy in spec.policies)
 
 
 @dataclass(frozen=True)

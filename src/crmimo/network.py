@@ -301,14 +301,11 @@ def generate_channels(config: NetworkConfig, seed) -> ChannelRealization:
     return ChannelRealization(**arrays)
 
 
-def _cross_gains(real: ChannelRealization, v, u) -> np.ndarray:
-    """(..., k_su, k_su) matrix of |u_k^H H_k v_j|^2: SU k's receiver, stream j."""
-    g = (u.conj()[..., None, :] @ real.h_su)[..., 0, :]
-    return np.abs(g @ v.swapaxes(-1, -2)) ** 2
-
-
 def evaluate_links(real: ChannelRealization, v, u, config: NetworkConfig) -> LinkMetrics:
     """Compute the power-independent gains of a beam choice once.
+
+    The one link-gain kernel: at sigma2_delta = 0, leak_est and the
+    off-diagonal of cross are the nulling residuals of ZF beams.
 
     Args:
         v: (..., k_su, m_b) transmit beams, leading axes as in real.
@@ -322,12 +319,13 @@ def evaluate_links(real: ChannelRealization, v, u, config: NetworkConfig) -> Lin
     for name, arr, shape in (("v", v, (*lead, k, real.m_b)), ("u", u, (*lead, k, real.m_u))):
         if arr.shape != shape:
             raise ValueError(f"{name} must have shape {shape}, got {arr.shape}")
-    # |u_k^H h_lk|^2 of each transmitting PU l at SU k
     uc = u.conj()
+    g = (uc[..., None, :] @ real.h_su)[..., 0, :]  # u_k^H H_k
+    # |u_k^H h_lk|^2 of each transmitting PU l at SU k
     pu_true = np.abs(np.einsum("...ku,...lku->...lk", uc, real.h_pu_tx)) ** 2
     pu_est = np.abs(np.einsum("...ku,...lku->...lk", uc, real.hhat_pu_tx)) ** 2
     return LinkMetrics(
-        cross=_cross_gains(real, v, u),
+        cross=np.abs(g @ v.swapaxes(-1, -2)) ** 2,
         pu_to_su_true=config.p_p * pu_true.sum(axis=-2),
         pu_to_su_est=config.p_p * (pu_est + config.sigma2_delta).sum(axis=-2),
         leak_true=np.abs(v.conj() @ real.h_pu_rx.swapaxes(-1, -2)) ** 2,

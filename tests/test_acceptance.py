@@ -23,7 +23,7 @@ from scipy.integrate import quad
 
 import conftest
 from crmimo import analytics
-from crmimo.beamforming import MEB, ZFB, compute_meb, compute_zfb, nulling_residuals
+from crmimo.beamforming import MEB, ZFB, compute_meb, compute_zfb
 from crmimo.montecarlo import (
     POLICY_EQUAL_POWER,
     empirical_cdf,
@@ -42,6 +42,7 @@ from crmimo.power import (
     verify_allocation,
 )
 from crmimo.specfun import regularized_incomplete_beta, regularized_lower_gamma
+from test_beamforming import residuals
 
 SEED = 2
 BASELINE = NetworkConfig()  # m_b=64, k_su=10, i0=-3dB, r0=1, p0=10dB, s2d=0.01
@@ -242,7 +243,7 @@ class TestCriterion7:
         for i in range(200):
             real = generate_channels(BASELINE, trial_seed(SEED, i))
             beams = compute_zfb(real)
-            pu_res, stream_res = nulling_residuals(real, beams)
+            pu_res, stream_res = residuals(real, beams, BASELINE)
             worst_pu = max(worst_pu, float(pu_res.max()))
             worst_stream = max(worst_stream, float((stream_res / beams.sigma2_k1).max()))
         ok = worst_pu < 1e-18 and worst_stream < 1e-18

@@ -588,6 +588,19 @@ class TestServingProbability:
         expect = [q_k(scheme, cfg, 0.1), 0.0, q_k(scheme, cfg, 1e-3), q_k(scheme, cfg, 1e-300)]
         assert np.array_equal(q_k(scheme, cfg, grid), expect)
 
+    # float-range cases that q_k's own error state covers, as a float and in an array
+    RAISING = [(ZFB, BASE, 1e-320), (ZFB, NetworkConfig(l_tx=0), 5e-324),
+               (MEB, BASE, 1e-160), (MEB, NetworkConfig(k_su=1, l_tx=0), 1e-315)]
+
+    @pytest.mark.parametrize("scheme, cfg, p", RAISING)
+    def test_float_range_rule_ignores_callers_error_state(self, scheme, cfg, p):
+        for power in (p, np.array([p, 0.1])):
+            expect = q_k(scheme, cfg, power)
+            with np.errstate(over="raise", divide="raise", invalid="raise"):
+                got = q_k(scheme, cfg, power)
+            assert type(got) is type(expect)
+            assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
+
     @pytest.mark.filterwarnings("error")
     def test_subnormal_budget_optimum(self):
         for scheme in (MEB, ZFB):
@@ -839,6 +852,16 @@ class TestEqualPowerSearch:
         # first maximum on the 256-point log grid sits within one cell of p_min
         cell = (p_max / p_min) ** (1 / 255)
         assert p_min * 0.999 <= opt.p_eq <= p_min * cell * 1.001
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scheme", [MEB, ZFB])
+    def test_zero_threshold_optimum(self, scheme):
+        # 2^r0 - 1 rounds to 0, so p_min is 0 and every positive power serves
+        cfg = NetworkConfig(r0=1e-17, i0=1e6)
+        assert equal_power_bounds(cfg)[0] == 0.0
+        opt = optimize_equal_power(scheme, cfg)
+        assert opt.range_feasible and 0.0 < opt.p_eq <= cfg.p0 / cfg.k_su
+        assert opt.q == q_k(scheme, cfg, opt.p_eq) == 1.0
 
     def test_infeasible_range(self):
         cfg = NetworkConfig(p0=1e-9, r0=10.0)

@@ -1,6 +1,5 @@
 """Beamforming schemes against eigensolver oracles and exact identities."""
 
-import csv
 from dataclasses import fields, replace
 
 import numpy as np
@@ -15,8 +14,6 @@ from crmimo.beamforming import (
     compute_beams,
     compute_meb,
     compute_zfb,
-    export_diagnostics,
-    nulling_residuals,
 )
 from crmimo.network import NetworkConfig, evaluate_links, generate_channels
 
@@ -34,6 +31,15 @@ def make(seed=0, **kw):
 def link_gain(real, beams, cfg):
     """Effective link gains |u_k^H H_k v_k|^2, the diagonal of the links' cross gains."""
     return np.diagonal(evaluate_links(real, beams.v, beams.u, cfg).cross, axis1=-2, axis2=-1)
+
+
+def residuals(real, beams, cfg):
+    """Per-SU nulling residuals, read from the link gains at sigma2_delta = 0:
+    the maxima of |v_k^H hhat_l|^2 over receiving PUs (zeros when l_rx = 0)
+    and of |u_k^H H_k v_j|^2 over j != k."""
+    links = evaluate_links(real, beams.v, beams.u, cfg.replace(sigma2_delta=0.0))
+    np.fill_diagonal(links.cross, 0.0)
+    return links.leak_est.max(axis=-1, initial=0.0), links.cross.max(axis=-1)
 
 
 def assert_principal_pair(hk, sigma2, u, v):
@@ -116,7 +122,6 @@ class TestZfb:
     def test_unit_norms_and_scheme(self):
         _, real = make()
         beams = compute_zfb(real)
-        assert beams.scheme == ZFB
         assert np.allclose(np.linalg.norm(beams.v, axis=1), 1.0, atol=1e-10)
         assert np.allclose(np.linalg.norm(beams.u, axis=1), 1.0, atol=1e-10)
 
@@ -126,9 +131,9 @@ class TestZfb:
 
     def test_nulling(self):
         for seed in range(20):
-            _, real = make(seed=seed)
+            cfg, real = make(seed=seed)
             beams = compute_zfb(real)
-            pu_res, stream_res = nulling_residuals(real, beams)
+            pu_res, stream_res = residuals(real, beams, cfg)
             assert pu_res.max() < 1e-18
             assert (stream_res / beams.sigma2_k1).max() < 1e-18
 
@@ -154,9 +159,9 @@ class TestZfb:
         assert np.mean(ratios) > 0.8
 
     def test_no_receiving_pus(self):
-        _, real = make(l_rx=0)
+        cfg, real = make(l_rx=0)
         beams = compute_zfb(real)
-        pu_res, stream_res = nulling_residuals(real, beams)
+        pu_res, stream_res = residuals(real, beams, cfg)
         assert np.all(pu_res == 0)
         assert stream_res.max() < 1e-18
 
@@ -209,7 +214,7 @@ class TestZfbOracle:
     def test_nulling_residuals_relative_to_gain(self, shape):
         cfg, real = make(seed=5, **shape)
         beams = compute_zfb(real)
-        pu_res, stream_res = nulling_residuals(real, beams)
+        pu_res, stream_res = residuals(real, beams, cfg)
         gain = link_gain(real, beams, cfg)
         assert (pu_res / gain).max() < 1e-20
         assert (stream_res / gain).max() < 1e-20
@@ -243,25 +248,9 @@ class TestComputeBeams:
 
 
 class TestDiagnostics:
-    def test_export(self, tmp_path):
-        cfg, real = make()
-        beams = compute_zfb(real)
-        gain = link_gain(real, beams, cfg)
-        path = tmp_path / "diag.csv"
-        export_diagnostics(real, beams, path)
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == real.k_su
-        assert rows[0]["scheme"] == ZFB
-        for k, row in enumerate(rows):
-            assert int(row["su"]) == k
-            assert float(row["gain"]) == gain[k]
-            assert float(row["max_pu_residual"]) < 1e-18
-
     def test_solution_reuse(self):
         _, real = make()
         beams = compute_meb(real)
         assert isinstance(beams, BeamformingSolution)
-        assert beams.scheme == MEB
         with pytest.raises(ValueError):
             beams.v[0, 0] = 0  # read-only

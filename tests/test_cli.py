@@ -254,7 +254,9 @@ class TestSingleSolve:
                      "--set", "k_su=3", "--policies", "LF,EQUAL_POWER",
                      "--out", str(tmp_path)])
         assert code == EXIT_OK
-        assert "scheme=ZFB error=AntennaShortageError" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        for policy in ("LF", "EQUAL_POWER"):
+            assert f"scheme=ZFB policy={policy} error=AntennaShortageError" in out
         header, body = read_csv(tmp_path / "single_solve.csv")
         assert header[-1] == "error"
         assert [(row[3], row[4]) for row in body[:6]] == [
@@ -269,6 +271,21 @@ class TestSingleSolve:
         with open(tmp_path / "single_solve_zfb_lf.dat") as fh:
             (line,) = [ln.split() for ln in fh if not ln.startswith("#")]
         assert line == ["nan", "nan", "nan", "ZFB", "LF", "nan", "AntennaShortageError"]
+
+    def test_failed_policy_keeps_the_others(self, tmp_path, capsys):
+        # r0 = 0.125 with one SU pair and no transmitting PU gives the optimizer a
+        # MEB inverse-gamma shape near 5e5, where the gamma series does not converge
+        code = main(["--experiment", "single_solve", "--schemes", "MEB",
+                     "--policies", "LF,EQUAL_POWER_OPT", "--set", "k_su=2",
+                     "--set", "l_tx=0", "--set", "r0=0.125", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert ("single_solve scheme=MEB policy=EQUAL_POWER_OPT error=ArithmeticError"
+                in capsys.readouterr().out)
+        _, body = read_csv(tmp_path / "single_solve.csv")
+        assert [(row[0], row[4], row[-1]) for row in body[:2]] == [
+            ("0", "LF", ""), ("1", "LF", "")]
+        assert all(row[1] != "" for row in body[:2])
+        assert body[2:] == [["", "", "", "MEB", "EQUAL_POWER_OPT", "", "ArithmeticError"]]
 
     def test_equal_power_policy(self, tmp_path, capsys):
         code = main(["--experiment", "single_solve", *TINY,

@@ -167,6 +167,13 @@ class TestServingLogic:
         res = run_trials(cfg, MEB, POLICY_EQUAL_POWER_OPT, 5, seed=0)
         assert res.n_failed == 0 and 0.0 <= res.p_served <= 1.0
 
+    @pytest.mark.parametrize("scheme", [MEB, ZFB])
+    def test_opt_policy_at_a_zero_threshold(self, scheme):
+        # 2^r0 - 1 rounds to 0: the optimizer's bracket has no log floor of its own
+        res = run_trials(SMALL.replace(r0=1e-17, i0=1e6), scheme, POLICY_EQUAL_POWER_OPT,
+                         5, seed=0)
+        assert res.n_failed == 0 and res.p_served == 1.0 and res.p_eq > 0
+
     @pytest.mark.parametrize("scheme", ["meb", "bogus"])
     @pytest.mark.parametrize("policy", [POLICY_LF, POLICY_EQUAL_POWER])
     def test_unknown_scheme_rejected(self, scheme, policy):

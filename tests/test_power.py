@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from crmimo.beamforming import compute_meb, compute_zfb
+from crmimo.beamforming import MEB, ZFB, compute_meb, compute_zfb
 from crmimo.network import NetworkConfig, evaluate_links, generate_channels
 from crmimo.power import (
     PowerAllocation,
@@ -223,9 +223,10 @@ class TestEqualRateZfb:
 class TestSolveLf:
     def test_dispatch_follows_beam_scheme(self):
         cfg, real = scenario()
-        for beams, solver in ((compute_meb(real), solve_lf_meb), (compute_zfb(real), solve_lf_zfb)):
+        for scheme, beams, solver in ((MEB, compute_meb(real), solve_lf_meb),
+                                      (ZFB, compute_zfb(real), solve_lf_zfb)):
             links = links_of(real, beams, cfg)
-            got, want = solve_lf(links, beams.scheme, cfg), solver(links, cfg)
+            got, want = solve_lf(links, scheme, cfg), solver(links, cfg)
             assert got.feasible == want.feasible and got.blocking == want.blocking
             assert np.array_equal(got.p, want.p)
 

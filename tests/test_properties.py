@@ -18,14 +18,14 @@ from crmimo.analytics import (
     zfb_sinr_exact_cdf,
     zfb_sinr_params,
 )
-from crmimo.beamforming import MEB, ZFB, compute_beams, compute_meb, compute_zfb, nulling_residuals
+from crmimo.beamforming import MEB, ZFB, compute_beams, compute_meb, compute_zfb
 from crmimo.network import NetworkConfig, evaluate_links, generate_channels
 from crmimo.power import lf_meb_constraints, slack_from_links, solve_lf
 
 from crmimo.montecarlo import empirical_cdf
 
 from test_analytics import ks_against
-from test_beamforming import assert_principal_pair
+from test_beamforming import assert_principal_pair, residuals
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -55,7 +55,7 @@ def test_beam_invariants(case):
     for k in range(config.k_su):
         assert_principal_pair(real.h_su[k], meb.sigma2_k1[k], meb.u[k], meb.v[k])
     assert np.array_equal(zfb.u, meb.u)
-    pu_res, stream_res = nulling_residuals(real, zfb)
+    pu_res, stream_res = residuals(real, zfb, config)
     assert pu_res.max() < 1e-18
     assert (stream_res / zfb.sigma2_k1).max() < 1e-18
 
