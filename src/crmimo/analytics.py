@@ -533,11 +533,12 @@ def q_k(scheme: str, config: NetworkConfig, p_eq: float | np.ndarray) -> float |
         raise ValueError(f"unknown scheme {scheme!r}")
     if isinstance(p_eq, np.ndarray):
         # out of the float range a parameter is 0, inf or NaN and a CDF term
-        # overflows, silently as for a float whatever the caller's error state
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        # over- or underflows, silently as for a float whatever the caller's
+        # error state
+        with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
             law, params, sinr_scale = sinr_law(config, p_eq)
             leak = p_eq * sigma2_leak
-        with np.errstate(over="ignore", divide="ignore"):
+        with np.errstate(over="ignore", under="ignore", divide="ignore"):
             exceed = 1.0 - _cdf_in_range(law, params, sinr_scale, thr)
             comply = _cdf_in_range(GammaParams, (float(config.k_su), leak), leak, config.i0)
     else:
@@ -601,7 +602,8 @@ def optimize_equal_power(scheme: str, config: NetworkConfig) -> EqualPowerOptimu
 
     A 256-point log-spaced grid scan (one array call of q_k) guards
     against local maxima, then golden-section refines around the best
-    grid cell with scalar calls.  Exact ties keep
+    grid cell with scalar calls, unless the grid already reaches the
+    ceiling q = 1.  Exact ties keep
     the lowest power (the grid argmax takes the first maximum and
     refinement must strictly improve to replace it).
     """
@@ -616,6 +618,9 @@ def optimize_equal_power(scheme: str, config: NetworkConfig) -> EqualPowerOptimu
     values = q_k(scheme, config, grid)
     best = int(np.argmax(values))
     best_p, best_q = float(grid[best]), float(values[best])
+    if best_q == 1.0:
+        # q_k <= 1 and refinement must strictly improve: nothing to refine
+        return EqualPowerOptimum(p_eq=best_p, q=best_q, range_feasible=True)
 
     a = math.log10(grid[max(best - 1, 0)])
     b = math.log10(grid[min(best + 1, _GRID_POINTS - 1)])

@@ -7,10 +7,14 @@ ZFB keeps the MEB receive beams but picks transmit beams from the
 pseudo-inverse of the stacked equivalent SU channels and estimated
 receiving-PU channels, so each stream nulls the other SUs and the PU
 estimates.  ZFB needs m_b > k_su - 1 + l_rx spatial degrees of freedom.
-The beams come from a reduced QR of the stacking matrix G = QR, as
-Q R^-H, and the 1e-10 rank cutoff reads the singular values of the small
-R, which are those of G.  No Gram matrix is formed: it would square the
-condition number, and the cutoff could no longer be resolved.
+The beams are Q R^-H from a reduced QR of the stacking matrix G = QR,
+taken as G R^-1 R^-H from the R factor alone: Q is never formed.  The
+1e-10 rank cutoff is settled by the bound cond(R) <= |R|_F |R^-1|_F
+where it can be; only where the bound is inconclusive does an SVD of the
+small R, whose singular values are those of G, decide it.  No Gram
+matrix G^H G is formed: it would square the condition number, and the
+cutoff could no longer be resolved.  Nulling is accurate to about
+cond(G) eps relative to the link gain, as R^-1 R^-H is applied to G.
 """
 
 from __future__ import annotations
@@ -120,18 +124,27 @@ def compute_zfb(real: ChannelRealization) -> BeamformingSolution:
     g = meb.v.swapaxes(-1, -2) * np.sqrt(meb.sigma2_k1)[..., None, :]
     big_g = np.concatenate([g, real.hhat_pu_rx.swapaxes(-1, -2)], axis=-1)
 
-    q, r = np.linalg.qr(big_g)
-    # R has the singular values of G
-    s = np.linalg.svd(r, compute_uv=False)
-    if np.any(s[..., -1] < _COND_TOL * s[..., 0]):
-        raise IllConditionedError(
-            f"ZF stacking matrix has condition number {np.max(s[..., 0] / s[..., -1]):.3e}"
-        )
-    # the SU-stream columns of pinv(G)^H = Q R^-H, normalized on the small
-    # side: Q has orthonormal columns, so it keeps their norms
-    c = np.linalg.inv(r)[..., :k, :].conj().swapaxes(-1, -2)
+    r = np.linalg.qr(big_g, mode="r")
+    try:
+        r_inv = np.linalg.inv(r)
+        # cond_2(R) <= |R|_F |R^-1|_F: a product below half the cutoff proves
+        # the rank, with room for rounding in the computed R^-1
+        proven = np.all(np.linalg.norm(r, axis=(-2, -1)) * np.linalg.norm(r_inv, axis=(-2, -1))
+                        < 0.5 / _COND_TOL)
+    except np.linalg.LinAlgError:
+        r_inv, proven = None, False
+    if not proven:
+        # R has the singular values of G
+        s = np.linalg.svd(r, compute_uv=False)
+        if r_inv is None or np.any(s[..., -1] < _COND_TOL * s[..., 0]):
+            with np.errstate(divide="ignore"):  # s[-1] = 0 for an exactly singular R
+                cond = np.max(s[..., 0] / s[..., -1])
+            raise IllConditionedError(f"ZF stacking matrix has condition number {cond:.3e}")
+    # the SU-stream columns of pinv(G)^H = Q R^-H = G R^-1 R^-H, normalized
+    # on the small side: Q has orthonormal columns, so it keeps their norms
+    c = r_inv[..., :k, :].conj().swapaxes(-1, -2)
     c /= np.linalg.norm(c, axis=-2)[..., None, :]
-    v = (q @ c).swapaxes(-1, -2)
+    v = (big_g @ (r_inv @ c)).swapaxes(-1, -2)
     v.setflags(write=False)
     return BeamformingSolution(v=v, u=meb.u, sigma2_k1=meb.sigma2_k1)
 

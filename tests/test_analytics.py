@@ -596,10 +596,17 @@ class TestServingProbability:
     def test_float_range_rule_ignores_callers_error_state(self, scheme, cfg, p):
         for power in (p, np.array([p, 0.1])):
             expect = q_k(scheme, cfg, power)
-            with np.errstate(over="raise", divide="raise", invalid="raise"):
+            with np.errstate(all="raise"):
                 got = q_k(scheme, cfg, power)
             assert type(got) is type(expect)
             assert np.asarray(got).tobytes() == np.asarray(expect).tobytes()
+
+    def test_underflow_ignores_callers_error_state(self):
+        # the ZFB SINR law's terms underflow at 1e-320; the default-state bytes
+        with np.errstate(all="raise"):
+            assert q_k(ZFB, BASE, 1e-320) == 0.0
+            got = q_k(ZFB, BASE, np.array([1e-320, 0.1]))
+        assert got.tobytes() == np.array([0.0, float.fromhex("0x1.fafec004ec449p-1")]).tobytes()
 
     @pytest.mark.filterwarnings("error")
     def test_subnormal_budget_optimum(self):
@@ -852,6 +859,20 @@ class TestEqualPowerSearch:
         # first maximum on the 256-point log grid sits within one cell of p_min
         cell = (p_max / p_min) ** (1 / 255)
         assert p_min * 0.999 <= opt.p_eq <= p_min * cell * 1.001
+
+    def test_grid_at_ceiling_skips_refinement(self, monkeypatch):
+        # the default ZFB config reaches q = 1 on the grid; the first such
+        # grid point is the optimum and the grid is the only q_k call
+        opt = optimize_equal_power(ZFB, BASE)
+        p_min, p_max = equal_power_bounds(BASE)
+        grid = np.logspace(math.log10(p_min), math.log10(p_max), 256)
+        values = q_k(ZFB, BASE, grid)
+        assert opt == EqualPowerOptimum(p_eq=float(grid[np.argmax(values == 1.0)]), q=1.0,
+                                        range_feasible=True)
+        calls = []
+        monkeypatch.setattr(analytics, "q_k", lambda *a: calls.append(a) or q_k(*a))
+        assert optimize_equal_power(ZFB, BASE) == opt
+        assert len(calls) == 1
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scheme", [MEB, ZFB])

@@ -186,13 +186,16 @@ class TestZfb:
             compute_zfb(replace(real, hhat_pu_rx=hhat))
 
 
-def pinv_beams(real):
-    """Unit-norm SU-stream columns of pinv(G)^H, G stacking H_k^H u_k and the
-    estimated receiving-PU channels: the ZF beams by their definition."""
+def stacking(real):
+    """G, stacking H_k^H u_k and the estimated receiving-PU channels as columns."""
     u = compute_meb(real).u
     g = [real.h_su[k].conj().T @ u[k] for k in range(real.k_su)]
-    g += list(real.hhat_pu_rx)
-    cols = np.linalg.pinv(np.array(g).T).conj().T[:, :real.k_su]
+    return np.array(g + list(real.hhat_pu_rx)).T
+
+
+def pinv_beams(real):
+    """Unit-norm SU-stream columns of pinv(G)^H: the ZF beams by their definition."""
+    cols = np.linalg.pinv(stacking(real)).conj().T[:, :real.k_su]
     return (cols / np.linalg.norm(cols, axis=0)).T
 
 
@@ -236,6 +239,83 @@ class TestZfbOracle:
         reals[1] = replace(reals[1], hhat_pu_rx=hhat)
         with pytest.raises(IllConditionedError):
             compute_zfb(stack(reals))
+
+
+def tilted(kappa, seed=0):
+    """A realization whose G has condition number kappa to about 1e-6: the
+    second receiving-PU estimate is the first plus delta times its own draw,
+    and cond(G) goes as 1/delta."""
+    cfg, real = make(seed=seed, l_rx=2)
+    hhat = real.hhat_pu_rx.copy()
+    own = hhat[1].copy()
+    delta = 1e-9
+    for _ in range(4):
+        hhat[1] = hhat[0] + delta * own
+        real = replace(real, hhat_pu_rx=hhat.copy())
+        delta *= np.linalg.cond(stacking(real)) / kappa
+    return cfg, real
+
+
+def svd_rule_fires(real):
+    """The 1e-10 rank cutoff read from every singular value of G's R factor."""
+    s = np.linalg.svd(np.linalg.qr(stacking(real), mode="r"), compute_uv=False)
+    return s[-1] < 1e-10 * s[0]
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count the SVDs compute_zfb runs."""
+    calls = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: calls.append(a.shape) or svd(a, **kw))
+    return calls
+
+
+class TestZfbCutoff:
+    """The Frobenius bound cond(R) <= |R|_F |R^-1|_F settles the rank cutoff
+    without an SVD; where it cannot, the SVD rule decides."""
+
+    @pytest.mark.parametrize("shape", ZF_SHAPES)
+    def test_well_conditioned_runs_no_svd(self, shape, svd_calls):
+        cfg, _ = make(**shape)
+        compute_zfb(stack([generate_channels(cfg, seed) for seed in range(3)]))
+        assert svd_calls == []
+
+    def test_inconclusive_bound_falls_back_to_svd(self, svd_calls):
+        # n = 7 columns: cond = 7e9 lies between 1e10/n and the cutoff, and
+        # |R|_F |R^-1|_F >= cond is past the bound's half-cutoff margin
+        cfg, real = tilted(7e9)
+        reals = [generate_channels(cfg, 1), real, generate_channels(cfg, 2)]
+        beams = compute_zfb(stack(reals))
+        assert svd_calls == [(3, 7, 7)]
+        single = compute_zfb(real)
+        assert np.array_equal(beams.v[1], single.v)
+        pu_res, stream_res = residuals(real, single, cfg)
+        gain = link_gain(real, single, cfg)
+        # nulling accuracy is about cond(G) eps
+        assert (pu_res / gain).max() < 1e-10 and (stream_res / gain).max() < 1e-10
+
+    @pytest.mark.parametrize("kappa", [2e9, 7e9, 9.9e9, 1.01e10, 1.5e10])
+    def test_raises_exactly_where_svd_rule_fires(self, kappa):
+        cfg, real = tilted(kappa)
+        assert svd_rule_fires(real) == (kappa > 1e10)
+        if kappa > 1e10:
+            with pytest.raises(IllConditionedError):
+                compute_zfb(stack([generate_channels(cfg, 1), real]))
+        else:
+            compute_zfb(real)
+
+    @pytest.mark.filterwarnings("error")
+    def test_exactly_singular_r_raises_ill_conditioned(self):
+        # a zero PU estimate makes a zero column of G and an exact zero
+        # on R's diagonal, where inv(R) raises LinAlgError
+        _, real = make(l_rx=2)
+        hhat = real.hhat_pu_rx.copy()
+        hhat[1] = 0.0
+        real = replace(real, hhat_pu_rx=hhat)
+        assert np.linalg.qr(stacking(real), mode="r")[-1, -1] == 0.0
+        with pytest.raises(IllConditionedError, match="condition number inf"):
+            compute_zfb(real)
 
 
 class TestComputeBeams:
