@@ -13,11 +13,23 @@ The law functions and q_k also take a 1-D array of powers and then
 return laws with array parameters and an array of q_k values.  Every
 CDF, the laws' cdf methods and the public *_cdf functions, takes a
 float or an array of points, so a KS validation takes one call per pass
-over its samples.  All of them share two rules: _bounded_cdf gives 0 at
+over its samples.  All of them share two rules: _bounded gives 0 at
 s <= 0 and 1 at s = inf around each law's formula for the points
 between, and _check_point makes each public *_cdf reject a negative or
 NaN point.
 Array results equal scalar calls bit for bit (see specfun for how).
+
+q_k runs in two stages.  _q_kernel(scheme, config) validates the config
+and computes every constant that depends on it alone (2^r0 - 1,
+E[sigma2_k1], sigma2_leak, the MEB PU moments, k_n, k_d, the law class)
+once, and returns the per-power kernel; q_k applies it once, and
+optimize_equal_power builds it once and sends its grid and every
+golden-section point through it.  A float power calls each law's one CDF
+formula, the one its dataclass .cdf calls, after inline range checks,
+without building a dataclass.  An array of powers puts the MEB
+inverse-gamma SINR term and the gamma interference term through one
+regularized_lower_gamma call over their concatenated (shape, point)
+arrays, so the series and continued-fraction loops run once per grid.
 
 The mean principal Wishart eigenvalue E[sigma2_k1] that the models
 need is estimated once per shape by Monte Carlo and cached, with
@@ -62,15 +74,21 @@ __all__ = [
 ]
 
 
-def _check_positive(name: str, val):
-    """Raise ValueError unless val (a float or an array) is finite and positive."""
+# the least float whose math.lgamma overflows: a gamma shape at or above it
+# is out of the float range, as an infinite one is
+_SHAPE_MAX = float.fromhex("0x1.754d9278b51a8p+1014")
+
+
+def _check_positive(name: str, val, upper: float = math.inf):
+    """Raise ValueError unless val (a float or an array) is positive and below upper."""
     if isinstance(val, np.ndarray):
-        bad = ~(np.isfinite(val) & (val > 0.0))
+        bad = ~((val > 0.0) & (val < upper))
         if not bad.any():
             return
         val = val[bad][0].item()
-    if not math.isfinite(val) or val <= 0:
-        raise ValueError(f"{name} must be finite and positive, got {val!r}")
+    if not 0.0 < val < upper:
+        bound = "finite and positive" if upper == math.inf else f"positive and below {upper!r}"
+        raise ValueError(f"{name} must be {bound}, got {val!r}")
 
 
 def _square(v):
@@ -92,8 +110,8 @@ def _check_point(name: str, s):
         raise ValueError(f"{name} must be nonnegative, got {s!r}")
 
 
-def _bounded_cdf(formula):
-    """Make formula(law, s), the law's CDF at 0 < s < inf, its CDF at every s.
+def _bounded(formula, s, *params):
+    """formula(s, *params), a law's CDF at 0 < s < inf, extended to every s.
 
     0.0 at s <= 0 and 1.0 at s = inf are Python floats for a float s,
     whatever the law's parameters; other floats reach formula as floats.
@@ -101,41 +119,64 @@ def _bounded_cdf(formula):
     with numpy's overflow and divide warnings off as Python floats have
     none; a law with array parameters takes only boundary-free arrays.
     """
-    def cdf(law, s):
-        if not isinstance(s, np.ndarray):
-            if s <= 0.0:
-                return 0.0
-            return 1.0 if s == math.inf else formula(law, float(s))
-        top = s == math.inf
-        mid = ~((s <= 0.0) | top)
-        with np.errstate(over="ignore", divide="ignore"):
-            if mid.all():
-                return formula(law, s)
-            out = np.where(top, 1.0, 0.0)
-            if mid.any():
-                out[mid] = formula(law, s[mid])
-        return out
-    return cdf
+    if not isinstance(s, np.ndarray):
+        if s <= 0.0:
+            return 0.0
+        return 1.0 if s == math.inf else formula(float(s), *params)
+    top = s == math.inf
+    mid = ~((s <= 0.0) | top)
+    with np.errstate(over="ignore", divide="ignore"):
+        if mid.all():
+            return formula(s, *params)
+        out = np.where(top, 1.0, 0.0)
+        if mid.any():
+            out[mid] = formula(s[mid], *params)
+    return out
+
+
+class _Law:
+    """A law's parameters as dataclass fields and its CDF _formula(s, *params)
+    at 0 < s < inf.  Each parameter must be positive and below its entry of
+    _upper (inf: finite), so that the formula stays in the float range."""
+
+    def __post_init__(self):
+        for (name, val), upper in zip(vars(self).items(), self._upper):
+            _check_positive(name, val, upper)
+
+    def cdf(self, s: float | np.ndarray) -> float | np.ndarray:
+        """The CDF at s, a float or an array of points (see _bounded)."""
+        return _bounded(self._formula, s, *vars(self).values())
+
+
+class _GammaFamily(_Law):
+    """A law whose CDF at 0 < s < inf is _from_gamma(P(k, z)), with P the
+    regularized lower incomplete gamma and (k, z) = _gamma_args(s, *params)."""
+
+    _upper = (_SHAPE_MAX, math.inf)
+
+    @classmethod
+    def _formula(cls, s, *params):
+        return cls._from_gamma(regularized_lower_gamma(*cls._gamma_args(s, *params)))
 
 
 @dataclass(frozen=True)
-class GammaParams:
+class GammaParams(_GammaFamily):
     """Gamma distribution with density x^(shape-1) e^(-x/scale)."""
 
     shape: float
     scale: float
 
-    def __post_init__(self):
-        _check_positive("shape", self.shape)
-        _check_positive("scale", self.scale)
+    @staticmethod
+    def _gamma_args(x, shape, scale):
+        return shape, x / scale
 
-    @_bounded_cdf
-    def cdf(self, x: float | np.ndarray) -> float | np.ndarray:
-        return regularized_lower_gamma(self.shape, x / self.scale)
+    @staticmethod
+    def _from_gamma(p):
+        return p
 
 
 @dataclass(frozen=True)
-class InverseGammaParams:
+class InverseGammaParams(_GammaFamily):
     """Inverse-gamma distribution; theta is the reciprocal of the scale.
 
     If X ~ Gamma(shape, theta) then 1/X has this law, so
@@ -145,20 +186,21 @@ class InverseGammaParams:
     shape: float
     theta: float
 
-    def __post_init__(self):
-        _check_positive("shape", self.shape)
-        _check_positive("theta", self.theta)
-
-    @_bounded_cdf
-    def cdf(self, s: float | np.ndarray) -> float | np.ndarray:
-        st = s * self.theta
+    @staticmethod
+    def _gamma_args(s, shape, theta):
+        # 1/(s theta) is inf where s theta underflows to 0, and the CDF 0
+        st = s * theta
         if not isinstance(st, np.ndarray) and st == 0.0:
-            return 0.0  # s theta underflows to 0; an array gets 1/0 = inf, so 0 too
-        return 1.0 - regularized_lower_gamma(self.shape, 1.0 / st)
+            return shape, math.inf
+        return shape, 1.0 / st
+
+    @staticmethod
+    def _from_gamma(p):
+        return 1.0 - p
 
 
 @dataclass(frozen=True)
-class GenFParams:
+class GenFParams(_Law):
     """Generalized F law of a ratio of independent gammas.
 
     If W ~ Gamma(k_n, theta_n) and D ~ Gamma(k_d, theta_d) then W/D has
@@ -169,37 +211,37 @@ class GenFParams:
     k_d: float
     lam: float
 
+    _upper = (_SHAPE_MAX, _SHAPE_MAX, math.inf)
+
     def __post_init__(self):
-        for name in ("k_n", "k_d", "lam"):
-            _check_positive(name, getattr(self, name))
+        super().__post_init__()
         if self.k_n < 1.0:
             raise ValueError(f"k_n must be at least 1, got {self.k_n!r}")
 
-    @_bounded_cdf
-    def cdf(self, s: float | np.ndarray) -> float | np.ndarray:
-        z = self.lam * s  # inf on overflow, where the CDF is 1
+    @staticmethod
+    def _formula(s, k_n, k_d, lam):
+        z = lam * s  # inf on overflow, where the CDF is 1
         if isinstance(z, np.ndarray):
             x = np.divide(z, 1.0 + z, out=np.ones(z.shape), where=z != math.inf)
         elif z == math.inf:
             return 1.0
         else:
             x = z / (1.0 + z)
-        return regularized_incomplete_beta(x, self.k_n, self.k_d)
+        return regularized_incomplete_beta(x, k_n, k_d)
 
 
 @dataclass(frozen=True)
-class PointMassParams:
+class PointMassParams(_Law):
     """Unit point mass at value: the MEB SINR when its denominator is
     deterministic (k_su = 1 with no transmitting PU)."""
 
     value: float
 
-    def __post_init__(self):
-        _check_positive("value", self.value)
+    _upper = (math.inf,)
 
-    @_bounded_cdf
-    def cdf(self, s: float | np.ndarray) -> float | np.ndarray:
-        return 1.0 * (s >= self.value)
+    @staticmethod
+    def _formula(s, value):
+        return 1.0 * (s >= value)
 
 
 WISHART_SAMPLES = 100_000
@@ -308,26 +350,39 @@ def meb_sinr_params(config: NetworkConfig, p_eq: float) -> InverseGammaParams | 
     the constant 1/(c + a).  ValueError where a parameter leaves the
     float range (p_eq below about 1e-154 at p_p = 1).
     """
-    law, params, _ = _meb_sinr_law(config, p_eq)
+    _check_positive("p_eq", p_eq)
+    law, params, _ = _meb_sinr_law(config)(p_eq)
     return law(*params)
 
 
-def _meb_sinr_law(config: NetworkConfig, p_eq):
-    """meb_sinr_params as its law class, unchecked parameters and SINR scale 1/(c + a)."""
-    _check_positive("p_eq", p_eq)
+def _meb_sinr_law(config: NetworkConfig):
+    """meb_sinr_params of config as a function of the power: law(p_eq), for a
+    float or an array, gives the law class, its unchecked parameters and the
+    SINR scale 1/(c + a).  The terms of a, b and c that depend on the config
+    alone are computed once, in the order meb_sinr_params gives them."""
     e = expected_max_eig(config.m_u, config.m_b, config.sigma2_h)
-    u = p_eq * e
-    pu = pu2 = 0.0  # no PU transmits: a large p_p must not overflow an unused square
-    if config.l_tx and config.p_p:
-        pu = config.l_tx * config.p_p * config.sigma2_h / u
-        pu2 = config.l_tx * _square(config.p_p * config.sigma2_h / u)
-    a = pu + (config.k_su - 1) / config.m_b
-    b = pu2 + (config.k_su - 1) / config.m_b ** 2
-    c = config.sigma2_w / u
-    scale = 1.0 / (c + a)
-    if config.k_su == 1 and not np.any(b):
-        return PointMassParams, (scale,), scale
-    return InverseGammaParams, (_square(c + a) / b, b / (c + a)), scale
+    a0 = (config.k_su - 1) / config.m_b
+    b0 = (config.k_su - 1) / config.m_b ** 2
+    # no PU transmits: a large p_p must not overflow an unused square
+    pu_tx = bool(config.l_tx and config.p_p)
+    if pu_tx:
+        pu_mean = config.l_tx * config.p_p * config.sigma2_h
+        pu_amp = config.p_p * config.sigma2_h
+
+    def law(p_eq):
+        u = p_eq * e
+        pu = pu2 = 0.0
+        if pu_tx:
+            pu = pu_mean / u
+            pu2 = config.l_tx * _square(pu_amp / u)
+        a = pu + a0
+        b = pu2 + b0
+        c = config.sigma2_w / u
+        scale = 1.0 / (c + a)
+        if config.k_su == 1 and not np.any(b):
+            return PointMassParams, (scale,), scale
+        return InverseGammaParams, (_square(c + a) / b, b / (c + a)), scale
+    return law
 
 
 def meb_sinr_cdf(law: InverseGammaParams | PointMassParams,
@@ -353,22 +408,21 @@ def _interference_cdf(config: NetworkConfig, p_eq: float, x, sigma2_leak: float)
     return GammaParams(shape=float(config.k_su), scale=p_eq * sigma2_leak).cdf(x)
 
 
-def _zfb_numerator(config: NetworkConfig, p_eq: float) -> tuple[int, float]:
-    """Shape k_n of the ZF signal gain W and the mean principal gain e.
+def _zfb_shape(config: NetworkConfig) -> int:
+    """Shape k_n of the ZF signal gain W ~ Gamma(k_n, theta_n).
 
-    W ~ Gamma(k_n, theta_n) with theta_n = p_eq e/m_b, and
+    theta_n = p_eq e/m_b with e the mean principal gain, and
     k_n = m_b - k_su - l_rx + 1 is the ZF null-space dimension: the
     beam of SU k nulls the other k_su - 1 streams and the l_rx
     estimated receiving-PU channels.
     """
-    _check_positive("p_eq", p_eq)
     k_n = config.m_b - config.k_su - config.l_rx + 1
     if k_n < 1:
         raise ValueError(
             f"need m_b >= k_su + l_rx for the ZFB SINR model, got "
             f"m_b={config.m_b}, k_su={config.k_su}, l_rx={config.l_rx}"
         )
-    return k_n, expected_max_eig(config.m_u, config.m_b, config.sigma2_h)
+    return k_n
 
 
 def zfb_sinr_params(config: NetworkConfig, p_eq: float) -> GenFParams | GammaParams:
@@ -381,22 +435,34 @@ def zfb_sinr_params(config: NetworkConfig, p_eq: float) -> GenFParams | GammaPar
     p_p = 0) the denominator is the constant sigma2_w and the SINR is
     the plain scaled gamma.
     """
-    law, params, _ = _zfb_sinr_law(config, p_eq)
+    _check_positive("p_eq", p_eq)
+    law, params, _ = _zfb_sinr_law(config)(p_eq)
     return law(*params)
 
 
-def _zfb_sinr_law(config: NetworkConfig, p_eq):
-    """zfb_sinr_params as its law class, unchecked parameters and SINR scale (scale or 1/lam)."""
-    k_n, e = _zfb_numerator(config, p_eq)
-    theta_n = p_eq * e / config.m_b
+def _zfb_sinr_law(config: NetworkConfig):
+    """zfb_sinr_params of config as a function of the power: law(p_eq), for a
+    float or an array, gives the law class, its unchecked parameters and the
+    SINR scale (the gamma scale or 1/lam).  k_n and the denominator shape
+    k_d depend on the config alone and are checked here, once."""
+    k_n = float(_zfb_shape(config))
+    e = expected_max_eig(config.m_u, config.m_b, config.sigma2_h)
     if config.l_tx == 0 or config.p_p == 0.0:
-        scale = theta_n / config.sigma2_w
-        return GammaParams, (float(k_n), scale), scale
+        def law(p_eq):
+            scale = p_eq * e / config.m_b / config.sigma2_w
+            return GammaParams, (k_n, scale), scale
+        return law
     pu_mean = config.l_tx * config.p_p * config.sigma2_h
     pu_var = config.l_tx * (config.p_p * config.sigma2_h) ** 2
     k_d = (config.sigma2_w + pu_mean) ** 2 / pu_var
-    lam = pu_mean * config.m_b / (p_eq * e * (config.sigma2_w + pu_mean))
-    return GenFParams, (float(k_n), k_d, lam), 1.0 / lam
+    _check_positive("k_d", k_d, _SHAPE_MAX)
+    lam_num = pu_mean * config.m_b
+    noise_pu = config.sigma2_w + pu_mean
+
+    def law(p_eq):
+        lam = lam_num / (p_eq * e * noise_pu)
+        return GenFParams, (k_n, k_d, lam), 1.0 / lam
+    return law
 
 
 def zfb_sinr_cdf(law: GenFParams | GammaParams, s: float | np.ndarray) -> float | np.ndarray:
@@ -448,9 +514,11 @@ def zfb_sinr_exact_cdf(config: NetworkConfig, p_eq: float,
     """
     if np.ndim(p_eq):
         raise ValueError(f"p_eq must be one power, got an array of shape {np.shape(p_eq)}")
-    k_n, e = _zfb_numerator(config, p_eq)
+    _check_positive("p_eq", p_eq)
+    k_n = _zfb_shape(config)
+    e = expected_max_eig(config.m_u, config.m_b, config.sigma2_h)
     _check_point("s", s)
-    return _exact_cdf((config, k_n, p_eq * e / config.m_b), s)
+    return _bounded(_exact_cdf, s, config, k_n, p_eq * e / config.m_b)
 
 
 # doubles in each (k_n, samples) temporary of _exact_cdf (1 MB), so that
@@ -458,9 +526,8 @@ def zfb_sinr_exact_cdf(config: NetworkConfig, p_eq: float,
 _EXACT_CHUNK_ELEMENTS = 2 ** 17
 
 
-@_bounded_cdf
-def _exact_cdf(law, s):
-    """zfb_sinr_exact_cdf at points 0 < s < inf for law = (config, k_n, theta_n).
+def _exact_cdf(s, config, k_n, theta_n):
+    """zfb_sinr_exact_cdf at points 0 < s < inf.
 
     A float runs as a one-element array.  The samples are the columns of
     (k_n, chunk) arrays.  Pr(N1 <= m) is a running sum of the Poisson
@@ -468,7 +535,6 @@ def _exact_cdf(law, s):
     element does not depend on the others in its chunk: a one-element
     array gives the same bits.
     """
-    config, k_n, theta_n = law
     l_tx = config.l_tx
     j, log_fact, log_binom = _exact_log_tables(k_n, l_tx)
     pts = np.array(s, dtype=float, ndmin=1).ravel()
@@ -520,52 +586,105 @@ def q_k(scheme: str, config: NetworkConfig, p_eq: float | np.ndarray) -> float |
     a law's own parameters out of the float range, q_k takes the law's
     limit, the point mass at its scale: 1/(c + a) for the MEB SINR (see
     meb_sinr_params), the gamma scale or 1/lam for the ZFB SINR and
-    p_eq sigma2_leak for the interference.  A float power whose laws
-    raise runs as a one-element array, which raises again for a bad
-    config or power.
+    p_eq sigma2_leak for the interference.  A gamma shape is out of
+    range where its lgamma overflows, too.  A float power whose laws
+    leave the range or raise runs as a one-element array, which raises
+    again for a bad power; a bad config raises before any power is read.
+    """
+    return _q_kernel(scheme, config)(p_eq)
+
+
+def _q_kernel(scheme: str, config: NetworkConfig):
+    """q_k of one scheme and config as a function of the power alone.
+
+    The config is validated, and everything that depends on it alone
+    (2^r0 - 1, E[sigma2_k1], sigma2_leak and the law constants) computed,
+    once here; the returned q(p_eq) does the per-power work.  A float
+    power takes each law's CDF formula directly, with the range checks
+    inline; an array takes the array rule of q_k, where the gamma-family
+    terms share one specfun pass (see _cdfs_in_range).
     """
     thr = 2.0 ** config.r0 - 1.0
     if scheme == MEB:
-        sinr_law, sigma2_leak = _meb_sinr_law, config.sigma2_h
+        sinr_law, sigma2_leak = _meb_sinr_law(config), config.sigma2_h
     elif scheme == ZFB:
-        sinr_law, sigma2_leak = _zfb_sinr_law, config.sigma2_delta
+        sinr_law, sigma2_leak = _zfb_sinr_law(config), config.sigma2_delta
     else:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if isinstance(p_eq, np.ndarray):
+    k_su = float(config.k_su)
+
+    def served(exceed, comply):
+        return (_elementwise(pow, _clip_unit(exceed), config.k_su)
+                * _elementwise(pow, _clip_unit(comply), config.l_rx))
+
+    def q_array(p):
+        _check_positive("p_eq", p)
         # out of the float range a parameter is 0, inf or NaN and a CDF term
         # over- or underflows, silently as for a float whatever the caller's
         # error state
         with np.errstate(over="ignore", under="ignore", divide="ignore", invalid="ignore"):
-            law, params, sinr_scale = sinr_law(config, p_eq)
-            leak = p_eq * sigma2_leak
+            law, params, sinr_scale = sinr_law(p)
+            leak = p * sigma2_leak
         with np.errstate(over="ignore", under="ignore", divide="ignore"):
-            exceed = 1.0 - _cdf_in_range(law, params, sinr_scale, thr)
-            comply = _cdf_in_range(GammaParams, (float(config.k_su), leak), leak, config.i0)
-    else:
+            sinr_cdf, comply = _cdfs_in_range(((law, params, sinr_scale, thr),
+                                               (GammaParams, (k_su, leak), leak, config.i0)))
+        return served(1.0 - sinr_cdf, comply)
+
+    def q(p_eq):
+        if isinstance(p_eq, np.ndarray):
+            return q_array(p_eq)
         try:
             p = float(p_eq)
-            law, params, _ = sinr_law(config, p)
-            exceed = 1.0 - law(*params).cdf(thr)
-            comply = _interference_cdf(config, p, config.i0, sigma2_leak)
+            _check_positive("p_eq", p)
+            law, params, _ = sinr_law(p)
+            leak = p * sigma2_leak
+            if (all(0.0 < v < upper for v, upper in zip(params, law._upper))
+                    and (sigma2_leak == 0.0 or 0.0 < leak < math.inf)):
+                exceed = 1.0 - _bounded(law._formula, thr, *params)
+                comply = (1.0 if sigma2_leak == 0.0
+                          else _bounded(GammaParams._formula, config.i0, k_su, leak))
+                return served(exceed, comply)
         except (ValueError, ZeroDivisionError):
-            return q_k(scheme, config, np.array([p_eq], dtype=float)).item()
-    return (_elementwise(pow, _clip_unit(exceed), config.k_su)
-            * _elementwise(pow, _clip_unit(comply), config.l_rx))
+            pass
+        return q_array(np.array([p_eq], dtype=float)).item()
+    return q
 
 
-def _cdf_in_range(law, params, scale, s):
-    """law(*params).cdf(s) where its array parameters (one per power) are
-    finite and positive, else the unit step at scale (0 at s <= 0).  A
-    bad float parameter (the config's) raises."""
-    ok = np.logical_and.reduce([np.isfinite(v) & (v > 0.0)
-                                for v in params if isinstance(v, np.ndarray)])
-    if ok.all():
-        return law(*params).cdf(s)
-    out = 1.0 * ((s > 0.0) & (s >= scale))
-    law = law(*(v[ok] if isinstance(v, np.ndarray) else v for v in params))
-    if ok.any():
-        out[ok] = law.cdf(s)
-    return out
+def _cdfs_in_range(terms):
+    """law(*params).cdf(s) for each (law, params, scale, s) of terms, where the
+    law's array parameters (one per power) are in range, else the unit step
+    at scale (0 at s <= 0).
+
+    The gamma-family terms at a point 0 < s < inf go through one
+    regularized_lower_gamma call over their concatenated (shape, point)
+    arrays, so its series and continued-fraction loops run once for all of
+    them; each element's arithmetic, and so its bits, is that of its own
+    call, and an element that does not converge raises its own error.
+    """
+    outs, gammas = [], []
+    for law, params, scale, s in terms:
+        ok = np.logical_and.reduce([(v > 0.0) & (v < upper) for v, upper in zip(params, law._upper)
+                                    if isinstance(v, np.ndarray)])
+        if not ok.all():
+            params = [v[ok] if isinstance(v, np.ndarray) else v for v in params]
+        out = 1.0 * ((s > 0.0) & (s >= scale))
+        outs.append(out)
+        if not ok.any():
+            continue
+        if issubclass(law, _GammaFamily) and 0.0 < s < math.inf:
+            gammas.append((law, out, ok, *law._gamma_args(s, *params)))
+        else:
+            out[ok] = _bounded(law._formula, s, *params)
+    if len(gammas) == 1:  # a float shape stays a float
+        law, out, ok, k, z = gammas[0]
+        out[ok] = law._from_gamma(regularized_lower_gamma(k, z))
+    elif gammas:
+        shapes = np.concatenate([np.broadcast_to(k, z.shape) for *_, k, z in gammas])
+        p = regularized_lower_gamma(shapes, np.concatenate([z for *_, z in gammas]))
+        ends = np.cumsum([z.size for *_, z in gammas])
+        for (law, out, ok, _, z), end in zip(gammas, ends):
+            out[ok] = law._from_gamma(p[end - z.size:end])
+    return outs
 
 
 def equal_power_bounds(config: NetworkConfig) -> tuple[float, float]:
@@ -600,22 +719,23 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 def optimize_equal_power(scheme: str, config: NetworkConfig) -> EqualPowerOptimum:
     """Maximize q_k over the equal-power bracket, deterministically.
 
-    A 256-point log-spaced grid scan (one array call of q_k) guards
+    A 256-point log-spaced grid scan (one array evaluation) guards
     against local maxima, then golden-section refines around the best
-    grid cell with scalar calls, unless the grid already reaches the
-    ceiling q = 1.  Exact ties keep
-    the lowest power (the grid argmax takes the first maximum and
-    refinement must strictly improve to replace it).
+    grid cell with scalar evaluations, unless the grid already reaches
+    the ceiling q = 1.  The config's q_k kernel is built once and scores
+    the grid and every golden-section point, with the bits of q_k.
+    Exact ties keep the lowest power (the grid argmax takes the first
+    maximum and refinement must strictly improve to replace it).
     """
     p_min, p_max = equal_power_bounds(config)
+    q = _q_kernel(scheme, config)
     if p_min > p_max:
-        return EqualPowerOptimum(p_eq=p_max, q=q_k(scheme, config, p_max),
-                                 range_feasible=False)
+        return EqualPowerOptimum(p_eq=p_max, q=q(p_max), range_feasible=False)
 
     # p_min is 0 where 2^r0 - 1 rounds to 0; q then only falls with power
     lo, hi = math.log10(max(p_min, math.ulp(0.0))), math.log10(p_max)
     grid = np.logspace(lo, hi, _GRID_POINTS)
-    values = q_k(scheme, config, grid)
+    values = q(grid)
     best = int(np.argmax(values))
     best_p, best_q = float(grid[best]), float(values[best])
     if best_q == 1.0:
@@ -626,21 +746,21 @@ def optimize_equal_power(scheme: str, config: NetworkConfig) -> EqualPowerOptimu
     b = math.log10(grid[min(best + 1, _GRID_POINTS - 1)])
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f1 = q_k(scheme, config, 10.0 ** x1)
-    f2 = q_k(scheme, config, 10.0 ** x2)
+    f1 = q(10.0 ** x1)
+    f2 = q(10.0 ** x2)
     for _ in range(_GOLDEN_ITERS):
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
-            f2 = q_k(scheme, config, 10.0 ** x2)
+            f2 = q(10.0 ** x2)
         else:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
-            f1 = q_k(scheme, config, 10.0 ** x1)
+            f1 = q(10.0 ** x1)
         if b - a < 1e-12:
             break
     refined = 10.0 ** ((a + b) / 2.0)
-    refined_q = q_k(scheme, config, refined)
+    refined_q = q(refined)
     if refined_q > best_q:
         best_p, best_q = refined, refined_q
     return EqualPowerOptimum(p_eq=best_p, q=best_q, range_feasible=True)

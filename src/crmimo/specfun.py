@@ -19,7 +19,12 @@ power loops differ from libm in the last bit on part of their inputs
 16000 for log1p, 25 for log, 10697 for arr ** 10, 168 for arr ** 2).
 So the array forms take them per element through math (_elementwise).
 An element outside the domain, or one that does not converge, raises
-the ValueError or ArithmeticError the scalar call raises.
+the ValueError or ArithmeticError the scalar call raises.  A shape given
+as a float (such as k_su, k_n or k_d against an array of points) stays a
+float through the array forms, so its lgamma front is computed once and
+the loops do not carry it per element.  No element's arithmetic depends
+on another's, so evaluations with different shapes may share one call
+over concatenated arrays and each element keeps its own bits.
 """
 
 from __future__ import annotations
@@ -65,7 +70,8 @@ def regularized_lower_gamma(k: float, x: float) -> float:
 
 
 def _gamma_series(k, x):
-    # P(k,x) as a power series in x
+    # P(k,x) as a power series in x; with k, x > 0 every term is
+    # nonnegative, so term and total are their own absolute values
     ap = k
     term = 1.0 / k
     total = term
@@ -73,7 +79,7 @@ def _gamma_series(k, x):
         ap += 1.0
         term *= x / ap
         total += term
-        if abs(term) < abs(total) * EPS:
+        if term < total * EPS:
             log_front = k * math.log(x) - x - math.lgamma(k)
             return total * math.exp(log_front)
     raise ArithmeticError(f"gamma series did not converge for k={k}, x={x}")
@@ -187,28 +193,40 @@ def _elementwise(fn, v, *args):
     return fn(v, *args)
 
 
-def _as_arrays(*values):
-    return np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in values))
+def _as_arrays(x, *shapes):
+    """x and the array shapes as float arrays broadcast together.  A shape
+    that is not an array stays a Python float, so that the loops and the
+    lgamma front take it once rather than per element."""
+    values = (x, *shapes)
+    is_array = [True] + [isinstance(v, np.ndarray) for v in shapes]
+    arrays = iter(np.broadcast_arrays(*(np.asarray(v, dtype=float)
+                                        for v, a in zip(values, is_array) if a)))
+    return [next(arrays) if a else float(v) for v, a in zip(values, is_array)]
 
 
-def _raise_domain_error(bad, scalar_fn, *arrays):
+def _at(v, index):
+    """v[index] for an array; a float shape is the same for every element."""
+    return v[index] if isinstance(v, np.ndarray) else v
+
+
+def _raise_domain_error(bad, scalar_fn, *values):
     """Raise the scalar function's ValueError for the first flagged element."""
     if bad.any():
         i = np.flatnonzero(bad)[0]
-        scalar_fn(*(v.flat[i].item() for v in arrays))
+        scalar_fn(*(v.flat[i].item() if isinstance(v, np.ndarray) else v for v in values))
 
 
 def _lower_gamma_array(k, x):
-    k, x = _as_arrays(k, x)
+    x, k = _as_arrays(x, k)
     _raise_domain_error(~((k > 0.0) & np.isfinite(k) & (x >= 0.0)),
                         regularized_lower_gamma, k, x)
     out = np.where(x == 0.0, 0.0, 1.0)
     series = (x > 0.0) & (x < k + 1.0)
     cf = (x >= k + 1.0) & ~np.isinf(x)
     if series.any():
-        out[series] = _gamma_series_array(k[series], x[series])
+        out[series] = _gamma_series_array(_at(k, series), x[series])
     if cf.any():
-        out[cf] = 1.0 - _gamma_cf_array(k[cf], x[cf])
+        out[cf] = 1.0 - _gamma_cf_array(_at(k, cf), x[cf])
     return out
 
 
@@ -218,34 +236,35 @@ def _gamma_front_array(k, x):
 
 
 def _gamma_series_array(k, x):
-    out = np.empty_like(k)
-    left = np.arange(k.size)
-    ap = k.copy()
-    term = 1.0 / k
+    out = np.empty_like(x)
+    left = np.arange(x.size)
+    ap = _at(k, left)  # a copy for an array
+    term = np.full(x.shape, 1.0 / k)
     total = term.copy()
     xs = x
     for _ in range(MAX_ITER):
         ap += 1.0
         term *= xs / ap
         total += term
-        done = np.abs(term) < np.abs(total) * EPS
+        done = term < total * EPS
         if done.any():
             out[left[done]] = total[done]
             keep = ~done
-            left, ap, term, total, xs = left[keep], ap[keep], term[keep], total[keep], xs[keep]
+            left, term, total, xs = left[keep], term[keep], total[keep], xs[keep]
+            ap = _at(ap, keep)
             if not left.size:
                 return out * _gamma_front_array(k, x)
     first = left[0]
     raise ArithmeticError(f"gamma series did not converge for "
-                          f"k={k[first].item()}, x={x[first].item()}")
+                          f"k={float(_at(k, first))}, x={x[first].item()}")
 
 
 def _gamma_cf_array(k, x):
-    out = np.empty_like(k)
-    left = np.arange(k.size)
+    out = np.empty_like(x)
+    left = np.arange(x.size)
     ks = k
     b = x + 1.0 - k
-    c = np.full_like(k, 1.0 / _FPMIN)
+    c = np.full_like(x, 1.0 / _FPMIN)
     d = 1.0 / np.where(b != 0.0, b, _FPMIN)
     h = d.copy()
     for i in range(1, MAX_ITER + 1):
@@ -262,12 +281,12 @@ def _gamma_cf_array(k, x):
         if done.any():
             out[left[done]] = h[done]
             keep = ~done
-            left, ks, b, c, d, h = left[keep], ks[keep], b[keep], c[keep], d[keep], h[keep]
+            left, ks, b, c, d, h = left[keep], _at(ks, keep), b[keep], c[keep], d[keep], h[keep]
             if not left.size:
                 return _gamma_front_array(k, x) * out
     first = left[0]
     raise ArithmeticError(f"gamma continued fraction did not converge for "
-                          f"k={k[first].item()}, x={x[first].item()}")
+                          f"k={float(_at(k, first))}, x={x[first].item()}")
 
 
 def _incomplete_beta_array(x, a, b):
@@ -279,7 +298,7 @@ def _incomplete_beta_array(x, a, b):
     inner = (x > 0.0) & (x < 1.0)
     if not inner.any():
         return out
-    x, a, b = x[inner], a[inner], b[inner]
+    x, a, b = x[inner], _at(a, inner), _at(b, inner)
     log_front = (
         _elementwise(math.lgamma, a + b) - _elementwise(math.lgamma, a)
         - _elementwise(math.lgamma, b)

@@ -571,6 +571,37 @@ class TestServingProbability:
         expect = [0.0, q_k(MEB, cfg, 1e-3), q_k(MEB, cfg, 0.5), 0.0]
         assert np.array_equal(q_k(MEB, cfg, grid), expect)
 
+    def test_shape_bound_is_where_lgamma_overflows(self):
+        below = math.nextafter(analytics._SHAPE_MAX, 0.0)
+        assert math.isfinite(math.lgamma(below))
+        with pytest.raises(OverflowError):
+            math.lgamma(analytics._SHAPE_MAX)
+        assert GammaParams(shape=below, scale=1.0).shape == below
+        for law in (GammaParams, InverseGammaParams):
+            with pytest.raises(ValueError, match="shape must be positive and below"):
+                law(analytics._SHAPE_MAX, 1.0)
+
+    @pytest.mark.parametrize("p", [1e-154, 2e-154, 3e-155])
+    def test_meb_shape_past_the_lgamma_range_serves_nobody(self, p):
+        # (c + a)^2/b is finite but lgamma overflows on it, so the law is out of
+        # the float range and q_k takes the point mass at 1/(c + a), whose
+        # relative spread 1/sqrt(shape) is below 1e-152
+        cfg = NetworkConfig(l_tx=0)
+        with pytest.raises(ValueError, match="shape must be positive and below"):
+            meb_sinr_params(cfg, p)
+        expect = np.array([0.0, q_k(MEB, cfg, 0.1)])
+        for state in ("warn", "raise"):
+            with np.errstate(all=state):
+                q, grid = q_k(MEB, cfg, p), q_k(MEB, cfg, np.array([p, 0.1]))
+            assert q == 0.0 and type(q) is float
+            assert grid.tobytes() == expect.tobytes()
+
+    def test_meb_shape_inside_the_lgamma_range_keeps_its_law(self):
+        cfg = NetworkConfig(l_tx=0)
+        assert meb_sinr_params(cfg, 1e-153).shape < analytics._SHAPE_MAX
+        assert q_k(MEB, cfg, 1e-153).hex() == "0x0.0p+0"
+        assert q_k(MEB, cfg, np.array([1e-153])).tobytes() == bytes(8)
+
     # powers where a law's parameters leave the float range: lam overflows,
     # the gamma scale underflows, the point mass sinks to 0, the shape is NaN,
     # and p_eq e underflows to 0 (a division by zero)
@@ -862,17 +893,25 @@ class TestEqualPowerSearch:
 
     def test_grid_at_ceiling_skips_refinement(self, monkeypatch):
         # the default ZFB config reaches q = 1 on the grid; the first such
-        # grid point is the optimum and the grid is the only q_k call
+        # grid point is the optimum and the grid is the only evaluation of
+        # the config's q_k kernel, which is built once
         opt = optimize_equal_power(ZFB, BASE)
         p_min, p_max = equal_power_bounds(BASE)
         grid = np.logspace(math.log10(p_min), math.log10(p_max), 256)
         values = q_k(ZFB, BASE, grid)
         assert opt == EqualPowerOptimum(p_eq=float(grid[np.argmax(values == 1.0)]), q=1.0,
                                         range_feasible=True)
-        calls = []
-        monkeypatch.setattr(analytics, "q_k", lambda *a: calls.append(a) or q_k(*a))
+        builds, calls = [], []
+        kernel = analytics._q_kernel
+
+        def counted_kernel(*args):
+            builds.append(args)
+            q = kernel(*args)
+            return lambda p: calls.append(p) or q(p)
+
+        monkeypatch.setattr(analytics, "_q_kernel", counted_kernel)
         assert optimize_equal_power(ZFB, BASE) == opt
-        assert len(calls) == 1
+        assert len(builds) == 1 and len(calls) == 1
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scheme", [MEB, ZFB])

@@ -1,6 +1,6 @@
-"""Property tests of the beamformers, the LF verdict, the array q_k and the
-array KS validation over valid configs, and of the pruned KS distance over
-nondecreasing step functions."""
+"""Property tests of the beamformers, the LF verdict, the array q_k, the
+equal-power optimum and the array KS validation over valid configs, and of
+the pruned KS distance over nondecreasing step functions."""
 
 import bisect
 import math
@@ -13,6 +13,7 @@ from crmimo.analytics import (
     equal_power_bounds,
     meb_interference_cdf,
     meb_sinr_params,
+    optimize_equal_power,
     q_k,
     zfb_interference_cdf,
     zfb_sinr_exact_cdf,
@@ -127,6 +128,21 @@ def test_q_k_grid_call_matches_scalar_calls(config):
             assert str(array.value) == str(exc)
             continue
         assert np.array_equal(q_k(scheme, config, grid), expect)
+
+
+@hypothesis.settings(derandomize=True, max_examples=120, deadline=None, database=None)
+@hypothesis.given(q_configs())
+@hypothesis.example(NetworkConfig(p0=0.1, r0=6.0))  # p_min above p_max
+def test_optimum_reproduces_through_q_k(config):
+    # the optimizer's kernel gives q_k's bits: at the returned power a float
+    # call and a one-element array call both give the returned q
+    for scheme in (MEB, ZFB):
+        try:
+            opt = optimize_equal_power(scheme, config)
+        except ArithmeticError:
+            continue  # large MEB shapes near the series seam, as in the grid test
+        assert q_k(scheme, config, opt.p_eq).hex() == opt.q.hex()
+        assert q_k(scheme, config, np.array([opt.p_eq]))[0].hex() == opt.q.hex()
 
 
 @hypothesis.settings(derandomize=True, max_examples=120, deadline=None, database=None)

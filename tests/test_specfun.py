@@ -254,3 +254,25 @@ class TestArrayForms:
         with pytest.raises(ArithmeticError) as array:
             fn(*(np.array([0.25, v]) for v in args))
         assert str(array.value) == str(scalar.value)
+
+    def test_float_shape_stays_a_float(self, monkeypatch):
+        # one lgamma per front for a float shape (series and continued-fraction
+        # points each have one front), not one per element; a point that does
+        # not converge still raises the scalar error
+        x = np.linspace(0.5, 30.0, 200)
+        u = np.linspace(0.01, 0.99, 200)
+        expect = (scalar_map(regularized_lower_gamma, 10.0, x),
+                  scalar_map(regularized_incomplete_beta, u, 54.0, 3.3))
+        calls = []
+        lgamma = math.lgamma
+        monkeypatch.setattr(math, "lgamma", lambda v: calls.append(v) or lgamma(v))
+        assert np.array_equal(regularized_lower_gamma(10.0, x), expect[0])
+        assert calls == [10.0, 10.0]
+        calls.clear()
+        assert np.array_equal(regularized_incomplete_beta(u, 54.0, 3.3), expect[1])
+        assert calls == [57.3, 54.0, 3.3]
+        with pytest.raises(ArithmeticError) as scalar:
+            regularized_lower_gamma(1e6, 0.99e6)
+        with pytest.raises(ArithmeticError) as array:
+            regularized_lower_gamma(1e6, np.array([0.25, 0.99e6]))
+        assert str(array.value) == str(scalar.value)
