@@ -21,8 +21,8 @@ Array results equal scalar calls bit for bit (see specfun for how).
 
 q_k runs in two stages.  _q_kernel(scheme, config) validates the config
 and computes every constant that depends on it alone (2^r0 - 1,
-E[sigma2_k1], sigma2_leak, the MEB PU moments, k_n, k_d, the law class)
-once, and returns the per-power kernel; q_k applies it once, and
+E[sigma2_k1], sigma2_leak, the MEB PU moments, k_n, k_d, the ZFB law
+class) once, and returns the per-power kernel; q_k applies it once, and
 optimize_equal_power builds it once and sends its grid and every
 golden-section point through it.  A float power calls each law's one CDF
 formula, the one its dataclass .cdf calls, after inline range checks,
