@@ -582,7 +582,8 @@ def q_k(scheme: str, config: NetworkConfig, p_eq: float | np.ndarray) -> float |
     [1 - sinr_cdf(2^r0 - 1)]^k_su * [interference_cdf(i0)]^l_rx with the
     scheme's distributions.  p_eq may be a 1-D array of powers: the laws
     then carry array parameters and the result is the array of q_k
-    values, equal element for element to scalar calls.  Where p_eq takes
+    values, equal element for element to scalar calls (a 0-d array is
+    one power, and gives a float).  Where p_eq takes
     a law's own parameters out of the float range, q_k takes the law's
     limit, the point mass at its scale: 1/(c + a) for the MEB SINR (see
     meb_sinr_params), the gamma scale or 1/lam for the ZFB SINR and
@@ -631,7 +632,7 @@ def _q_kernel(scheme: str, config: NetworkConfig):
         return served(1.0 - sinr_cdf, comply)
 
     def q(p_eq):
-        if isinstance(p_eq, np.ndarray):
+        if isinstance(p_eq, np.ndarray) and p_eq.ndim:
             return q_array(p_eq)
         try:
             p = float(p_eq)

@@ -700,6 +700,12 @@ class TestServingProbability:
                 q_k(scheme, BASE, np.array([0.1, -0.5, 0.2]))
             assert str(array.value) == str(scalar.value)
 
+    def test_zero_dim_power_is_one_power(self):
+        for scheme in (MEB, ZFB):
+            for p in (0.1, 1e-160, 1e-320):
+                q = q_k(scheme, BASE, np.array(p))
+                assert type(q) is float and q.hex() == q_k(scheme, BASE, p).hex()
+
     def test_in_unit_interval(self):
         for p_db in (-20, -10, 0, 10):
             for scheme in (MEB, ZFB):
