@@ -30,6 +30,7 @@ from .montecarlo import (
     POLICY_EQUAL_POWER_OPT,
     POLICY_LF,
     _POLICIES,
+    _shared_gains,
     max_sus_at_confidence,
     empirical_cdf,
     run_trials,
@@ -344,17 +345,21 @@ def run(spec: ExperimentSpec) -> int:
     the ArithmeticError of a special function that does not converge) is
     printed after the prefix, and the unit records failed_rows with the
     exception name in the trailing error column instead of losing the
-    rest of the run.  Returns a process exit status.
+    rest of the run.  The units run in one _shared_gains scope, so
+    consecutive runs of one config, scheme, seed and trial count (fig2's
+    p_eq sweep, fig3/fig4's two policies at a sweep value) draw their
+    trials once.  Returns a process exit status.
     """
     os.makedirs(spec.out_dir, exist_ok=True)
     header, units = _PRESETS[spec.experiment].runner(spec)
     rows = []
-    for prefix, unit_rows, failed_rows in units:
-        try:
-            rows += list(unit_rows)
-        except (ValueError, ArithmeticError, IllConditionedError) as exc:
-            print(f"{prefix} error={type(exc).__name__}: {exc}")
-            rows += [row + [type(exc).__name__] for row in failed_rows]
+    with _shared_gains():
+        for prefix, unit_rows, failed_rows in units:
+            try:
+                rows += list(unit_rows)
+            except (ValueError, ArithmeticError, IllConditionedError) as exc:
+                print(f"{prefix} error={type(exc).__name__}: {exc}")
+                rows += [row + [type(exc).__name__] for row in failed_rows]
     path = os.path.join(spec.out_dir, f"{spec.experiment}.csv")
     with open(path, "w", newline="") as fh:
         fh.write("# schema=1\n")

@@ -2,10 +2,14 @@
 
 Each trial draws its own sub-seed from the master seed by counter, so a
 run is fully determined by (config, scheme, policy, n_trials, seed) and
-independent of how many workers execute it.  Trials run in blocks: each
-trial draws its own channels, then one call each computes the beams,
-the link gains and the slack of the whole block along a leading trial
-axis.  Block size changes no bit of any result.  run_trials estimates the
+independent of how many workers execute it.  A run has two stages.  The
+gains stage works in blocks: each trial draws its own channels, then
+one call each computes the beams and the link gains of the whole block
+along a leading trial axis.  The serve stage allocates power per trial
+and computes the slack of each block.  The gains read no rate floor,
+cap, budget, policy or p_eq, so inside a _shared_gains scope a run
+reuses the previous run's gains when it reads the same ones.  Block
+size and reuse change no bit of any result.  run_trials estimates the
 probability that all SUs are served (the serving verdict uses the
 estimated constraints, i.e. what the SBS can check; the true-channel
 verdict is kept as an audit column).  max_sus_at_confidence searches
@@ -16,9 +20,11 @@ Kolmogorov-Smirnov comparisons against the closed-form laws.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +61,12 @@ MAX_K_SWEEP = 64
 # from 47.1 to 48.6 MB (a block's arrays, about twice this budget, live
 # at once).  2^16 ran no faster (541 against 530 us/trial) in 1.6 MB more.
 _BLOCK_ELEMENTS = 2 ** 15
+
+# the config fields that a trial's channels, beams and link gains do not read
+_SERVE_FIELDS = ("r0", "i0", "p0")
+
+# inside a _shared_gains scope, {key: gains} of the scope's last run_trials call
+_SHARED_GAINS: ContextVar[dict | None] = ContextVar("_SHARED_GAINS", default=None)
 
 # added to a gap's deviation bound in ks_distance before it is compared with
 # the largest deviation found: far above the laws' rounding (about 1e-14)
@@ -107,61 +119,95 @@ def _draw_block(config, master_seed, indices) -> ChannelRealization:
     return ChannelRealization(**block)
 
 
-def _run_block(config, scheme, policy, p_eq, master_seed, indices, out, start):
-    """Draw trials `indices` and write their rows of the run's buffers from row `start`.
+def _block_gains(config, scheme, master_seed, block):
+    """The LinkMetrics of trials `block`, or the name of the exception their beams raised.
 
-    A failed trial keeps its NaN samples and unserved verdicts, and its
-    error names the exception.
+    The block's channels and beams are dropped on return, before the next draw.
     """
-    n = len(indices)
-    rows = slice(start, start + n)
-    real = _draw_block(config, master_seed, indices)
+    real = _draw_block(config, master_seed, block)
     try:
         beams = compute_beams(real, scheme)
     except (AntennaShortageError, IllConditionedError) as exc:
-        if isinstance(exc, IllConditionedError) and n > 1:
-            # find the ill-conditioned trials: redraw every trial as a block of its own
-            for t, i in enumerate(indices):
-                _run_block(config, scheme, policy, p_eq, master_seed, [i], out, start + t)
-        else:
-            out["error"][rows] = type(exc).__name__
-        return
-
-    links = evaluate_links(real, beams.v, beams.u, config)
-    if policy == POLICY_LF:
-        allocs = [solve_lf(links[t], scheme, config) for t in range(n)]
-        p = np.stack([a.p for a in allocs])
-        solver_ok = np.array([a.feasible for a in allocs])
-    else:
-        p = np.broadcast_to(equal_power(config, p_eq), (n, config.k_su))
-        solver_ok = True
-
-    est, true = slack_from_links(links, p, config)
-    out["served"][rows] = solver_ok & est.all_met()
-    out["served_true"][rows] = solver_ok & true.all_met()
-    for flavor, report in (("est", est), ("true", true)):
-        out[f"sinr_{flavor}"][rows] = report.sinr
-        out[f"int_to_pu_{flavor}"][rows] = report.int_to_pu
+        return type(exc).__name__
+    return evaluate_links(real, beams.v, beams.u, config)
 
 
-def _run_range(args) -> dict:
-    """Trials `indices` in blocks, into one set of result buffers, trial axis first.
+def _gains(config, scheme, master_seed, indices, start=0):
+    """(rows, gains) per block of trials `indices`, rows counted from `start`.
 
-    An error entry is None for a trial that ran.
+    gains is the block's LinkMetrics, or the exception name that all its
+    trials record.  A block with an ill-conditioned trial is redrawn one
+    trial at a time, so only that trial fails.
     """
-    config, scheme, policy, p_eq, master_seed, indices = args
-    n = len(indices)
+    per_block = max(1, _BLOCK_ELEMENTS // (config.k_su * config.m_u * config.m_b))
+    for lo in range(0, len(indices), per_block):
+        block = indices[lo:lo + per_block]
+        rows = slice(start + lo, start + lo + len(block))
+        gains = _block_gains(config, scheme, master_seed, block)
+        if gains == IllConditionedError.__name__ and len(block) > 1:
+            for t, i in enumerate(block):
+                yield from _gains(config, scheme, master_seed, [i], rows.start + t)
+        else:
+            yield rows, gains
+
+
+def _serve(gains, n, config, scheme, policy, p_eq) -> dict:
+    """The result buffers of n trials, trial axis first, from their (rows, gains) blocks.
+
+    A failed trial keeps its NaN samples and unserved verdicts, and its
+    error names the exception; the error entry is None for a trial that ran.
+    """
     out = {"served": np.zeros(n, dtype=bool), "served_true": np.zeros(n, dtype=bool),
            "sinr_est": np.full((n, config.k_su), np.nan),
            "sinr_true": np.full((n, config.k_su), np.nan),
            "int_to_pu_est": np.full((n, config.l_rx), np.nan),
            "int_to_pu_true": np.full((n, config.l_rx), np.nan),
            "error": np.full(n, None, dtype=object)}
-    per_block = max(1, _BLOCK_ELEMENTS // (config.k_su * config.m_u * config.m_b))
-    for start in range(0, n, per_block):
-        _run_block(config, scheme, policy, p_eq, master_seed,
-                   indices[start:start + per_block], out, start)
+    for rows, links in gains:
+        if isinstance(links, str):
+            out["error"][rows] = links
+            continue
+        size = rows.stop - rows.start
+        if policy == POLICY_LF:
+            allocs = [solve_lf(links[t], scheme, config) for t in range(size)]
+            p = np.stack([a.p for a in allocs])
+            solver_ok = np.array([a.feasible for a in allocs])
+        else:
+            p = np.broadcast_to(equal_power(config, p_eq), (size, config.k_su))
+            solver_ok = True
+
+        est, true = slack_from_links(links, p, config)
+        out["served"][rows] = solver_ok & est.all_met()
+        out["served_true"][rows] = solver_ok & true.all_met()
+        for flavor, report in (("est", est), ("true", true)):
+            out[f"sinr_{flavor}"][rows] = report.sinr
+            out[f"int_to_pu_{flavor}"][rows] = report.int_to_pu
     return out
+
+
+def _run_range(args) -> dict:
+    """Trials `indices` through both stages, into one set of result buffers."""
+    config, scheme, policy, p_eq, master_seed, indices = args
+    return _serve(_gains(config, scheme, master_seed, indices), len(indices),
+                  config, scheme, policy, p_eq)
+
+
+@contextlib.contextmanager
+def _shared_gains():
+    """A scope in which run_trials reuses the previous call's link gains.
+
+    A call with one worker reuses them when it matches the previous call
+    of the scope in every input the gains stage reads: the config fields
+    but _SERVE_FIELDS, the scheme, the seed and n_trials.  Otherwise it
+    draws and keeps its own gains in their place.  The scope holds one
+    run's gains, about n_trials k_su^2 floats (16 MB at 500 trials and
+    k_su = 64), and drops them on exit; a nested scope starts empty.
+    """
+    token = _SHARED_GAINS.set({})
+    try:
+        yield
+    finally:
+        _SHARED_GAINS.reset(token)
 
 
 def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, seed: int,
@@ -179,6 +225,11 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
         seed: master seed; trial i uses sub-seed (seed, i).
         p_eq: per-SU power for POLICY_EQUAL_POWER.
         n_workers: process count, >= 1; the result does not depend on it.
+
+    Inside a _shared_gains scope (max_sus_at_confidence and the CLI open
+    one), a one-worker call reuses the previous call's channels, beams
+    and link gains when only r0, i0, p0, the policy or p_eq differ; the
+    result is bit-identical to a fresh draw.
 
     Returns:
         ExperimentResult with exact p_served = (#served)/n_trials,
@@ -208,7 +259,16 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
             parts = list(pool.map(_run_range, payloads))
         out = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
     else:
-        out = _run_range((config, scheme, policy_run, p_eq, seed, range(n_trials)))
+        gains = _gains(config, scheme, seed, range(n_trials))
+        shared = _SHARED_GAINS.get()
+        if shared is not None:
+            key = (tuple(v for f, v in vars(config).items() if f not in _SERVE_FIELDS),
+                   scheme, seed, n_trials)
+            if key not in shared:
+                shared.clear()
+                shared[key] = list(gains)
+            gains = shared[key]
+        out = _serve(gains, n_trials, config, scheme, policy_run, p_eq)
 
     p_served = out["served"].sum() / n_trials
     return ExperimentResult(
@@ -233,6 +293,38 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
 _AXIS_DIRECTION = {"r0": -1, "i0": +1, "p0": +1, "i0_db": +1, "p0_db": +1}
 
 
+def _largest_passing_k(k_cap):
+    """The max-SU search of one sweep value, as a generator.
+
+    Yields each probed k and is sent whether it passes.  Probes k = 1,
+    doubles k while it passes and stays within k_cap, probes k_cap, then
+    bisects between the largest pass and the smallest fail.  Returns the
+    largest passing k, 0 when k = 1 fails.
+    """
+    if not (yield 1):
+        return 0
+    lo = 1  # largest k known to pass
+    hi = None  # smallest k known to fail
+    while hi is None and lo * 2 <= k_cap:
+        k = lo * 2
+        if (yield k):
+            lo = k
+        else:
+            hi = k
+    if hi is None and lo < k_cap:
+        if (yield k_cap):
+            lo = k_cap
+        else:
+            hi = k_cap
+    while hi is not None and hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (yield mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
 def max_sus_at_confidence(config_base: NetworkConfig, scheme: str, confidence: float,
                           sweep_name: str, sweep_values, n_trials: int = 500, seed: int = 0,
                           policy: str = POLICY_EQUAL_POWER_OPT,
@@ -242,50 +334,47 @@ def max_sus_at_confidence(config_base: NetworkConfig, scheme: str, confidence: f
     For each value of the swept config key (a field or a dB key such as
     p0_db, applied as NetworkConfig.with_items does), binary-searches the
     largest k with p_served >= confidence; k ranges over 1..min(64,
-    m_b - l_rx) (the ZF antenna condition).  Returns [(value, max_k)].
-    An unknown key raises ValueError before any trial.  Known constraint
-    axes are checked for monotonicity: max_k should not increase along
-    tightening r0 nor decrease along loosening i0/p0 (linear or dB).
-    Monte Carlo noise can break that near the confidence level, so a
-    break emits a RuntimeWarning naming the rows, which are returned
-    unchanged.
+    m_b - l_rx) of that value's config (the ZF antenna condition).
+    Returns [(value, max_k)].  An unknown key, or a value that leaves
+    no room for any SU, raises ValueError before any trial.
+
+    The values' searches run in lockstep: each round takes every
+    unfinished search's next probe and runs the probes in order of k,
+    inside one _shared_gains scope, so values whose probes agree in k
+    (the doubling k = 1, 2, 4, ... along a rate sweep) share one draw of
+    each trial when the sweep leaves the gains alone.  Each value probes
+    the same k as a search of its own would, with the same run_trials
+    call.
+
+    Known constraint axes are checked for monotonicity: max_k should not
+    increase along tightening r0 nor decrease along loosening i0/p0
+    (linear or dB).  Monte Carlo noise can break that near the
+    confidence level, so a break emits a RuntimeWarning naming the rows,
+    which are returned unchanged.
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
     points = [(value, config_base.with_items({sweep_name: value})) for value in sweep_values]
-    k_cap = min(MAX_K_SWEEP, config_base.m_b - config_base.l_rx)
-    if k_cap < 1:
-        raise ValueError("m_b - l_rx leaves no room for any SU")
-
-    def passes(cfg, k):
-        res = run_trials(cfg.replace(k_su=k), scheme, policy, n_trials, seed, p_eq=p_eq)
-        return res.p_served >= confidence
-
-    rows = []
+    searches = []
     for value, cfg in points:
-        if not passes(cfg, 1):
-            rows.append((value, 0))
-            continue
-        lo = 1  # largest k known to pass
-        hi = None  # smallest k known to fail
-        while hi is None and lo * 2 <= k_cap:
-            k = lo * 2
-            if passes(cfg, k):
-                lo = k
-            else:
-                hi = k
-        if hi is None and lo < k_cap:
-            if passes(cfg, k_cap):
-                lo = k_cap
-            else:
-                hi = k_cap
-        while hi is not None and hi - lo > 1:
-            mid = (lo + hi) // 2
-            if passes(cfg, mid):
-                lo = mid
-            else:
-                hi = mid
-        rows.append((value, lo))
+        k_cap = min(MAX_K_SWEEP, cfg.m_b - cfg.l_rx)
+        if k_cap < 1:
+            raise ValueError(f"{sweep_name}={value}: m_b - l_rx leaves no room for any SU")
+        searches.append(_largest_passing_k(k_cap))
+
+    probes = {i: next(search) for i, search in enumerate(searches)}
+    max_k = {}
+    with _shared_gains():
+        while probes:
+            for i in sorted(probes, key=probes.get):  # equal k run back to back
+                res = run_trials(points[i][1].replace(k_su=probes[i]), scheme, policy,
+                                 n_trials, seed, p_eq=p_eq)
+                try:
+                    probes[i] = searches[i].send(res.p_served >= confidence)
+                except StopIteration as done:
+                    max_k[i] = done.value
+                    del probes[i]
+    rows = [(value, max_k[i]) for i, (value, _) in enumerate(points)]
 
     direction = _AXIS_DIRECTION.get(sweep_name)
     if direction is not None and len(rows) > 1:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import crmimo.cli
+import crmimo.montecarlo
 from crmimo.cli import (
     EXIT_CONFIG,
     EXIT_IO,
@@ -17,7 +18,8 @@ from crmimo.cli import (
     emit_plot_data,
     main,
 )
-from crmimo.network import NetworkConfig
+from crmimo.montecarlo import POLICY_EQUAL_POWER, run_trials
+from crmimo.network import NetworkConfig, db_to_linear, linear_to_db
 
 TINY = ["--set", "m_b=16", "--set", "m_u=2", "--set", "k_su=3"]
 
@@ -397,6 +399,46 @@ class TestSweepExperiments:
         assert body[0] == ["0.01", "ZFB", "EQUAL_POWER_OPT", "", "", "", "", "", "ValueError"]
         assert body[1][:4] == ["0.01", "ZFB", "LF", "0.0"] and body[1][-1] == ""
         assert len(body) == 2
+
+    @pytest.mark.parametrize("experiment", ["fig2_eq_power_sweep", "fig4_zfb_compare"])
+    def test_shared_trials_give_each_row_its_own_run(self, experiment, tmp_path, capsys,
+                                                     monkeypatch):
+        # one draw of each trial serves every run of a config in the sweep; each
+        # row still equals a run_trials call made on its own, outside any scope
+        draws = []
+        original = crmimo.montecarlo.generate_channels
+
+        def counted(config, seed):
+            draws.append(seed.entropy)
+            return original(config, seed)
+
+        monkeypatch.setattr(crmimo.montecarlo, "generate_channels", counted)
+        code = main(["--experiment", experiment, *TINY, "--trials", "30",
+                     "--out", str(tmp_path)])
+        monkeypatch.undo()
+        assert code == EXIT_OK
+        assert crmimo.montecarlo._SHARED_GAINS.get() is None
+        _, body = read_csv(tmp_path / f"{experiment}.csv")
+        config = NetworkConfig(m_b=16, m_u=2, k_su=3)
+        expected = []
+        if experiment == "fig2_eq_power_sweep":
+            assert len(draws) == 30 * 2  # once per trial per (m_b, scheme)
+            for scheme in ("MEB", "ZFB"):
+                for p_eq_db in range(-20, 1, 2):
+                    p_eq = float(db_to_linear(p_eq_db))
+                    res = run_trials(config, scheme, POLICY_EQUAL_POWER, 30, 1, p_eq=p_eq)
+                    expected.append(["16", repr(float(linear_to_db(p_eq))), scheme,
+                                     repr(res.p_served), repr(res.stderr), "30", ""])
+            assert [row[:3] + row[4:] for row in body] == expected
+        else:
+            assert len(draws) == 30 * 6  # once per trial per sweep value
+            for s2d in (0.01, 0.02, 0.05, 0.1, 0.2, 0.5):
+                for policy in ("EQUAL_POWER_OPT", "LF"):
+                    res = run_trials(config.replace(sigma2_delta=s2d), "ZFB", policy, 30, 1)
+                    p_eq_db = "" if res.p_eq is None else repr(float(linear_to_db(res.p_eq)))
+                    expected.append([repr(s2d), "ZFB", policy, repr(res.p_served),
+                                     repr(res.stderr), p_eq_db, "30", ""])
+            assert [row[:5] + row[6:] for row in body] == expected
 
     def test_fig5_tiny(self, tmp_path, capsys):
         code = main(["--experiment", "fig5_max_sus", *TINY,

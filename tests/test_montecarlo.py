@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import warnings
+from collections import Counter
 from types import SimpleNamespace
 
 import numpy as np
@@ -30,6 +31,7 @@ from crmimo.montecarlo import (
     POLICY_LF,
     EmpiricalCdf,
     ExperimentResult,
+    _shared_gains,
     empirical_cdf,
     max_sus_at_confidence,
     run_trials,
@@ -47,6 +49,35 @@ def trials_per_block(monkeypatch, config, n):
     """Set the block budget so that a block holds n trials of config."""
     monkeypatch.setattr(crmimo.montecarlo, "_BLOCK_ELEMENTS",
                         n * config.k_su * config.m_u * config.m_b)
+
+
+def counted_draws(monkeypatch):
+    """The trial seeds' entropies that run_trials draws from, as it draws them."""
+    draws = []
+    original = crmimo.montecarlo.generate_channels
+
+    def counted(config, seed):
+        draws.append(seed.entropy)
+        return original(config, seed)
+
+    monkeypatch.setattr(crmimo.montecarlo, "generate_channels", counted)
+    return draws
+
+
+def ill_conditioned_trial(monkeypatch, index):
+    """Make trial `index` of every run rank deficient for ZFB: its two
+    receiving-PU estimates coincide (the config needs l_rx >= 2)."""
+    draw = crmimo.montecarlo.generate_channels
+
+    def defective(config, seed):
+        real = draw(config, seed)
+        if seed.entropy[1] != index:
+            return real
+        hhat = real.hhat_pu_rx.copy()
+        hhat[1] = hhat[0]
+        return dataclasses.replace(real, hhat_pu_rx=hhat)
+
+    monkeypatch.setattr(crmimo.montecarlo, "generate_channels", defective)
 
 
 def assert_same_result(a, b):
@@ -273,19 +304,9 @@ class TestBlocks:
         # a duplicated receiving-PU estimate makes trial 3 rank deficient; its
         # block falls back to one trial at a time and loses only that trial
         cfg = SMALL.replace(l_rx=2)
-        draw = crmimo.montecarlo.generate_channels
-
-        def defective(config, seed):
-            real = draw(config, seed)
-            if seed.entropy[1] != 3:
-                return real
-            hhat = real.hhat_pu_rx.copy()
-            hhat[1] = hhat[0]
-            return dataclasses.replace(real, hhat_pu_rx=hhat)
-
         trials_per_block(monkeypatch, cfg, 6)
         clean = run_trials(cfg, ZFB, POLICY_EQUAL_POWER, 8, seed=1, p_eq=0.3)
-        monkeypatch.setattr(crmimo.montecarlo, "generate_channels", defective)
+        ill_conditioned_trial(monkeypatch, 3)
         res = run_trials(cfg, ZFB, POLICY_EQUAL_POWER, 8, seed=1, p_eq=0.3)
         assert res.n_failed == 1
         ok = np.arange(8) != 3
@@ -293,6 +314,101 @@ class TestBlocks:
             got, want = getattr(res, name).reshape(8, -1), getattr(clean, name).reshape(8, -1)
             assert np.all(np.isnan(got[3]))
             assert np.array_equal(got[ok], want[ok]), name
+
+
+# run_trials calls that differ only in what the serve stage reads: the rate
+# floor, the cap, the budget, the policy and p_eq
+SERVE_VARIANTS = (
+    dict(policy=POLICY_EQUAL_POWER, p_eq=0.3),
+    dict(policy=POLICY_EQUAL_POWER, p_eq=0.05, r0=2.0),
+    dict(policy=POLICY_LF, i0=0.1),
+    dict(policy=POLICY_EQUAL_POWER_OPT, p0=3.0),
+    dict(policy=POLICY_LF, r0=0.5, p0=30.0),
+    dict(policy=POLICY_EQUAL_POWER_OPT, r0=1.5, i0=1.0),
+)
+GAIN_CHANGES = (dict(m_b=20), dict(m_u=3), dict(k_su=2), dict(l_tx=2), dict(l_rx=2),
+                dict(sigma2_h=2.0), dict(sigma2_delta=0.02), dict(sigma2_w=0.5),
+                dict(p_p=2.0))
+
+
+def run_variants(config, scheme, variants, n_trials=9, seed=5):
+    results = []
+    for variant in variants:
+        kw = dict(variant)
+        policy, p_eq = kw.pop("policy"), kw.pop("p_eq", None)
+        results.append(run_trials(config.replace(**kw), scheme, policy, n_trials, seed,
+                                  p_eq=p_eq))
+    return results
+
+
+class TestSharedGains:
+    @pytest.mark.parametrize("case", ["MEB", "ZFB", "ill-conditioned", "antenna shortage"])
+    def test_bit_identical_in_and_out_of_the_scope(self, case, monkeypatch):
+        config, scheme, variants = SMALL, ZFB, SERVE_VARIANTS
+        if case == MEB:
+            scheme = MEB
+        elif case == "ill-conditioned":
+            config = SMALL.replace(l_rx=2)
+            ill_conditioned_trial(monkeypatch, 3)
+        elif case == "antenna shortage":
+            # the optimizer rejects this config, so no EQUAL_POWER_OPT call
+            config = NetworkConfig(m_b=12, k_su=12)
+            variants = [v for v in SERVE_VARIANTS if v["policy"] != POLICY_EQUAL_POWER_OPT]
+        trials_per_block(monkeypatch, config, 4)
+        outside = run_variants(config, scheme, variants)
+        draws = counted_draws(monkeypatch)
+        with _shared_gains():
+            inside = run_variants(config, scheme, variants)
+        # the first call draws, the others reuse; the block of trials 0-3 is
+        # drawn again one trial at a time when trial 3 is ill-conditioned
+        assert len(draws) == (9 + 4 if case == "ill-conditioned" else 9)
+        expect_failed = {"ill-conditioned": 1, "antenna shortage": 9}.get(case, 0)
+        for a, b in zip(outside, inside):
+            assert a.n_failed == expect_failed
+            assert_same_result(a, b)
+
+    @pytest.mark.parametrize("change", [*GAIN_CHANGES, dict(scheme=MEB), dict(seed=6),
+                                        dict(n_trials=8)],
+                             ids=lambda change: "-".join(change))
+    def test_any_gains_input_redraws(self, change, monkeypatch):
+        first = dict(config=SMALL, scheme=ZFB, policy=POLICY_LF, n_trials=9, seed=5)
+        second = dict(first)
+        for name, value in change.items():
+            if name in second:
+                second[name] = value
+            else:
+                second["config"] = SMALL.replace(**{name: value})
+        fresh = run_trials(**second)
+        draws = counted_draws(monkeypatch)
+        with _shared_gains():
+            run_trials(**first)
+            res = run_trials(**second)
+        assert len(draws) == first["n_trials"] + second["n_trials"]
+        assert_same_result(res, fresh)
+
+    def test_reuse_ends_with_the_scope(self, monkeypatch):
+        draws = counted_draws(monkeypatch)
+        for _ in range(2):
+            run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 4, seed=1, p_eq=0.3)
+        assert len(draws) == 8  # outside a scope, a repeated call redraws
+        with _shared_gains():
+            run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 4, seed=1, p_eq=0.3)
+            with _shared_gains():  # a nested scope starts empty
+                run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 4, seed=1, p_eq=0.3)
+            run_trials(SMALL, MEB, POLICY_LF, 4, seed=1)
+        run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 4, seed=1, p_eq=0.3)
+        assert len(draws) == 8 + 4 + 4 + 4
+        assert crmimo.montecarlo._SHARED_GAINS.get() is None
+
+    def test_workers_neither_read_nor_keep_the_gains(self):
+        fresh = run_trials(SMALL, ZFB, POLICY_LF, 6, seed=2)
+        with _shared_gains():
+            run_trials(SMALL, ZFB, POLICY_LF, 6, seed=2)
+            key, = crmimo.montecarlo._SHARED_GAINS.get()
+            crmimo.montecarlo._SHARED_GAINS.get()[key] = []  # a read would serve nothing
+            res = run_trials(SMALL, ZFB, POLICY_LF, 6, seed=2, n_workers=2)
+            assert list(crmimo.montecarlo._SHARED_GAINS.get()) == [key]
+        assert_same_result(res, fresh)
 
 
 class TestMaxSus:
@@ -350,8 +466,63 @@ class TestMaxSus:
         assert rows == [(0.0, 3), (10.0, 1)]
         assert set(seen) == {1.0, 10.0}
 
+    VACUOUS = NetworkConfig(m_b=8, m_u=1, k_su=1, l_tx=0, l_rx=1,
+                            r0=1e-9, i0=1e9, p0=1e9, sigma2_delta=0.0)
+
+    def test_cap_follows_each_antenna_count(self):
+        rows = max_sus_at_confidence(self.VACUOUS, ZFB, 0.5, "m_b", [8, 32], n_trials=4,
+                                     policy=POLICY_EQUAL_POWER, p_eq=0.01)
+        assert rows == [(8, 7), (32, 31)]
+
+    def test_cap_follows_each_receiving_pu_count(self):
+        rows = max_sus_at_confidence(self.VACUOUS, ZFB, 0.5, "l_rx", [3, 0, 1], n_trials=4,
+                                     policy=POLICY_EQUAL_POWER, p_eq=0.01)
+        assert rows == [(3, 5), (0, 8), (1, 7)]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lockstep_matches_one_search_per_value(self, seed, monkeypatch):
+        # the Criterion 8 scenario: the same run_trials calls and the same rows
+        # as searching the values one after another, each call outside any scope
+        cfg, sweep = NetworkConfig(m_b=128, sigma2_delta=0.1), (1.0, 2.0, 3.0, 4.0)
+        original = crmimo.montecarlo.run_trials
+        calls = []
+
+        def recorded(config, scheme, policy, n_trials, seed, p_eq=None):
+            calls.append((config, scheme, policy, n_trials, seed, p_eq))
+            return original(config, scheme, policy, n_trials, seed, p_eq=p_eq)
+
+        def passes(config, k):
+            res = recorded(config.replace(k_su=k), scheme, POLICY_EQUAL_POWER_OPT, 10, seed)
+            return res.p_served >= 0.95
+
+        for scheme in (MEB, ZFB):
+            expected = []
+            for value in sweep:
+                config = cfg.replace(r0=value)
+                lo, hi = 0, None
+                if passes(config, 1):
+                    lo = 1
+                    while hi is None and lo * 2 <= 64:
+                        lo, hi = (lo * 2, None) if passes(config, lo * 2) else (lo, lo * 2)
+                    if hi is None and lo < 64:
+                        lo, hi = (64, None) if passes(config, 64) else (lo, 64)
+                    while hi is not None and hi - lo > 1:
+                        mid = (lo + hi) // 2
+                        lo, hi = (mid, hi) if passes(config, mid) else (lo, mid)
+                expected.append((value, lo))
+            reference, calls[:] = Counter(calls), []
+            monkeypatch.setattr(crmimo.montecarlo, "run_trials", recorded)
+            rows = max_sus_at_confidence(cfg, scheme, 0.95, "r0", sweep, n_trials=10,
+                                         seed=seed)
+            monkeypatch.setattr(crmimo.montecarlo, "run_trials", original)
+            assert rows == expected
+            assert Counter(calls) == reference
+            calls[:] = []
+
     def test_validation(self, monkeypatch):
         monkeypatch.setattr(crmimo.montecarlo, "run_trials", None)  # no trial may run
+        with pytest.raises(ValueError, match="l_rx=16: m_b - l_rx leaves no room"):
+            max_sus_at_confidence(SMALL, ZFB, 0.9, "l_rx", [1, 16])
         with pytest.raises(ValueError, match="unknown config key"):
             max_sus_at_confidence(SMALL, ZFB, 0.9, "p_eq_db", [1.0])
         with pytest.raises(ValueError):
