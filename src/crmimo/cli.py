@@ -168,16 +168,17 @@ def _fig2(spec: ExperimentSpec):
     name, values = spec.sweep
 
     def sweep(config, scheme):
-        for value in values:
-            p_eq = float(db_to_linear(value)) if name == "p_eq_db" else float(value)
-            p_eq_db = float(linear_to_db(p_eq))
-            analytic = analytics.q_k(scheme, config, p_eq)
-            res = run_trials(config, scheme, POLICY_EQUAL_POWER, spec.n_trials,
-                             spec.seed, p_eq=p_eq, n_workers=spec.n_workers)
-            print(f"fig2 m_b={config.m_b} scheme={scheme} p_eq={p_eq_db:+.1f}dB "
-                  f"analytic={analytic:.4f} empirical={res.p_served:.4f}")
-            yield [config.m_b, p_eq_db, scheme, _fmt(analytic), _fmt(res.p_served),
-                   _fmt(res.stderr), res.n_trials, ""]
+        with _shared_gains():  # the p_eq sweep draws each trial once
+            for value in values:
+                p_eq = float(db_to_linear(value)) if name == "p_eq_db" else float(value)
+                p_eq_db = float(linear_to_db(p_eq))
+                analytic = analytics.q_k(scheme, config, p_eq)
+                res = run_trials(config, scheme, POLICY_EQUAL_POWER, spec.n_trials,
+                                 spec.seed, p_eq=p_eq, n_workers=spec.n_workers)
+                print(f"fig2 m_b={config.m_b} scheme={scheme} p_eq={p_eq_db:+.1f}dB "
+                      f"analytic={analytic:.4f} empirical={res.p_served:.4f}")
+                yield [config.m_b, p_eq_db, scheme, _fmt(analytic), _fmt(res.p_served),
+                       _fmt(res.stderr), res.n_trials, ""]
 
     header = ["m_b", "p_eq_db", "scheme", "p_served_analytical",
               "p_served_empirical", "stderr", "n_trials", "error"]
@@ -202,32 +203,48 @@ def _fig_compare(spec: ExperimentSpec):
         yield [_fmt(float(value)), scheme, policy, _fmt(res.p_served),
                _fmt(res.stderr), analytic, p_eq_db, res.n_trials, ""]
 
+    def units():
+        for value in values:
+            config = spec.config.with_items({name: value})
+            for scheme in spec.schemes:
+                with _shared_gains():  # the policies draw each trial once
+                    for policy in spec.policies:
+                        yield (f"{spec.experiment} {name}={value} scheme={scheme} "
+                               f"policy={policy}",
+                               compare(value, config, scheme, policy),
+                               [[_fmt(float(value)), scheme, policy, "", "", "", "", ""]])
+
     header = [name, "scheme", "policy", "p_served", "stderr",
               "q_analytical", "p_eq_db", "n_trials", "error"]
-    return header, ((f"{spec.experiment} {name}={value} scheme={scheme} policy={policy}",
-                     compare(value, spec.config.with_items({name: value}), scheme, policy),
-                     [[_fmt(float(value)), scheme, policy, "", "", "", "", ""]])
-                    for value in values for scheme in spec.schemes
-                    for policy in spec.policies)
+    return header, units()
 
 
 def _fig5(spec: ExperimentSpec):
     name, values = spec.sweep
+    # (print prefix, leading columns, config) per table; an m_b sweep sets the
+    # antenna count itself, so it runs one table per scheme with no m_b column
+    tables = [("fig5", [], spec.config)] if name == "m_b" else \
+        [(f"fig5 m_b={m_b}", [m_b], spec.config.replace(m_b=m_b)) for m_b in spec.m_b_list]
 
-    def table(config, scheme):
+    def table(prefix, lead, config, scheme):
         for value, max_k in max_sus_at_confidence(
                 config, scheme, spec.confidence, name, values,
                 n_trials=spec.n_trials, seed=spec.seed,
                 policy=spec.policies[0], p_eq=spec.p_eq):
-            print(f"fig5 m_b={config.m_b} scheme={scheme} {name}={value} max_k={max_k}")
-            yield [config.m_b, _fmt(float(value)), scheme, max_k,
+            print(f"{prefix} {name}={value} max_k={max_k}")
+            yield [*lead, _fmt(float(value)), scheme, max_k,
                    _fmt(spec.confidence), spec.n_trials, ""]
 
-    header = ["m_b", name, "scheme", "max_k", "confidence", "n_trials", "error"]
-    return header, ((f"fig5 m_b={m_b} scheme={scheme}",
-                     table(spec.config.replace(m_b=m_b), scheme),
-                     [[m_b, "", scheme, "", "", ""]])
-                    for m_b in spec.m_b_list for scheme in spec.schemes)
+    def units():
+        for where, lead, config in tables:
+            for scheme in spec.schemes:
+                prefix = f"{where} scheme={scheme}"
+                yield (prefix, table(prefix, lead, config, scheme),
+                       [[*lead, "", scheme, "", "", ""]])
+
+    header = ["m_b"] * (name != "m_b") + [name, "scheme", "max_k", "confidence",
+                                          "n_trials", "error"]
+    return header, units()
 
 
 def _cdf_validation(spec: ExperimentSpec):
@@ -345,21 +362,25 @@ def run(spec: ExperimentSpec) -> int:
     the ArithmeticError of a special function that does not converge) is
     printed after the prefix, and the unit records failed_rows with the
     exception name in the trailing error column instead of losing the
-    rest of the run.  The units run in one _shared_gains scope, so
-    consecutive runs of one config, scheme, seed and trial count (fig2's
-    p_eq sweep, fig3/fig4's two policies at a sweep value) draw their
-    trials once.  Returns a process exit status.
+    rest of the run.
+
+    Runs that reuse one draw of trials share a _shared_gains scope that
+    their runner opens and that stays open while run consumes their
+    rows: fig2's p_eq sweep at one (m_b, scheme), a unit of its own, and
+    fig3/fig4's policy units at one (sweep value, scheme).  No other
+    run_trials call of a run is in a scope, so it streams its trials
+    instead of keeping their gains (fig5's search opens its own scope).
+    Returns a process exit status.
     """
     os.makedirs(spec.out_dir, exist_ok=True)
     header, units = _PRESETS[spec.experiment].runner(spec)
     rows = []
-    with _shared_gains():
-        for prefix, unit_rows, failed_rows in units:
-            try:
-                rows += list(unit_rows)
-            except (ValueError, ArithmeticError, IllConditionedError) as exc:
-                print(f"{prefix} error={type(exc).__name__}: {exc}")
-                rows += [row + [type(exc).__name__] for row in failed_rows]
+    for prefix, unit_rows, failed_rows in units:
+        try:
+            rows += list(unit_rows)
+        except (ValueError, ArithmeticError, IllConditionedError) as exc:
+            print(f"{prefix} error={type(exc).__name__}: {exc}")
+            rows += [row + [type(exc).__name__] for row in failed_rows]
     path = os.path.join(spec.out_dir, f"{spec.experiment}.csv")
     with open(path, "w", newline="") as fh:
         fh.write("# schema=1\n")
@@ -431,7 +452,9 @@ def main(argv=None) -> int:
                         help="confidence level for fig5_max_sus")
     parser.add_argument("--p-eq-db", type=float, dest="p_eq_db",
                         help="per-SU power in dB for equal-power policies")
-    parser.add_argument("--workers", type=int, default=1, help="trial worker processes")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="trial worker processes (fig5_max_sus and single_solve "
+                             "ignore it)")
     parser.add_argument("--large-mb", action="store_true",
                         help="include m_b in {512, 1024} in presets")
     parser.add_argument("--dump-samples", action="store_true",

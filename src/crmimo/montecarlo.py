@@ -5,11 +5,12 @@ run is fully determined by (config, scheme, policy, n_trials, seed) and
 independent of how many workers execute it.  A run has two stages.  The
 gains stage works in blocks: each trial draws its own channels, then
 one call each computes the beams and the link gains of the whole block
-along a leading trial axis.  The serve stage allocates power per trial
-and computes the slack of each block.  The gains read no rate floor,
-cap, budget, policy or p_eq, so inside a _shared_gains scope a run
-reuses the previous run's gains when it reads the same ones.  Block
-size and reuse change no bit of any result.  run_trials estimates the
+along a leading trial axis; several workers compute the blocks in a
+process pool.  The serve stage, in the calling process, allocates power
+per trial and computes the slack of each block.  The gains read no rate
+floor, cap, budget, policy or p_eq, so inside a _shared_gains scope a
+run reuses the previous run's gains when it reads the same ones.  Block
+size, worker count and reuse change no bit of any result.  run_trials estimates the
 probability that all SUs are served (the serving verdict uses the
 estimated constraints, i.e. what the SBS can check; the true-channel
 verdict is kept as an audit column).  max_sus_at_confidence searches
@@ -21,6 +22,8 @@ Kolmogorov-Smirnov comparisons against the closed-form laws.
 from __future__ import annotations
 
 import contextlib
+import functools
+import itertools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -132,23 +135,35 @@ def _block_gains(config, scheme, master_seed, block):
     return evaluate_links(real, beams.v, beams.u, config)
 
 
-def _gains(config, scheme, master_seed, indices, start=0):
-    """(rows, gains) per block of trials `indices`, rows counted from `start`.
+def _gains(config, scheme, master_seed, block):
+    """[(rows, gains)] of the trials of range `block`, one pool task.
 
-    gains is the block's LinkMetrics, or the exception name that all its
-    trials record.  A block with an ill-conditioned trial is redrawn one
-    trial at a time, so only that trial fails.
+    gains is the LinkMetrics of trials `rows`, or the exception name that
+    they all record.  A block with an ill-conditioned trial is redrawn
+    one trial at a time, so only that trial fails.
+    """
+    gains = _block_gains(config, scheme, master_seed, block)
+    if gains == IllConditionedError.__name__ and len(block) > 1:
+        return [part for i in block
+                for part in _gains(config, scheme, master_seed, range(i, i + 1))]
+    return [(slice(block.start, block.stop), gains)]
+
+
+def _trial_gains(config, scheme, master_seed, n_trials, n_workers):
+    """(rows, gains) of trials 0..n_trials-1, block by block in trial order.
+
+    One worker computes each block as it is taken.  More workers start a
+    process pool that computes the same blocks, one task each, and the
+    blocks come back in trial order to the caller, which serves them.
     """
     per_block = max(1, _BLOCK_ELEMENTS // (config.k_su * config.m_u * config.m_b))
-    for lo in range(0, len(indices), per_block):
-        block = indices[lo:lo + per_block]
-        rows = slice(start + lo, start + lo + len(block))
-        gains = _block_gains(config, scheme, master_seed, block)
-        if gains == IllConditionedError.__name__ and len(block) > 1:
-            for t, i in enumerate(block):
-                yield from _gains(config, scheme, master_seed, [i], rows.start + t)
-        else:
-            yield rows, gains
+    blocks = [range(lo, min(lo + per_block, n_trials)) for lo in range(0, n_trials, per_block)]
+    gains = functools.partial(_gains, config, scheme, master_seed)
+    if n_workers == 1:
+        yield from itertools.chain.from_iterable(map(gains, blocks))
+    else:
+        with ProcessPoolExecutor(max_workers=n_workers) as pool:
+            yield from itertools.chain.from_iterable(pool.map(gains, blocks))
 
 
 def _serve(gains, n, config, scheme, policy, p_eq) -> dict:
@@ -185,20 +200,13 @@ def _serve(gains, n, config, scheme, policy, p_eq) -> dict:
     return out
 
 
-def _run_range(args) -> dict:
-    """Trials `indices` through both stages, into one set of result buffers."""
-    config, scheme, policy, p_eq, master_seed, indices = args
-    return _serve(_gains(config, scheme, master_seed, indices), len(indices),
-                  config, scheme, policy, p_eq)
-
-
 @contextlib.contextmanager
 def _shared_gains():
     """A scope in which run_trials reuses the previous call's link gains.
 
-    A call with one worker reuses them when it matches the previous call
-    of the scope in every input the gains stage reads: the config fields
-    but _SERVE_FIELDS, the scheme, the seed and n_trials.  Otherwise it
+    A call reuses them, at any worker count, when it matches the
+    previous call of the scope in every input the gains stage reads: the
+    config fields but _SERVE_FIELDS, the scheme, the seed and n_trials.  Otherwise it
     draws and keeps its own gains in their place.  The scope holds one
     run's gains, about n_trials k_su^2 floats (16 MB at 500 trials and
     k_su = 64), and drops them on exit; a nested scope starts empty.
@@ -225,11 +233,14 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
         seed: master seed; trial i uses sub-seed (seed, i).
         p_eq: per-SU power for POLICY_EQUAL_POWER.
         n_workers: process count, >= 1; the result does not depend on it.
+            More than one starts a pool for the gains stage; the serve
+            stage always runs in the calling process.
 
-    Inside a _shared_gains scope (max_sus_at_confidence and the CLI open
-    one), a one-worker call reuses the previous call's channels, beams
-    and link gains when only r0, i0, p0, the policy or p_eq differ; the
-    result is bit-identical to a fresh draw.
+    Inside a _shared_gains scope (max_sus_at_confidence opens one, and
+    the CLI opens one around the runs that share trials), a call reuses the previous call's channels, beams and link
+    gains when only r0, i0, p0, the policy or p_eq differ, whatever
+    either call's worker count; the result is bit-identical to a fresh
+    draw.
 
     Returns:
         ExperimentResult with exact p_served = (#served)/n_trials,
@@ -250,25 +261,16 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
     if policy_run == POLICY_EQUAL_POWER and p_eq is None:
         raise ValueError("equal-power policy needs p_eq")
 
-    if n_workers > 1:
-        payloads = [
-            (config, scheme, policy_run, p_eq, seed, chunk.tolist())
-            for chunk in np.array_split(np.arange(n_trials), n_workers) if chunk.size
-        ]
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(_run_range, payloads))
-        out = {name: np.concatenate([part[name] for part in parts]) for name in parts[0]}
-    else:
-        gains = _gains(config, scheme, seed, range(n_trials))
-        shared = _SHARED_GAINS.get()
-        if shared is not None:
-            key = (tuple(v for f, v in vars(config).items() if f not in _SERVE_FIELDS),
-                   scheme, seed, n_trials)
-            if key not in shared:
-                shared.clear()
-                shared[key] = list(gains)
-            gains = shared[key]
-        out = _serve(gains, n_trials, config, scheme, policy_run, p_eq)
+    gains = _trial_gains(config, scheme, seed, n_trials, n_workers)
+    shared = _SHARED_GAINS.get()
+    if shared is not None:
+        key = (tuple(v for f, v in vars(config).items() if f not in _SERVE_FIELDS),
+               scheme, seed, n_trials)
+        if key not in shared:
+            shared.clear()
+            shared[key] = list(gains)
+        gains = shared[key]
+    out = _serve(gains, n_trials, config, scheme, policy_run, p_eq)
 
     p_served = out["served"].sum() / n_trials
     return ExperimentResult(
@@ -350,7 +352,12 @@ def max_sus_at_confidence(config_base: NetworkConfig, scheme: str, confidence: f
     increase along tightening r0 nor decrease along loosening i0/p0
     (linear or dB).  Monte Carlo noise can break that near the
     confidence level, so a break emits a RuntimeWarning naming the rows,
-    which are returned unchanged.
+    which are returned unchanged.  The search itself assumes p_served
+    falls with k.  At small trial counts noise can break that too, and
+    then max_k depends on the probe path: at m_b = 100, with 10 trials
+    of ZFB under the default config and seed 1, a search capped at k =
+    63 reports 59 and one capped at 64 reports 55 (k = 56 fails where
+    k = 59 passes).
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")

@@ -1,9 +1,12 @@
-"""Shared test plumbing: a per-test Wishart table and a terminal summary
-for the acceptance verdicts."""
+"""Shared test plumbing: a per-test Wishart table, a count of the trial
+pools started and a terminal summary for the acceptance verdicts."""
+
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 import crmimo.analytics as analytics
+import crmimo.montecarlo as montecarlo
 
 ACCEPTANCE_LINES = []
 
@@ -15,6 +18,20 @@ def own_wishart_table(monkeypatch):
     needs an unshipped shape declares the simulation with
     pytest.warns(RuntimeWarning) or seeds a stub entry."""
     monkeypatch.setattr(analytics, "_cache", dict(analytics._get_cache()))
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the process pools that run_trials starts."""
+    started = []
+
+    class Counted(ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(montecarlo, "ProcessPoolExecutor", Counted)
+    return started
 
 
 def pytest_terminal_summary(terminalreporter):

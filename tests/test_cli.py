@@ -18,7 +18,7 @@ from crmimo.cli import (
     emit_plot_data,
     main,
 )
-from crmimo.montecarlo import POLICY_EQUAL_POWER, run_trials
+from crmimo.montecarlo import POLICY_EQUAL_POWER, max_sus_at_confidence, run_trials
 from crmimo.network import NetworkConfig, db_to_linear, linear_to_db
 
 TINY = ["--set", "m_b=16", "--set", "m_u=2", "--set", "k_su=3"]
@@ -440,6 +440,33 @@ class TestSweepExperiments:
                                      repr(res.stderr), p_eq_db, "30", ""])
             assert [row[:5] + row[6:] for row in body] == expected
 
+    @pytest.mark.parametrize("experiment, n_pools", [("fig2_eq_power_sweep", 4),
+                                                     ("fig4_zfb_compare", 6)])
+    def test_workers_write_the_same_bytes(self, experiment, n_pools, tmp_path, capsys,
+                                          pools):
+        # with two workers a shared draw is still drawn once, by one pool: fig2
+        # starts one per (m_b, scheme), fig4 one per sweep value
+        args = ["--experiment", experiment, "--set", "k_su=3", "--trials", "6"]
+        assert main([*args, "--out", str(tmp_path / "w1")]) == EXIT_OK
+        assert main([*args, "--workers", "2", "--out", str(tmp_path / "w2")]) == EXIT_OK
+        assert pools == [2] * n_pools
+        csvs = [(tmp_path / w / f"{experiment}.csv").read_bytes() for w in ("w1", "w2")]
+        assert csvs[0] == csvs[1]
+
+    def test_cdf_validation_runs_outside_any_scope(self, tmp_path, capsys, monkeypatch):
+        # no later run reuses a cdf_validation run's gains, so none is kept
+        scopes = []
+
+        def recorded(*args, **kwargs):
+            scopes.append(crmimo.montecarlo._SHARED_GAINS.get())
+            return run_trials(*args, **kwargs)
+
+        monkeypatch.setattr(crmimo.cli, "run_trials", recorded)
+        code = main(["--experiment", "cdf_validation", *TINY, "--trials", "20",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        assert scopes == [None, None]
+
     def test_fig5_tiny(self, tmp_path, capsys):
         code = main(["--experiment", "fig5_max_sus", *TINY,
                      "--sweep", "r0=1", "--trials", "10", "--schemes", "ZFB",
@@ -459,6 +486,21 @@ class TestSweepExperiments:
         header, body = read_csv(tmp_path / "fig5_max_sus.csv")
         assert header[1] == "i0_db"
         assert [row[1] for row in body] == ["-10.0", "0.0"]
+
+    def test_fig5_antenna_sweep_runs_one_table_per_scheme(self, tmp_path, capsys):
+        # the preset m_b list does not multiply an m_b sweep, and no column
+        # names an antenna count that the row did not run at
+        code = main(["--experiment", "fig5_max_sus", "--set", "m_u=2", "--sweep", "m_b=8,16",
+                     "--trials", "5", "--schemes", "ZFB", "--confidence", "0.5",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        header, body = read_csv(tmp_path / "fig5_max_sus.csv")
+        assert header == ["m_b", "scheme", "max_k", "confidence", "n_trials", "error"]
+        rows = max_sus_at_confidence(NetworkConfig(m_u=2), "ZFB", 0.5, "m_b", (8.0, 16.0),
+                                     n_trials=5, seed=1)
+        assert [row[:3] for row in body] == [[repr(v), "ZFB", str(k)] for v, k in rows]
+        out = capsys.readouterr().out
+        assert "fig5 scheme=ZFB m_b=8.0 max_k=" in out and "m_b=64" not in out
 
     def test_fig5_failed_scheme_keeps_the_others(self, tmp_path, capsys, monkeypatch):
         search = crmimo.cli.max_sus_at_confidence

@@ -248,8 +248,8 @@ class TestBlocks:
         results = []
         for n in (1, 7, 1000):
             trials_per_block(monkeypatch, config, n)
-            results.append(run_trials(config, scheme, policy, **kw))
-        results.append(run_trials(config, scheme, policy, n_workers=2, **kw))
+            for n_workers in (1, 2):
+                results.append(run_trials(config, scheme, policy, n_workers=n_workers, **kw))
         assert results[0].n_failed == (23 if config is self.SHORTAGE else 0)
         for other in results[1:]:
             assert_same_result(results[0], other)
@@ -400,15 +400,22 @@ class TestSharedGains:
         assert len(draws) == 8 + 4 + 4 + 4
         assert crmimo.montecarlo._SHARED_GAINS.get() is None
 
-    def test_workers_neither_read_nor_keep_the_gains(self):
-        fresh = run_trials(SMALL, ZFB, POLICY_LF, 6, seed=2)
+    def test_workers_read_and_fill_the_gains(self, monkeypatch, pools):
+        # the first call's pool draws the gains and the scope keeps them; the
+        # later calls, at either worker count, serve them and start no pool
+        calls = [(policy, n_workers) for n_workers in (2, 2, 1)
+                 for policy in (POLICY_LF, POLICY_EQUAL_POWER)]
+        trials_per_block(monkeypatch, SMALL, 4)
+        fresh = [run_trials(SMALL, ZFB, policy, 10, seed=2, p_eq=0.3) for policy, _ in calls]
+        pools.clear()
+        draws = counted_draws(monkeypatch)
         with _shared_gains():
-            run_trials(SMALL, ZFB, POLICY_LF, 6, seed=2)
-            key, = crmimo.montecarlo._SHARED_GAINS.get()
-            crmimo.montecarlo._SHARED_GAINS.get()[key] = []  # a read would serve nothing
-            res = run_trials(SMALL, ZFB, POLICY_LF, 6, seed=2, n_workers=2)
-            assert list(crmimo.montecarlo._SHARED_GAINS.get()) == [key]
-        assert_same_result(res, fresh)
+            inside = [run_trials(SMALL, ZFB, policy, 10, seed=2, p_eq=0.3, n_workers=n_workers)
+                      for policy, n_workers in calls]
+        assert pools == [2]
+        assert draws == []  # the pool drew every trial; the caller drew none
+        for a, b in zip(fresh, inside):
+            assert_same_result(a, b)
 
 
 class TestMaxSus:
