@@ -229,10 +229,10 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
             trial), POLICY_EQUAL_POWER (fixed p_eq, required argument),
             or POLICY_EQUAL_POWER_OPT (p_eq from optimize_equal_power,
             computed once and reused across trials).
-        n_trials: number of realizations, >= 1.
+        n_trials: number of realizations, an integer >= 1.
         seed: master seed; trial i uses sub-seed (seed, i).
         p_eq: per-SU power for POLICY_EQUAL_POWER.
-        n_workers: process count, >= 1; the result does not depend on it.
+        n_workers: process count, an integer >= 1; the result does not depend on it.
             More than one starts a pool for the gains stage; the serve
             stage always runs in the calling process.
 
@@ -247,10 +247,11 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
         binomial standard error, true-channel audit rates and pooled
         SINR/interference samples (failed trials contribute NaNs).
     """
-    if n_trials < 1:
-        raise ValueError(f"n_trials must be at least 1, got {n_trials}")
-    if n_workers < 1:
-        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
+    for name, val in (("n_trials", n_trials), ("n_workers", n_workers)):
+        if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
+            raise ValueError(f"{name} must be an integer, got {val!r}")
+        if val < 1:
+            raise ValueError(f"{name} must be at least 1, got {val}")
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     if policy == POLICY_EQUAL_POWER_OPT:

@@ -126,7 +126,8 @@ class NetworkConfig:
 
         Power fields also accept dB forms p0_db, i0_db, pp_db with
         linear = 10^(dB/10).  Giving both forms of one field is an error,
-        and so is a non-integral number (64.5, not 64.0) for an integer field.
+        and so is a bool or a non-integral number (64.5, not 64.0) for an
+        integer field.
         """
         field_types = {f.name: f.type for f in dataclasses.fields(self)}
         updates = {}
@@ -135,7 +136,8 @@ class NetworkConfig:
                 target = _DB_KEYS[key]
                 value = float(db_to_linear(float(raw)))
             elif field_types.get(key) == "int":
-                if not isinstance(raw, str) and not float(raw).is_integer():
+                fractional = not isinstance(raw, str) and not float(raw).is_integer()
+                if isinstance(raw, (bool, np.bool_)) or fractional:
                     raise ValueError(f"config key {key!r} needs an integer, got {raw!r}")
                 target = key
                 value = int(raw)

@@ -1,23 +1,13 @@
-"""Shared test plumbing: a per-test Wishart table, a count of the trial
-pools started and a terminal summary for the acceptance verdicts."""
+"""Shared test plumbing: a count of the trial pools started and a terminal
+summary for the acceptance verdicts."""
 
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
-import crmimo.analytics as analytics
 import crmimo.montecarlo as montecarlo
 
 ACCEPTANCE_LINES = []
-
-
-@pytest.fixture(autouse=True)
-def own_wishart_table(monkeypatch):
-    """Give each test its own copy of the shipped Wishart table, so a shape
-    one test simulates is not silently cached for the next.  A test that
-    needs an unshipped shape declares the simulation with
-    pytest.warns(RuntimeWarning) or seeds a stub entry."""
-    monkeypatch.setattr(analytics, "_cache", dict(analytics._get_cache()))
 
 
 @pytest.fixture

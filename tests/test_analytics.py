@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import warnings
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -16,16 +18,13 @@ from crmimo.analytics import (
     GenFParams,
     InverseGammaParams,
     PointMassParams,
-    WISHART_SAMPLES,
     equal_power_bounds,
     expected_max_eig,
-    load_wishart_cache,
     meb_interference_cdf,
     meb_sinr_cdf,
     meb_sinr_params,
     optimize_equal_power,
     q_k,
-    save_wishart_cache,
     zfb_interference_cdf,
     zfb_sinr_cdf,
     zfb_sinr_exact_cdf,
@@ -35,6 +34,30 @@ from crmimo.beamforming import MEB, ZFB, AntennaShortageError, compute_zfb
 from crmimo.network import NetworkConfig, generate_channels
 
 BASE = NetworkConfig()  # m_b=64, m_u=4, k_su=10, l_tx=l_rx=1
+
+# E[lambda_max] of H H^H, H m_u x m_b with CN(0, 1) entries: the exact law,
+# det(I - A(x)) with A(x) in closed form through upper incomplete gammas,
+# integrated by mpmath at 40 digits and, from (4, 12) on, again at 60 (the
+# two agree in all 30 printed digits); the first four are exact rationals
+EXACT_MEANS = {
+    (2, 2): 3.5,
+    (2, 3): 4.875,
+    (2, 4): 99 / 16,
+    (3, 3): 313 / 48,
+    (4, 12): 21.58256918653215330372801,
+    (4, 64): 85.13659801241927985066289,
+    (4, 100): 126.2063327022452397548459,
+    (5, 300): 354.6425609285483209048043,
+    (4, 1000): 1080.908543462587479279629,
+    (6, 50): 77.21770865530002416235987,
+}
+
+
+def shipped_table():
+    """{(m_u, m_b): (mean, stderr)} of the shipped Wishart table file."""
+    text = resources.files("crmimo").joinpath("data/wishart_means.txt").read_text()
+    rows = [line.split() for line in text.splitlines() if line and not line.startswith("#")]
+    return {(int(r[0]), int(r[1])): (float(r[2]), float(r[3])) for r in rows}
 
 
 def ks_against(samples, cdf):
@@ -146,27 +169,44 @@ class TestWishartMeans:
         cached = expected_max_eig(4, 64)
         assert abs(cached - fresh) / fresh < 0.005
 
-    def test_uncached_shape_computed_and_memoized(self):
-        with pytest.warns(RuntimeWarning, match=r"\(2, 3\)"):
-            v1 = expected_max_eig(2, 3)
-        v2 = expected_max_eig(2, 3)
-        assert v1 == v2
-        assert 3.0 < v1 < 6.0  # between E[max] bounds for a 2x3 channel
+    @pytest.mark.parametrize("shape,exact", EXACT_MEANS.items())
+    def test_exact_law_against_high_precision(self, shape, exact):
+        assert analytics._exact_max_eig(*shape) == pytest.approx(exact, rel=1e-11, abs=0)
 
-    def test_uncached_shape_warns_once(self):
-        with pytest.warns(RuntimeWarning) as record:
-            expected_max_eig(2, 5)
-            expected_max_eig(2, 5)
-        (warning,) = record
-        assert "(2, 5)" in str(warning.message)
-        assert "simulated it in" in str(warning.message)
+    def test_shipped_rows_read_the_table_bit_for_bit(self):
+        for (m_u, m_b), (mean, _) in shipped_table().items():
+            for sigma2_h in (1.0, 2.5):
+                assert expected_max_eig(m_u, m_b, sigma2_h) == sigma2_h * mean
+                assert expected_max_eig(m_b, m_u, sigma2_h) == sigma2_h * mean
 
-    def test_cache_round_trip(self, tmp_path):
-        cache = {(2, 8): (10.5, 0.01, WISHART_SAMPLES), (4, 64): (85.154417, 0.0062, 100000)}
-        path = tmp_path / "w.txt"
-        save_wishart_cache(path, cache)
-        back = load_wishart_cache(path)
-        assert back == cache
+    def test_shipped_rows_within_three_stderr_of_exact_law(self):
+        z = {shape: (mean - analytics._exact_max_eig(*shape)) / stderr
+             for shape, (mean, stderr) in shipped_table().items()}
+        assert len(z) == 27
+        assert max(abs(v) for v in z.values()) < 3.0, z
+
+    def test_unshipped_shape_takes_the_exact_law_once(self):
+        analytics._exact_max_eig.cache_clear()
+        assert expected_max_eig(5, 300) == pytest.approx(EXACT_MEANS[(5, 300)], rel=1e-11)
+        assert expected_max_eig(300, 5, sigma2_h=2.0) == 2.0 * expected_max_eig(5, 300)
+        info = analytics._exact_max_eig.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
+
+    def test_exact_law_is_quiet(self):
+        with warnings.catch_warnings(), np.errstate(divide="raise", over="raise", invalid="raise"):
+            warnings.simplefilter("error")
+            for shape in [(2, 2), (3, 3), (6, 6), (2, 3), (6, 1024)]:
+                analytics._exact_max_eig.__wrapped__(*shape)
+
+    @pytest.mark.parametrize("m_u,m_b", [(2.5, 4), (True, 4), (np.True_, 4), (4, False),
+                                         (1, 7.5), (4, math.inf)])
+    def test_shape_must_be_integral(self, m_u, m_b):
+        with pytest.raises(ValueError, match="must be an integer"):
+            expected_max_eig(m_u, m_b)
+
+    def test_numpy_integers_accepted(self):
+        assert expected_max_eig(np.int64(4), np.int32(64)) == expected_max_eig(4, 64)
+        assert expected_max_eig(np.int64(1), np.int64(7)) == 7.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -315,7 +355,6 @@ class TestZfbSinrModel:
     def test_antenna_floor_matches_beamformer(self, l_tx, l_rx):
         # the model's domain is exactly where compute_zfb has a null space
         for m_b in (10 + l_rx - 1, 10 + l_rx):
-            analytics._get_cache()[(4, m_b)] = (1.0, 0.0, 1)  # the value does not matter here
             cfg = NetworkConfig(m_b=m_b, k_su=10, l_tx=l_tx, l_rx=l_rx)
             real = generate_channels(cfg, 0)
             if m_b < 10 + l_rx:

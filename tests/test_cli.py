@@ -317,10 +317,9 @@ class TestSweepExperiments:
 
     def test_fig2_failed_scheme_keeps_the_others(self, tmp_path, capsys):
         # k_su = m_b leaves ZFB no null space: its SINR model rejects the config
-        with pytest.warns(RuntimeWarning, match=r"\(4, 12\)"):  # MEB's unshipped shape
-            code = main(["--experiment", "fig2_eq_power_sweep", "--set", "m_b=12",
-                         "--set", "k_su=12", "--sweep", "p_eq_db=-10,-5", "--trials", "20",
-                         "--out", str(tmp_path)])
+        code = main(["--experiment", "fig2_eq_power_sweep", "--set", "m_b=12",
+                     "--set", "k_su=12", "--sweep", "p_eq_db=-10,-5", "--trials", "20",
+                     "--out", str(tmp_path)])
         assert code == EXIT_OK
         assert "fig2 m_b=12 scheme=ZFB error=ValueError" in capsys.readouterr().out
         header, body = read_csv(tmp_path / "fig2_eq_power_sweep.csv")
@@ -387,10 +386,9 @@ class TestSweepExperiments:
     def test_fig4_failed_policy_keeps_the_others(self, tmp_path, capsys):
         # k_su = m_b leaves ZFB no null space: the optimizer rejects the config,
         # while LF records every trial as failed
-        with pytest.warns(RuntimeWarning, match=r"\(4, 12\)"):  # the optimizer's bracket
-            code = main(["--experiment", "fig4_zfb_compare", "--set", "m_b=12",
-                         "--set", "k_su=12", "--trials", "5", "--sweep", "sigma2_delta=0.01",
-                         "--out", str(tmp_path)])
+        code = main(["--experiment", "fig4_zfb_compare", "--set", "m_b=12",
+                     "--set", "k_su=12", "--trials", "5", "--sweep", "sigma2_delta=0.01",
+                     "--out", str(tmp_path)])
         assert code == EXIT_OK
         assert ("fig4_zfb_compare sigma2_delta=0.01 scheme=ZFB policy=EQUAL_POWER_OPT "
                 "error=ValueError") in capsys.readouterr().out
@@ -537,9 +535,8 @@ class TestSweepExperiments:
         assert (tmp_path / "samples_ZFB_interference.txt").exists()
 
     def test_cdf_validation_failed_scheme_keeps_the_others(self, tmp_path, capsys):
-        with pytest.warns(RuntimeWarning, match=r"\(4, 12\)"):  # MEB's unshipped shape
-            code = main(["--experiment", "cdf_validation", "--set", "m_b=12", "--set", "k_su=12",
-                         "--trials", "50", "--out", str(tmp_path)])
+        code = main(["--experiment", "cdf_validation", "--set", "m_b=12", "--set", "k_su=12",
+                     "--trials", "50", "--out", str(tmp_path)])
         assert code == EXIT_OK
         assert "cdf_validation scheme=ZFB error=ValueError" in capsys.readouterr().out
         header, body = read_csv(tmp_path / "cdf_validation.csv")

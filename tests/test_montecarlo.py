@@ -192,6 +192,23 @@ class TestServingLogic:
         with pytest.raises(ValueError, match="n_workers must be at least 1"):
             run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 5, seed=0, p_eq=1.0, n_workers=n_workers)
 
+    @pytest.mark.parametrize("name,value", [("n_trials", 2.5), ("n_trials", True),
+                                            ("n_workers", 1.5), ("n_workers", True)])
+    def test_counts_must_be_integers(self, name, value, monkeypatch):
+        # rejected before the optimizer runs or a channel is drawn
+        def never(*args, **kwargs):
+            raise AssertionError("reached past the argument checks")
+        monkeypatch.setattr(crmimo.montecarlo, "optimize_equal_power", never)
+        monkeypatch.setattr(crmimo.montecarlo, "generate_channels", never)
+        counts = {"n_trials": 5, "n_workers": 1, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            run_trials(SMALL, MEB, POLICY_EQUAL_POWER_OPT, seed=0, **counts)
+
+    def test_numpy_integer_counts_accepted(self):
+        res = run_trials(SMALL, MEB, POLICY_EQUAL_POWER, np.int64(3), seed=0, p_eq=0.3,
+                         n_workers=np.int32(1))
+        assert res.n_trials == 3
+
     def test_more_su_antennas_than_sbs_antennas(self):
         # m_u > m_b is a valid config: the optimizer reads the (m_b, m_u) Wishart mean
         cfg = NetworkConfig(m_b=4, m_u=8, k_su=2, l_tx=1, l_rx=1)

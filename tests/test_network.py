@@ -80,6 +80,12 @@ class TestConfig:
             with pytest.raises(ValueError):
                 cfg.with_items({"m_b": raw})
 
+    @pytest.mark.parametrize("raw", [True, False, np.bool_(True)])
+    def test_integer_fields_reject_bools(self, raw):
+        # as NetworkConfig(k_su=True) does
+        with pytest.raises(ValueError, match="needs an integer"):
+            NetworkConfig().with_items({"k_su": raw})
+
     def test_replace(self):
         cfg = NetworkConfig().replace(k_su=5)
         assert cfg.k_su == 5 and cfg.m_b == 64
