@@ -48,7 +48,7 @@ from importlib import resources
 import numpy as np
 
 from .beamforming import MEB, ZFB
-from .network import NetworkConfig
+from .network import NetworkConfig, _count
 from .specfun import _elementwise, regularized_incomplete_beta, regularized_lower_gamma
 
 __all__ = [
@@ -239,13 +239,6 @@ class PointMassParams(_Law):
     @staticmethod
     def _formula(s, value):
         return 1.0 * (s >= value)
-
-
-def _count(name: str, val) -> int:
-    """val as an int; ValueError for a bool or a value that is not integral."""
-    if isinstance(val, (bool, np.bool_)) or not float(val).is_integer():
-        raise ValueError(f"{name} must be an integer, got {val!r}")
-    return int(val)
 
 
 @lru_cache(maxsize=1)

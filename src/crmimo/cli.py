@@ -74,6 +74,8 @@ class ExperimentSpec:
                 raise ValueError(f"sweep {name!r} needs at least one value")
             if not np.isfinite(values).all():
                 raise ValueError(f"sweep values must be finite, got {values}")
+            if self.experiment == "fig5_max_sus" and name == "k_su":
+                raise ValueError("fig5_max_sus searches k_su; it cannot be the sweep axis")
             if name not in ("p_eq", "p_eq_db"):
                 for value in values:  # an unknown key or bad value fails here, before any trial
                     self.config.with_items({name: value})

@@ -2,20 +2,21 @@
 
 Each trial draws its own sub-seed from the master seed by counter, so a
 run is fully determined by (config, scheme, policy, n_trials, seed) and
-independent of how many workers execute it.  A run has two stages.  The
-gains stage works in blocks: each trial draws its own channels, then
-one call each computes the beams and the link gains of the whole block
-along a leading trial axis; several workers compute the blocks in a
-process pool.  The serve stage, in the calling process, allocates power
-per trial and computes the slack of each block.  The gains read no rate
+independent of how many workers execute it.  A run has two stages.  In
+the gains stage, one function (_gains) turns each block of trials into
+link gains: each trial draws its own channels, then one call each
+computes the beams and the link gains of the whole block along a
+leading trial axis; several workers compute the blocks in a process
+pool.  The serve stage, in the calling process, allocates power per
+trial and computes the slack of each block.  The gains read no rate
 floor, cap, budget, policy or p_eq, so inside a _shared_gains scope a
 run reuses the previous run's gains when it reads the same ones.  Block
-size, worker count and reuse change no bit of any result.  run_trials estimates the
-probability that all SUs are served (the serving verdict uses the
-estimated constraints, i.e. what the SBS can check; the true-channel
-verdict is kept as an audit column).  max_sus_at_confidence searches
-the largest number of SUs servable at a given confidence along a
-constraint sweep.  EmpiricalCdf pools raw samples for
+size, worker count and reuse change no bit of any result.  run_trials
+estimates the probability that all SUs are served (the serving verdict
+uses the estimated constraints, i.e. what the SBS can check; the
+true-channel verdict is kept as an audit column).  max_sus_at_confidence
+searches the largest number of SUs servable at a given confidence along
+a constraint sweep.  EmpiricalCdf pools raw samples for
 Kolmogorov-Smirnov comparisons against the closed-form laws.
 """
 
@@ -103,58 +104,41 @@ def trial_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(master_seed), int(index)))
 
 
-def _draw_block(config, master_seed, indices) -> ChannelRealization:
-    """Trials `indices`, each drawn from its own sub-seed, along a leading trial axis.
+def _gains(config, scheme, master_seed, trials):
+    """[(rows, gains)] of `trials`, consecutive indices in order, one pool task.
 
-    Each draw is copied into the block and dropped; one trial is viewed.
-    """
-    n, block = len(indices), {}
-    for t, i in enumerate(indices):
-        real = vars(generate_channels(config, trial_seed(master_seed, i)))
-        if n == 1:
-            return ChannelRealization(**{name: a[None] for name, a in real.items()})
-        for name, a in real.items():
+    The trials' draws, in trial order, are stacked read-only along a
+    leading axis (one trial is viewed, not copied) for one beam and one
+    link call; gains is the LinkMetrics of trials `rows`, or the name of
+    the exception the beams raised.  An ill-conditioned block is released
+    and redrawn one trial at a time, so only that trial fails."""
+    n, block = len(trials), {}
+    for t, i in enumerate(trials):
+        for name, a in vars(generate_channels(config, trial_seed(master_seed, i))).items():
             if t == 0:
-                block[name] = np.empty((n, *a.shape), dtype=complex)
-            block[name][t] = a
+                block[name] = a[None] if n == 1 else np.empty((n, *a.shape), dtype=complex)
+            if n > 1:
+                block[name][t] = a
     for a in block.values():
         a.setflags(write=False)
-    return ChannelRealization(**block)
-
-
-def _block_gains(config, scheme, master_seed, block):
-    """The LinkMetrics of trials `block`, or the name of the exception their beams raised.
-
-    The block's channels and beams are dropped on return, before the next draw.
-    """
-    real = _draw_block(config, master_seed, block)
+    real = ChannelRealization(**block)
     try:
         beams = compute_beams(real, scheme)
     except (AntennaShortageError, IllConditionedError) as exc:
-        return type(exc).__name__
-    return evaluate_links(real, beams.v, beams.u, config)
-
-
-def _gains(config, scheme, master_seed, block):
-    """[(rows, gains)] of the trials of range `block`, one pool task.
-
-    gains is the LinkMetrics of trials `rows`, or the exception name that
-    they all record.  A block with an ill-conditioned trial is redrawn
-    one trial at a time, so only that trial fails.
-    """
-    gains = _block_gains(config, scheme, master_seed, block)
-    if gains == IllConditionedError.__name__ and len(block) > 1:
-        return [part for i in block
-                for part in _gains(config, scheme, master_seed, range(i, i + 1))]
-    return [(slice(block.start, block.stop), gains)]
+        gains = type(exc).__name__
+    else:
+        gains = evaluate_links(real, beams.v, beams.u, config)
+    if gains == IllConditionedError.__name__ and n > 1:
+        del real, block, a
+        return [part for i in trials for part in _gains(config, scheme, master_seed, [i])]
+    return [(slice(trials[0], trials[-1] + 1), gains)]
 
 
 def _trial_gains(config, scheme, master_seed, n_trials, n_workers):
     """(rows, gains) of trials 0..n_trials-1, block by block in trial order.
 
-    One worker computes each block as it is taken.  More workers start a
-    process pool that computes the same blocks, one task each, and the
-    blocks come back in trial order to the caller, which serves them.
+    One worker computes each block as it is taken; more start a process
+    pool that computes the same blocks, one task each, in trial order.
     """
     per_block = max(1, _BLOCK_ELEMENTS // (config.k_su * config.m_u * config.m_b))
     blocks = [range(lo, min(lo + per_block, n_trials)) for lo in range(0, n_trials, per_block)]
@@ -230,35 +214,36 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
             or POLICY_EQUAL_POWER_OPT (p_eq from optimize_equal_power,
             computed once and reused across trials).
         n_trials: number of realizations, an integer >= 1.
-        seed: master seed; trial i uses sub-seed (seed, i).
+        seed: master seed, an integer >= 0; trial i uses sub-seed (seed, i).
         p_eq: per-SU power for POLICY_EQUAL_POWER.
         n_workers: process count, an integer >= 1; the result does not depend on it.
-            More than one starts a pool for the gains stage; the serve
-            stage always runs in the calling process.
+            More than one starts a pool for the gains stage, in which one
+            _gains call draws, beams and links each block of trials; the
+            serve stage always runs in the calling process.
 
     Inside a _shared_gains scope (max_sus_at_confidence opens one, and
-    the CLI opens one around the runs that share trials), a call reuses the previous call's channels, beams and link
-    gains when only r0, i0, p0, the policy or p_eq differ, whatever
-    either call's worker count; the result is bit-identical to a fresh
-    draw.
+    the CLI opens one around the runs that share trials), a call reuses
+    the previous call's channels, beams and link gains when only r0, i0,
+    p0, the policy or p_eq differ, whatever either call's worker count;
+    the result is bit-identical to a fresh draw.  A bad count or seed
+    raises ValueError before the optimizer runs or any channel is drawn.
 
     Returns:
         ExperimentResult with exact p_served = (#served)/n_trials,
         binomial standard error, true-channel audit rates and pooled
         SINR/interference samples (failed trials contribute NaNs).
     """
-    for name, val in (("n_trials", n_trials), ("n_workers", n_workers)):
+    for name, val, least in (("n_trials", n_trials, 1), ("n_workers", n_workers, 1),
+                             ("seed", seed, 0)):
         if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
             raise ValueError(f"{name} must be an integer, got {val!r}")
-        if val < 1:
-            raise ValueError(f"{name} must be at least 1, got {val}")
+        if val < least:
+            raise ValueError(f"{name} must be at least {least}, got {val}")
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
+    policy_run = POLICY_EQUAL_POWER if policy == POLICY_EQUAL_POWER_OPT else policy
     if policy == POLICY_EQUAL_POWER_OPT:
         p_eq = optimize_equal_power(scheme, config).p_eq
-        policy_run = POLICY_EQUAL_POWER
-    else:
-        policy_run = policy
     if policy_run == POLICY_EQUAL_POWER and p_eq is None:
         raise ValueError("equal-power policy needs p_eq")
 
@@ -338,8 +323,9 @@ def max_sus_at_confidence(config_base: NetworkConfig, scheme: str, confidence: f
     p0_db, applied as NetworkConfig.with_items does), binary-searches the
     largest k with p_served >= confidence; k ranges over 1..min(64,
     m_b - l_rx) of that value's config (the ZF antenna condition).
-    Returns [(value, max_k)].  An unknown key, or a value that leaves
-    no room for any SU, raises ValueError before any trial.
+    Returns [(value, max_k)].  An unknown key, k_su (which the search
+    sets), or a value that leaves no room for any SU raises ValueError
+    before any trial.
 
     The values' searches run in lockstep: each round takes every
     unfinished search's next probe and runs the probes in order of k,
@@ -362,6 +348,8 @@ def max_sus_at_confidence(config_base: NetworkConfig, scheme: str, confidence: f
     """
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence!r}")
+    if sweep_name == "k_su":
+        raise ValueError("the max-SU search sets k_su; it cannot be the sweep axis")
     points = [(value, config_base.with_items({sweep_name: value})) for value in sweep_values]
     searches = []
     for value, cfg in points:

@@ -77,10 +77,12 @@ class NetworkConfig:
     r0: float = 1.0
 
     def __post_init__(self):
-        for name in ("m_b", "m_u", "k_su", "l_tx", "l_rx"):
-            val = getattr(self, name)
-            if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
-                raise ValueError(f"{name} must be an integer, got {val!r}")
+        for f in dataclasses.fields(self):  # a bool is neither an integer nor a number
+            val, whole = getattr(self, f.name), f.type == "int"
+            if isinstance(val, (bool, np.bool_)) or (
+                    whole and not isinstance(val, (int, np.integer))):
+                kind = "an integer" if whole else "a number"
+                raise ValueError(f"{f.name} must be {kind}, got {val!r}")
         if self.m_b < 1 or self.m_u < 1 or self.k_su < 1:
             raise ValueError("m_b, m_u and k_su must be positive")
         if self.l_tx < 0 or self.l_rx < 0:
@@ -125,31 +127,43 @@ class NetworkConfig:
         """Return a copy with {key: value} items applied, values as strings or numbers.
 
         Power fields also accept dB forms p0_db, i0_db, pp_db with
-        linear = 10^(dB/10).  Giving both forms of one field is an error,
-        and so is a bool or a non-integral number (64.5, not 64.0) for an
-        integer field.
+        linear = 10^(dB/10).  Giving both forms of one field is an error.
+        An integer field takes any integral value, as a number or a
+        string (64, 64.0, "64.0"; not 64.5); no field takes a bool.  A
+        value that does not parse raises ValueError naming its key.
         """
         field_types = {f.name: f.type for f in dataclasses.fields(self)}
         updates = {}
         for key, raw in items.items():
-            if key in _DB_KEYS:
-                target = _DB_KEYS[key]
-                value = float(db_to_linear(float(raw)))
-            elif field_types.get(key) == "int":
-                fractional = not isinstance(raw, str) and not float(raw).is_integer()
-                if isinstance(raw, (bool, np.bool_)) or fractional:
-                    raise ValueError(f"config key {key!r} needs an integer, got {raw!r}")
-                target = key
-                value = int(raw)
-            elif key in field_types:
-                target = key
-                value = float(raw)
-            else:
+            target = _DB_KEYS.get(key, key)
+            if target not in field_types:
                 raise ValueError(f"unknown config key {key!r}")
+            whole = field_types[target] == "int"
+            try:
+                value = _count(key, raw) if whole else float(raw)
+            except (TypeError, ValueError):
+                value = None
+            if value is None or isinstance(raw, (bool, np.bool_)):
+                kind = "an integer" if whole else "a number"
+                raise ValueError(f"config key {key!r} needs {kind}, got {raw!r}")
+            if key in _DB_KEYS:
+                value = float(db_to_linear(value))
             if target in updates:
                 raise ValueError(f"config sets {target!r} twice (dB and linear forms?)")
             updates[target] = value
         return self.replace(**updates)
+
+
+def _count(name: str, val) -> int:
+    """val, a number or a numeric string, as an int; ValueError for a bool
+    or a value that is not integral (64.0 and "64.0" give 64, 64.5 raises)."""
+    try:
+        whole = not isinstance(val, (bool, np.bool_)) and float(val).is_integer()
+    except (TypeError, ValueError):
+        whole = False
+    if not whole:
+        raise ValueError(f"{name} must be an integer, got {val!r}")
+    return int(float(val)) if isinstance(val, str) else int(val)
 
 
 def _parse_kv_lines(lines, where="line") -> dict:

@@ -145,6 +145,30 @@ class TestMainExitCodes:
             assert code == EXIT_CONFIG
             assert "needs an integer, got 16.5" in capsys.readouterr().err
 
+    def test_fig5_cannot_sweep_the_searched_count(self, tmp_path, capsys, monkeypatch):
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(crmimo.cli, "run_trials", no_trials)
+        monkeypatch.setattr(crmimo.cli, "max_sus_at_confidence", no_trials)
+        code = main(["--experiment", "fig5_max_sus", *TINY, "--sweep", "k_su=2,3",
+                     "--trials", "2", "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "fig5_max_sus searches k_su" in err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("pair, message", [
+        ("m_b=16.5", "config key 'm_b' needs an integer, got '16.5'"),
+        ("p0=true", "config key 'p0' needs a number, got 'true'"),
+    ])
+    def test_set_value_that_does_not_parse(self, pair, message, tmp_path, capsys):
+        code = main(["--experiment", "single_solve", "--set", pair, "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_power_sweep_only_in_fig2(self, tmp_path, capsys):
         # the other sweeps set config fields, so a power axis runs no trial
         for experiment in ("fig3_meb_compare", "fig4_zfb_compare", "fig5_max_sus"):
@@ -662,6 +686,16 @@ class TestBuildSpec:
     def test_explicit_mb_pins_list(self):
         spec = self.parse({"overrides": ["m_b=32"]})
         assert spec.m_b_list == (32,)
+
+    def test_set_takes_integral_strings(self):
+        spec = self.parse({"overrides": ["m_b=64.0", "k_su=3"]})
+        assert spec.config == NetworkConfig(m_b=64, k_su=3)
+        assert spec.m_b_list == (64,)
+
+    @pytest.mark.parametrize("experiment", ["fig3_meb_compare", "fig4_zfb_compare"])
+    def test_compare_figures_sweep_k_su(self, experiment):
+        spec = self.parse({"experiment": experiment, "sweep": "k_su=2,3"})
+        assert spec.sweep == ("k_su", (2.0, 3.0))
 
     def test_set_takes_config_file_syntax(self, tmp_path):
         cfg = tmp_path / "net.cfg"

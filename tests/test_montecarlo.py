@@ -193,21 +193,28 @@ class TestServingLogic:
             run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 5, seed=0, p_eq=1.0, n_workers=n_workers)
 
     @pytest.mark.parametrize("name,value", [("n_trials", 2.5), ("n_trials", True),
-                                            ("n_workers", 1.5), ("n_workers", True)])
+                                            ("n_workers", 1.5), ("n_workers", True),
+                                            ("seed", 1.5), ("seed", True), ("seed", 2.0),
+                                            ("seed", -1)])
     def test_counts_must_be_integers(self, name, value, monkeypatch):
-        # rejected before the optimizer runs or a channel is drawn
+        # rejected before the optimizer runs or a channel is drawn; the seed
+        # would otherwise run as int(seed) and be recorded as given
         def never(*args, **kwargs):
             raise AssertionError("reached past the argument checks")
         monkeypatch.setattr(crmimo.montecarlo, "optimize_equal_power", never)
         monkeypatch.setattr(crmimo.montecarlo, "generate_channels", never)
-        counts = {"n_trials": 5, "n_workers": 1, name: value}
-        with pytest.raises(ValueError, match=f"{name} must be an integer"):
-            run_trials(SMALL, MEB, POLICY_EQUAL_POWER_OPT, seed=0, **counts)
+        counts = {"n_trials": 5, "n_workers": 1, "seed": 0, name: value}
+        negative = not isinstance(value, bool) and value < 0
+        with pytest.raises(ValueError, match=f"{name} must be "
+                           + ("at least 0" if negative else "an integer")):
+            run_trials(SMALL, MEB, POLICY_EQUAL_POWER_OPT, **counts)
 
     def test_numpy_integer_counts_accepted(self):
         res = run_trials(SMALL, MEB, POLICY_EQUAL_POWER, np.int64(3), seed=0, p_eq=0.3,
                          n_workers=np.int32(1))
         assert res.n_trials == 3
+        seeded = run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 3, seed=np.int64(0), p_eq=0.3)
+        assert_same_result(res, seeded)
 
     def test_more_su_antennas_than_sbs_antennas(self):
         # m_u > m_b is a valid config: the optimizer reads the (m_b, m_u) Wishart mean
@@ -489,6 +496,12 @@ class TestMaxSus:
             rows = max_sus_at_confidence(SMALL, ZFB, 0.5, key, [0.0, 10.0], n_trials=3)
         assert rows == [(0.0, 3), (10.0, 1)]
         assert set(seen) == {1.0, 10.0}
+
+    def test_search_axis_cannot_be_swept(self, monkeypatch):
+        # the search sets k_su, so every row would be the same search
+        monkeypatch.setattr(crmimo.montecarlo, "run_trials", None)
+        with pytest.raises(ValueError, match="sets k_su"):
+            max_sus_at_confidence(NetworkConfig(), MEB, 0.9, "k_su", [2], n_trials=2)
 
     VACUOUS = NetworkConfig(m_b=8, m_u=1, k_su=1, l_tx=0, l_rx=1,
                             r0=1e-9, i0=1e9, p0=1e9, sigma2_delta=0.0)

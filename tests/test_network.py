@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -85,6 +86,29 @@ class TestConfig:
         # as NetworkConfig(k_su=True) does
         with pytest.raises(ValueError, match="needs an integer"):
             NetworkConfig().with_items({"k_su": raw})
+
+    @pytest.mark.parametrize("raw", [64, 64.0, np.int64(64), np.float64(64.0), "64", "64.0",
+                                     "6.4e1"])
+    def test_integer_fields_take_integral_strings_and_numbers(self, raw):
+        cfg = NetworkConfig(m_b=32).with_items({"m_b": raw})
+        assert cfg.m_b == 64 and type(cfg.m_b) is int
+
+    @pytest.mark.parametrize("key, raw, kind", [
+        ("m_b", "64.5", "an integer"), ("m_b", "sixty", "an integer"),
+        ("m_b", "", "an integer"), ("m_b", None, "an integer"),
+        ("p0", "true", "a number"), ("p0", True, "a number"), ("p0", np.bool_(False), "a number"),
+        ("p0", None, "a number"), ("p0_db", "ten", "a number"), ("r0", "1,5", "a number"),
+    ])
+    def test_parse_errors_name_their_key(self, key, raw, kind):
+        message = re.escape(f"config key {key!r} needs {kind}, got {raw!r}")
+        with pytest.raises(ValueError, match=message):
+            NetworkConfig().with_items({key: raw})
+
+    @pytest.mark.parametrize("name", ["p0", "i0", "r0", "sigma2_delta", "p_p"])
+    @pytest.mark.parametrize("raw", [True, np.bool_(True)])
+    def test_float_fields_reject_bools(self, name, raw):
+        with pytest.raises(ValueError, match=f"{name} must be a number"):
+            NetworkConfig(**{name: raw})
 
     def test_replace(self):
         cfg = NetworkConfig().replace(k_su=5)
