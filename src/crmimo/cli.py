@@ -370,8 +370,11 @@ def run(spec: ExperimentSpec) -> int:
     their runner opens and that stays open while run consumes their
     rows: fig2's p_eq sweep at one (m_b, scheme), a unit of its own, and
     fig3/fig4's policy units at one (sweep value, scheme).  No other
-    run_trials call of a run is in a scope, so it streams its trials
-    instead of keeping their gains (fig5's search opens its own scope).
+    run_trials call of a run is in a scope (fig5's search opens its
+    own), so it keeps its gains only while they are small, in
+    run_trials' one-entry memo of 512 KB at most; a larger call, such
+    as a default cdf_validation run, streams its trials.  No such call
+    repeats the key of the call before it, so none is served by the memo.
     Returns a process exit status.
     """
     os.makedirs(spec.out_dir, exist_ok=True)

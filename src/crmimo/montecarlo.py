@@ -9,9 +9,10 @@ computes the beams and the link gains of the whole block along a
 leading trial axis; several workers compute the blocks in a process
 pool.  The serve stage, in the calling process, allocates power per
 trial and computes the slack of each block.  The gains read no rate
-floor, cap, budget, policy or p_eq, so inside a _shared_gains scope a
-run reuses the previous run's gains when it reads the same ones.  Block
-size, worker count and reuse change no bit of any result.  run_trials
+floor, cap, budget, policy or p_eq, so a run reuses the previous run's
+gains when it reads the same ones: inside a _shared_gains scope always,
+and outside one when they are small (a one-entry memo, see run_trials).
+Block size, worker count and reuse change no bit of any result.  run_trials
 estimates the probability that all SUs are served (the serving verdict
 uses the estimated constraints, i.e. what the SBS can check; the
 true-channel verdict is kept as an audit column).  max_sus_at_confidence
@@ -72,6 +73,12 @@ _SERVE_FIELDS = ("r0", "i0", "p0")
 # inside a _shared_gains scope, {key: gains} of the scope's last run_trials call
 _SHARED_GAINS: ContextVar[dict | None] = ContextVar("_SHARED_GAINS", default=None)
 
+# outside a scope, {key: gains} of the last run_trials call whose gains are
+# small: at most 2 _BLOCK_ELEMENTS floats (512 KB, the size of the block of
+# channels that the gains stage holds while it runs) per concurrent caller;
+# empty after a larger call
+_LAST_GAINS: dict = {}
+
 # added to a gap's deviation bound in ks_distance before it is compared with
 # the largest deviation found: far above the laws' rounding (about 1e-14)
 # and far below any KS value
@@ -99,8 +106,22 @@ class ExperimentResult:
     int_to_pu_true: np.ndarray
 
 
+def _check_integer(name, val, least):
+    """ValueError naming `name` unless val is an int or numpy integer (not a
+    bool) of at least `least`."""
+    if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
+        raise ValueError(f"{name} must be an integer, got {val!r}")
+    if val < least:
+        raise ValueError(f"{name} must be at least {least}, got {val}")
+
+
 def trial_seed(master_seed: int, index: int) -> np.random.SeedSequence:
-    """Sub-seed of trial `index` under a master seed."""
+    """Sub-seed of trial `index` under a master seed, both integers >= 0.
+
+    A bool, a float or a negative value raises ValueError naming the
+    argument, as run_trials' seed check does."""
+    _check_integer("master_seed", master_seed, 0)
+    _check_integer("index", index, 0)
     return np.random.SeedSequence(entropy=(int(master_seed), int(index)))
 
 
@@ -190,8 +211,9 @@ def _shared_gains():
 
     A call reuses them, at any worker count, when it matches the
     previous call of the scope in every input the gains stage reads: the
-    config fields but _SERVE_FIELDS, the scheme, the seed and n_trials.  Otherwise it
-    draws and keeps its own gains in their place.  The scope holds one
+    config fields but _SERVE_FIELDS, the scheme, the seed, n_trials and
+    the stage functions.  Otherwise it draws and keeps its own gains in
+    their place, whatever their size.  The scope holds one
     run's gains, about n_trials k_su^2 floats (16 MB at 500 trials and
     k_su = 64), and drops them on exit; a nested scope starts empty.
     """
@@ -221,12 +243,20 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
             _gains call draws, beams and links each block of trials; the
             serve stage always runs in the calling process.
 
-    Inside a _shared_gains scope (max_sus_at_confidence opens one, and
-    the CLI opens one around the runs that share trials), a call reuses
-    the previous call's channels, beams and link gains when only r0, i0,
-    p0, the policy or p_eq differ, whatever either call's worker count;
-    the result is bit-identical to a fresh draw.  A bad count or seed
-    raises ValueError before the optimizer runs or any channel is drawn.
+    A call reuses the previous call's channels, beams and link gains
+    when only r0, i0, p0, the policy or p_eq differ, whatever either
+    call's worker count, and montecarlo binds the same trial_seed,
+    generate_channels, compute_beams and evaluate_links (a patched or
+    traced stage draws afresh).  Inside a _shared_gains scope
+    (max_sus_at_confidence opens one, and the CLI opens one around the
+    runs that share trials) every call keeps its gains for the next.
+    Outside a scope a call keeps them only when n_trials k_su (k_su + 2 +
+    2 l_rx) floats fit in 2 _BLOCK_ELEMENTS (512 KB, 64 trials at the
+    default config); a larger call streams its trials and keeps none.
+    Either way a miss drops the kept gains before it draws (threads
+    that miss at once can each leave an entry until the next miss), and
+    the result is bit-identical to a fresh draw.  A bad count or seed raises
+    ValueError before the optimizer runs or any channel is drawn.
 
     Returns:
         ExperimentResult with exact p_served = (#served)/n_trials,
@@ -235,10 +265,7 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
     """
     for name, val, least in (("n_trials", n_trials, 1), ("n_workers", n_workers, 1),
                              ("seed", seed, 0)):
-        if not isinstance(val, (int, np.integer)) or isinstance(val, bool):
-            raise ValueError(f"{name} must be an integer, got {val!r}")
-        if val < least:
-            raise ValueError(f"{name} must be at least {least}, got {val}")
+        _check_integer(name, val, least)
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     policy_run = POLICY_EQUAL_POWER if policy == POLICY_EQUAL_POWER_OPT else policy
@@ -248,14 +275,23 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
         raise ValueError("equal-power policy needs p_eq")
 
     gains = _trial_gains(config, scheme, seed, n_trials, n_workers)
-    shared = _SHARED_GAINS.get()
-    if shared is not None:
+    store = _SHARED_GAINS.get()
+    if store is None:
+        store = _LAST_GAINS
+        if n_trials * config.k_su * (config.k_su + 2 + 2 * config.l_rx) > 2 * _BLOCK_ELEMENTS:
+            store.clear()  # a large call streams its trials and keeps none
+            store = None
+    if store is not None:
         key = (tuple(v for f, v in vars(config).items() if f not in _SERVE_FIELDS),
-               scheme, seed, n_trials)
-        if key not in shared:
-            shared.clear()
-            shared[key] = list(gains)
-        gains = shared[key]
+               scheme, seed, n_trials, trial_seed, generate_channels, compute_beams,
+               evaluate_links)
+        kept = store.get(key)  # not store[key]: another thread may clear the entry
+        if kept is None:
+            # before drawing, so one caller's old and new gains never coexist;
+            # callers that miss at once can each leave an entry until the next miss
+            store.clear()
+            kept = store[key] = list(gains)
+        gains = kept
     out = _serve(gains, n_trials, config, scheme, policy_run, p_eq)
 
     p_served = out["served"].sum() / n_trials

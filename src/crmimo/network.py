@@ -79,10 +79,13 @@ class NetworkConfig:
     def __post_init__(self):
         for f in dataclasses.fields(self):  # a bool is neither an integer nor a number
             val, whole = getattr(self, f.name), f.type == "int"
-            if isinstance(val, (bool, np.bool_)) or (
-                    whole and not isinstance(val, (int, np.integer))):
+            kinds = (int, np.integer) if whole else (int, float, np.integer, np.floating)
+            if isinstance(val, (bool, np.bool_)) or not isinstance(val, kinds):
                 kind = "an integer" if whole else "a number"
                 raise ValueError(f"{f.name} must be {kind}, got {val!r}")
+            # stored as int or float: a numpy scalar would compute in its own
+            # precision, yet equal and hash as the Python number it rounds to
+            object.__setattr__(self, f.name, int(val) if whole else float(val))
         if self.m_b < 1 or self.m_u < 1 or self.k_su < 1:
             raise ValueError("m_b, m_u and k_su must be positive")
         if self.l_tx < 0 or self.l_rx < 0:

@@ -3,8 +3,10 @@
 import dataclasses
 import math
 import re
+import sys
 import warnings
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,6 +96,20 @@ class TestSeeding:
         seqs = {tuple(trial_seed(7, i).entropy) for i in range(100)}
         assert len(seqs) == 100
         assert tuple(trial_seed(7, 0).entropy) != tuple(trial_seed(8, 0).entropy)
+
+    @pytest.mark.parametrize("master_seed, index, name", [
+        (1.5, 0, "master_seed"), (True, 0.7, "master_seed"), (2.0, 0, "master_seed"),
+        (np.bool_(True), 0, "master_seed"), (-1, 0, "master_seed"), (0, 0.7, "index"),
+        (0, False, "index"), (0, "3", "index"), (0, -2, "index"),
+    ])
+    def test_trial_seed_checks_its_arguments(self, master_seed, index, name):
+        # int() would truncate: 1.5 and True would both give entropy 1
+        with pytest.raises(ValueError, match=f"{name} must be "):
+            trial_seed(master_seed, index)
+
+    def test_trial_seed_takes_numpy_integers(self):
+        seq = trial_seed(np.int64(7), np.uint8(3))
+        assert seq.entropy == (7, 3) and all(type(e) is int for e in seq.entropy)
 
     def test_trial_realizations_differ(self):
         a = generate_channels(SMALL, trial_seed(0, 0))
@@ -355,41 +371,56 @@ GAIN_CHANGES = (dict(m_b=20), dict(m_u=3), dict(k_su=2), dict(l_tx=2), dict(l_rx
                 dict(p_p=2.0))
 
 
-def run_variants(config, scheme, variants, n_trials=9, seed=5):
+GAINS_CASES = ("MEB", "ZFB", "ill-conditioned", "antenna shortage")
+
+
+def gains_case(case, monkeypatch):
+    """(config, scheme, serve variants) of a GAINS_CASES case, in blocks of 4 trials."""
+    config, scheme, variants = SMALL, ZFB, SERVE_VARIANTS
+    if case == MEB:
+        scheme = MEB
+    elif case == "ill-conditioned":
+        config = SMALL.replace(l_rx=2)
+        ill_conditioned_trial(monkeypatch, 3)
+    elif case == "antenna shortage":
+        # the optimizer rejects this config, so no EQUAL_POWER_OPT call
+        config = NetworkConfig(m_b=12, k_su=12)
+        variants = [v for v in SERVE_VARIANTS if v["policy"] != POLICY_EQUAL_POWER_OPT]
+    trials_per_block(monkeypatch, config, 4)
+    return config, scheme, variants
+
+
+def run_variants(config, scheme, variants, n_trials=9, seed=5, n_workers=1):
     results = []
     for variant in variants:
         kw = dict(variant)
         policy, p_eq = kw.pop("policy"), kw.pop("p_eq", None)
         results.append(run_trials(config.replace(**kw), scheme, policy, n_trials, seed,
-                                  p_eq=p_eq))
+                                  p_eq=p_eq, n_workers=n_workers))
     return results
 
 
+def expect_shared(case, draws, results, fresh):
+    """The first call drew and the others reused (draws is None where a pool
+    drew): the block of trials 0-3 is drawn again one trial at a time when
+    trial 3 is ill-conditioned."""
+    if draws is not None:
+        assert len(draws) == (9 + 4 if case == "ill-conditioned" else 9)
+    expect_failed = {"ill-conditioned": 1, "antenna shortage": 9}.get(case, 0)
+    for a, b in zip(fresh, results, strict=True):
+        assert a.n_failed == expect_failed
+        assert_same_result(a, b)
+
+
 class TestSharedGains:
-    @pytest.mark.parametrize("case", ["MEB", "ZFB", "ill-conditioned", "antenna shortage"])
+    @pytest.mark.parametrize("case", GAINS_CASES)
     def test_bit_identical_in_and_out_of_the_scope(self, case, monkeypatch):
-        config, scheme, variants = SMALL, ZFB, SERVE_VARIANTS
-        if case == MEB:
-            scheme = MEB
-        elif case == "ill-conditioned":
-            config = SMALL.replace(l_rx=2)
-            ill_conditioned_trial(monkeypatch, 3)
-        elif case == "antenna shortage":
-            # the optimizer rejects this config, so no EQUAL_POWER_OPT call
-            config = NetworkConfig(m_b=12, k_su=12)
-            variants = [v for v in SERVE_VARIANTS if v["policy"] != POLICY_EQUAL_POWER_OPT]
-        trials_per_block(monkeypatch, config, 4)
+        config, scheme, variants = gains_case(case, monkeypatch)
         outside = run_variants(config, scheme, variants)
         draws = counted_draws(monkeypatch)
         with _shared_gains():
             inside = run_variants(config, scheme, variants)
-        # the first call draws, the others reuse; the block of trials 0-3 is
-        # drawn again one trial at a time when trial 3 is ill-conditioned
-        assert len(draws) == (9 + 4 if case == "ill-conditioned" else 9)
-        expect_failed = {"ill-conditioned": 1, "antenna shortage": 9}.get(case, 0)
-        for a, b in zip(outside, inside):
-            assert a.n_failed == expect_failed
-            assert_same_result(a, b)
+        expect_shared(case, draws, inside, outside)
 
     @pytest.mark.parametrize("change", [*GAIN_CHANGES, dict(scheme=MEB), dict(seed=6),
                                         dict(n_trials=8)],
@@ -410,18 +441,22 @@ class TestSharedGains:
         assert len(draws) == first["n_trials"] + second["n_trials"]
         assert_same_result(res, fresh)
 
-    def test_reuse_ends_with_the_scope(self, monkeypatch):
+    def test_reuse_ends_with_the_scope(self, monkeypatch, gains_memo):
         draws = counted_draws(monkeypatch)
         for _ in range(2):
             run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 4, seed=1, p_eq=0.3)
-        assert len(draws) == 8  # outside a scope, a repeated call redraws
+        assert len(draws) == 4  # outside a scope, a repeated small call draws once
+        trials_per_block(monkeypatch, SMALL, 1)  # the gains of 9 trials fit the bound
+        for _ in range(2):
+            run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 10, seed=1, p_eq=0.3)
+        assert len(draws) == 4 + 20  # and a call over the bound redraws
         with _shared_gains():
             run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 4, seed=1, p_eq=0.3)
             with _shared_gains():  # a nested scope starts empty
                 run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 4, seed=1, p_eq=0.3)
             run_trials(SMALL, MEB, POLICY_LF, 4, seed=1)
         run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 4, seed=1, p_eq=0.3)
-        assert len(draws) == 8 + 4 + 4 + 4
+        assert len(draws) == 24 + 4 + 4 + 4
         assert crmimo.montecarlo._SHARED_GAINS.get() is None
 
     def test_workers_read_and_fill_the_gains(self, monkeypatch, pools):
@@ -440,6 +475,105 @@ class TestSharedGains:
         assert draws == []  # the pool drew every trial; the caller drew none
         for a, b in zip(fresh, inside):
             assert_same_result(a, b)
+
+
+@pytest.mark.usefixtures("gains_memo")
+class TestGainsMemo:
+    """Outside a scope, run_trials keeps the last call's gains when they are small."""
+
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("case", GAINS_CASES)
+    def test_hit_is_bit_identical_to_a_fresh_run(self, case, n_workers, monkeypatch, pools):
+        config, scheme, variants = gains_case(case, monkeypatch)
+        fresh = []
+        for variant in variants:
+            crmimo.montecarlo._LAST_GAINS.clear()
+            fresh += run_variants(config, scheme, [variant])
+        draws = counted_draws(monkeypatch)
+        pools.clear()
+        kept = run_variants(config, scheme, variants, n_workers=n_workers)
+        if n_workers > 1:  # the first call's pool drew every trial, the others none
+            assert draws == [] and pools == [n_workers]
+            draws = None
+        expect_shared(case, draws, kept, fresh)
+
+    def test_bound(self, monkeypatch):
+        # SMALL's gains are 3 (3 + 2 + 2) = 21 floats per trial, and two blocks
+        # of one trial hold 2 * 96 elements: 9 trials fit, 10 do not
+        memo = crmimo.montecarlo._LAST_GAINS
+        run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 4, seed=1, p_eq=0.3)
+        assert len(memo) == 1
+        trials_per_block(monkeypatch, SMALL, 1)
+        run_trials(SMALL, ZFB, POLICY_EQUAL_POWER, 10, seed=1, p_eq=0.3)
+        assert memo == {}  # a call over the bound keeps nothing
+        run_trials(SMALL, ZFB, POLICY_EQUAL_POWER, 9, seed=1, p_eq=0.3)
+        assert len(memo) == 1
+
+    @pytest.mark.parametrize("name", ["trial_seed", "generate_channels", "compute_beams",
+                                      "evaluate_links"])
+    def test_a_patched_stage_misses(self, name, monkeypatch):
+        plain = run_trials(SMALL, ZFB, POLICY_LF, 6, seed=3)
+        calls = []
+        original = getattr(crmimo.montecarlo, name)
+
+        def passthrough(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(crmimo.montecarlo, name, passthrough)
+        patched = run_trials(SMALL, ZFB, POLICY_LF, 6, seed=3)
+        assert calls  # the patched pipeline drew its own gains
+        assert_same_result(plain, patched)
+        calls.clear()
+        run_trials(SMALL, ZFB, POLICY_EQUAL_POWER, 6, seed=3, p_eq=0.3)
+        assert calls == []  # and keeps them for the same pipeline
+
+    def test_a_miss_drops_the_old_entry_before_drawing(self, monkeypatch):
+        memo = crmimo.montecarlo._LAST_GAINS
+        run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 4, seed=1, p_eq=0.3)
+        kept_while_drawing = []
+        draw = crmimo.montecarlo.generate_channels
+
+        def watched(config, seed):
+            kept_while_drawing.append(len(memo))
+            return draw(config, seed)
+
+        monkeypatch.setattr(crmimo.montecarlo, "generate_channels", watched)
+        run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 4, seed=2, p_eq=0.3)
+        assert kept_while_drawing == [0] * 4
+        assert len(memo) == 1
+
+    def test_a_numpy_scalar_field_draws_as_the_number_it_equals(self):
+        # np.float32(1.0) equals and hashes as 1.0, so both configs share a key,
+        # and a hit is right only because both draw the same bits
+        narrow = SMALL.replace(sigma2_h=np.float32(SMALL.sigma2_h))
+        fresh = run_trials(narrow, ZFB, POLICY_LF, 6, seed=3)
+        crmimo.montecarlo._LAST_GAINS.clear()
+        run_trials(SMALL, ZFB, POLICY_LF, 6, seed=3)
+        assert_same_result(fresh, run_trials(narrow, ZFB, POLICY_LF, 6, seed=3))
+
+    def test_threads_are_served_their_own_gains(self):
+        # more threads than cores, switching often: a hit never serves another
+        # call's gains, and an entry another thread clears never raises
+        def run(scheme, policy, seed):
+            return run_trials(SMALL, scheme, policy, 5, seed, p_eq=0.3)
+
+        calls = [(scheme, policy, seed) for scheme in (MEB, ZFB) for seed in (1, 2)
+                 for policy in (POLICY_EQUAL_POWER, POLICY_LF)]
+        fresh = {}
+        for call in calls:
+            crmimo.montecarlo._LAST_GAINS.clear()
+            fresh[call] = run(*call)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [(call, pool.submit(run, *call)) for call in calls * 8]
+                results = [(call, future.result(timeout=120)) for call, future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        for call, res in results:
+            assert_same_result(fresh[call], res)
 
 
 class TestMaxSus:

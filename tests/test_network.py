@@ -110,6 +110,19 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{name} must be a number"):
             NetworkConfig(**{name: raw})
 
+    @pytest.mark.parametrize("raw", ["10", None, 1 + 0j, [10.0], np.array(10.0)])
+    def test_float_fields_take_real_numbers_only(self, raw):
+        # a 0-d array would make the config unhashable
+        with pytest.raises(ValueError, match=re.escape(f"p0 must be a number, got {raw!r}")):
+            NetworkConfig(p0=raw)
+
+    @pytest.mark.parametrize("raw", [10, 10.0, np.int32(10), np.float32(10.0)])
+    def test_float_fields_take_numpy_scalars(self, raw):
+        # stored as Python numbers, so the config computes as it compares and hashes
+        cfg = NetworkConfig(p0=raw, m_b=np.int64(64))
+        assert type(cfg.p0) is float and type(cfg.m_b) is int
+        assert cfg == NetworkConfig(p0=10.0) and hash(cfg) == hash(NetworkConfig(p0=10.0))
+
     def test_replace(self):
         cfg = NetworkConfig().replace(k_su=5)
         assert cfg.k_su == 5 and cfg.m_b == 64
