@@ -17,7 +17,8 @@ estimates the probability that all SUs are served (the serving verdict
 uses the estimated constraints, i.e. what the SBS can check; the
 true-channel verdict is kept as an audit column).  max_sus_at_confidence
 searches the largest number of SUs servable at a given confidence along
-a constraint sweep.  EmpiricalCdf pools raw samples for
+a constraint sweep; its probes stop serving, and drawing, trials once
+their verdict is settled.  EmpiricalCdf pools raw samples for
 Kolmogorov-Smirnov comparisons against the closed-form laws.
 """
 
@@ -70,13 +71,20 @@ _BLOCK_ELEMENTS = 2 ** 15
 # the config fields that a trial's channels, beams and link gains do not read
 _SERVE_FIELDS = ("r0", "i0", "p0")
 
-# inside a _shared_gains scope, {key: gains} of the scope's last run_trials call
+# inside a _shared_gains scope, {key: (drawn, rest)} of the scope's last
+# run_trials call: the (rows, gains) blocks drawn so far and an iterator of
+# the blocks still to draw
 _SHARED_GAINS: ContextVar[dict | None] = ContextVar("_SHARED_GAINS", default=None)
 
-# outside a scope, {key: gains} of the last run_trials call whose gains are
-# small: at most 2 _BLOCK_ELEMENTS floats (512 KB, the size of the block of
-# channels that the gains stage holds while it runs) per concurrent caller;
-# empty after a larger call
+# inside a deciding _shared_gains scope, the confidence that a run's p_served
+# is compared with
+_SETTLE_AT: ContextVar[float | None] = ContextVar("_SETTLE_AT", default=None)
+
+# outside a scope, {key: (drawn, rest)} of the last run_trials call whose
+# gains are small, every block drawn (rest is empty): at most 2
+# _BLOCK_ELEMENTS floats (512 KB, the size of the block of channels that the
+# gains stage holds while it runs) per concurrent caller; empty after a
+# larger call
 _LAST_GAINS: dict = {}
 
 # added to a gap's deviation bound in ks_distance before it is compared with
@@ -171,11 +179,24 @@ def _trial_gains(config, scheme, master_seed, n_trials, n_workers):
             yield from itertools.chain.from_iterable(pool.map(gains, blocks))
 
 
-def _serve(gains, n, config, scheme, policy, p_eq) -> dict:
+def _drawn_then_rest(drawn, rest):
+    """The blocks in `drawn`, then those of `rest`, each appended to `drawn` as it comes."""
+    yield from drawn
+    for part in rest:
+        drawn.append(part)
+        yield part
+
+
+def _serve(gains, n, config, scheme, policy, p_eq, settle_at=None) -> dict:
     """The result buffers of n trials, trial axis first, from their (rows, gains) blocks.
 
     A failed trial keeps its NaN samples and unserved verdicts, and its
     error names the exception; the error entry is None for a trial that ran.
+    With settle_at set, it stops after the block, failed or not, that
+    settles whether p_served >= settle_at: the s trials served among the
+    first m pass it once s / n does, and fail it once n - (m - s), the
+    most that can still be served, over n falls below it.  The trials
+    after that block keep the buffers of a failed trial, with no error.
     """
     out = {"served": np.zeros(n, dtype=bool), "served_true": np.zeros(n, dtype=bool),
            "sinr_est": np.full((n, config.k_su), np.nan),
@@ -186,42 +207,54 @@ def _serve(gains, n, config, scheme, policy, p_eq) -> dict:
     for rows, links in gains:
         if isinstance(links, str):
             out["error"][rows] = links
-            continue
-        size = rows.stop - rows.start
-        if policy == POLICY_LF:
-            allocs = [solve_lf(links[t], scheme, config) for t in range(size)]
-            p = np.stack([a.p for a in allocs])
-            solver_ok = np.array([a.feasible for a in allocs])
         else:
-            p = np.broadcast_to(equal_power(config, p_eq), (size, config.k_su))
-            solver_ok = True
+            size = rows.stop - rows.start
+            if policy == POLICY_LF:
+                allocs = [solve_lf(links[t], scheme, config) for t in range(size)]
+                p = np.stack([a.p for a in allocs])
+                solver_ok = np.array([a.feasible for a in allocs])
+            else:
+                p = np.broadcast_to(equal_power(config, p_eq), (size, config.k_su))
+                solver_ok = True
 
-        est, true = slack_from_links(links, p, config)
-        out["served"][rows] = solver_ok & est.all_met()
-        out["served_true"][rows] = solver_ok & true.all_met()
-        for flavor, report in (("est", est), ("true", true)):
-            out[f"sinr_{flavor}"][rows] = report.sinr
-            out[f"int_to_pu_{flavor}"][rows] = report.int_to_pu
+            est, true = slack_from_links(links, p, config)
+            out["served"][rows] = solver_ok & est.all_met()
+            out["served_true"][rows] = solver_ok & true.all_met()
+            for flavor, report in (("est", est), ("true", true)):
+                out[f"sinr_{flavor}"][rows] = report.sinr
+                out[f"int_to_pu_{flavor}"][rows] = report.int_to_pu
+        if settle_at is not None:
+            served = int(out["served"].sum())  # no trial past this block has run
+            if served / n >= settle_at or (n - (rows.stop - served)) / n < settle_at:
+                break
     return out
 
 
 @contextlib.contextmanager
-def _shared_gains():
+def _shared_gains(confidence=None):
     """A scope in which run_trials reuses the previous call's link gains.
 
     A call reuses them, at any worker count, when it matches the
     previous call of the scope in every input the gains stage reads: the
     config fields but _SERVE_FIELDS, the scheme, the seed, n_trials and
     the stage functions.  Otherwise it draws and keeps its own gains in
-    their place, whatever their size.  The scope holds one
+    their place, whatever their size.  The scope holds at most one
     run's gains, about n_trials k_su^2 floats (16 MB at 500 trials and
     k_su = 64), and drops them on exit; a nested scope starts empty.
+
+    With a confidence, the scope decides: a call at one worker stops
+    serving, and drawing, trials once whether p_served >= confidence is
+    settled (see _serve), and keeps the blocks drawn so far with the
+    iterator of the rest.  A later call with the same key serves the kept
+    blocks and draws only those it still needs, so each trial is drawn at
+    most once per scope.  A call that does not decide draws every block.
     """
-    token = _SHARED_GAINS.set({})
+    gains_token, settle_token = _SHARED_GAINS.set({}), _SETTLE_AT.set(confidence)
     try:
         yield
     finally:
-        _SHARED_GAINS.reset(token)
+        _SHARED_GAINS.reset(gains_token)
+        _SETTLE_AT.reset(settle_token)
 
 
 def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, seed: int,
@@ -258,6 +291,13 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
     the result is bit-identical to a fresh draw.  A bad count or seed raises
     ValueError before the optimizer runs or any channel is drawn.
 
+    Inside the deciding scope of max_sus_at_confidence, a call with
+    n_workers = 1 serves and draws trials block by block and stops once
+    whether p_served >= confidence is settled.  Its result then counts
+    the trials it did not run as not served, in p_served and the audit
+    rates, which gives the same verdict, and their samples stay NaN;
+    n_failed counts only the trials that ran.
+
     Returns:
         ExperimentResult with exact p_served = (#served)/n_trials,
         binomial standard error, true-channel audit rates and pooled
@@ -276,6 +316,8 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
 
     gains = _trial_gains(config, scheme, seed, n_trials, n_workers)
     store = _SHARED_GAINS.get()
+    # a pool's generator is never left suspended
+    settle_at = _SETTLE_AT.get() if n_workers == 1 else None
     if store is None:
         store = _LAST_GAINS
         if n_trials * config.k_su * (config.k_su + 2 + 2 * config.l_rx) > 2 * _BLOCK_ELEMENTS:
@@ -290,9 +332,10 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
             # before drawing, so one caller's old and new gains never coexist;
             # callers that miss at once can each leave an entry until the next miss
             store.clear()
-            kept = store[key] = list(gains)
-        gains = kept
-    out = _serve(gains, n_trials, config, scheme, policy_run, p_eq)
+            kept = store[key] = (([], gains) if settle_at is not None
+                                 else (list(gains), iter(())))
+        gains = _drawn_then_rest(*kept)
+    out = _serve(gains, n_trials, config, scheme, policy_run, p_eq, settle_at)
 
     p_served = out["served"].sum() / n_trials
     return ExperimentResult(
@@ -365,11 +408,14 @@ def max_sus_at_confidence(config_base: NetworkConfig, scheme: str, confidence: f
 
     The values' searches run in lockstep: each round takes every
     unfinished search's next probe and runs the probes in order of k,
-    inside one _shared_gains scope, so values whose probes agree in k
-    (the doubling k = 1, 2, 4, ... along a rate sweep) share one draw of
-    each trial when the sweep leaves the gains alone.  Each value probes
-    the same k as a search of its own would, with the same run_trials
-    call.
+    inside one deciding _shared_gains scope, so values whose probes agree
+    in k (the doubling k = 1, 2, 4, ... along a rate sweep) share one
+    draw of each trial when the sweep leaves the gains alone.  Each value
+    probes the same k as a search of its own would, with the same
+    run_trials call.  A probe serves its trials block by block and stops
+    once its verdict is settled, drawing only the trials that no earlier
+    probe of the same k drew; the trials it skips count as not served in
+    its p_served, which gives the verdict that serving all would.
 
     Known constraint axes are checked for monotonicity: max_k should not
     increase along tightening r0 nor decrease along loosening i0/p0
@@ -396,7 +442,7 @@ def max_sus_at_confidence(config_base: NetworkConfig, scheme: str, confidence: f
 
     probes = {i: next(search) for i, search in enumerate(searches)}
     max_k = {}
-    with _shared_gains():
+    with _shared_gains(confidence):
         while probes:
             for i in sorted(probes, key=probes.get):  # equal k run back to back
                 res = run_trials(points[i][1].replace(k_su=probes[i]), scheme, policy,

@@ -66,14 +66,14 @@ def counted_draws(monkeypatch):
     return draws
 
 
-def ill_conditioned_trial(monkeypatch, index):
-    """Make trial `index` of every run rank deficient for ZFB: its two
-    receiving-PU estimates coincide (the config needs l_rx >= 2)."""
+def ill_conditioned_trial(monkeypatch, *indices):
+    """Make the trials `indices` of every run rank deficient for ZFB: their
+    two receiving-PU estimates coincide (the config needs l_rx >= 2)."""
     draw = crmimo.montecarlo.generate_channels
 
     def defective(config, seed):
         real = draw(config, seed)
-        if seed.entropy[1] != index:
+        if seed.entropy[1] not in indices:
             return real
         hhat = real.hhat_pu_rx.copy()
         hhat[1] = hhat[0]
@@ -576,6 +576,71 @@ class TestGainsMemo:
             assert_same_result(fresh[call], res)
 
 
+# every constraint met: a trial that runs is served
+VACUOUS_SMALL = SMALL.replace(l_rx=2, r0=1e-9, i0=1e9, p0=1e9)
+
+
+def shared_entry():
+    """The (drawn, rest) entry of the open scope's one key."""
+    (entry,) = crmimo.montecarlo._SHARED_GAINS.get().values()
+    return entry
+
+
+class TestSettledProbes:
+    """In a deciding scope, a call stops once p_served >= confidence is settled."""
+
+    def test_a_settled_probe_leaves_a_partial_entry(self, monkeypatch):
+        # 3 blocks of 4 trials: no trial is served at r0 = 1e9, so the first
+        # block settles the fail; served at r0 = 1e-9 needs all 12 trials
+        trials_per_block(monkeypatch, SMALL, 4)
+        fresh = run_trials(SMALL, ZFB, POLICY_EQUAL_POWER, 12, seed=4, p_eq=0.3)
+        draws = counted_draws(monkeypatch)
+        with _shared_gains(0.95):
+            failed = run_trials(SMALL.replace(r0=1e9), ZFB, POLICY_EQUAL_POWER, 12, seed=4,
+                                p_eq=0.3)
+            assert [t for _, t in draws] == [0, 1, 2, 3]
+            drawn, _ = shared_entry()
+            assert [rows for rows, _ in drawn] == [slice(0, 4)]
+            served = run_trials(SMALL, ZFB, POLICY_EQUAL_POWER, 12, seed=4, p_eq=0.3)
+            assert len(shared_entry()[0]) == 3
+        assert [t for _, t in draws] == list(range(12))  # each trial drawn once
+        assert fresh.p_served == 1.0
+        assert_same_result(served, fresh)
+        assert failed.p_served == 0.0 and failed.n_failed == 0
+        assert np.isnan(failed.sinr_est.reshape(12, -1)[4:]).all()
+        assert not np.isnan(failed.sinr_est.reshape(12, -1)[:4]).any()
+
+    @pytest.mark.parametrize("bad, expect_draws", [((), 19), ((3,), 20), ((3, 7), 8)],
+                             ids=["passes-at-19-of-20", "one-failed", "two-failed"])
+    def test_settle_rule_at_the_float_edge(self, bad, expect_draws, monkeypatch):
+        # n = 20 at 0.95: 19/20 == 0.95 passes, and (20 - 2)/20 fails, so one
+        # unserved trial settles nothing and a second settles the fail; a
+        # failed (ill-conditioned) block counts as unserved
+        trials_per_block(monkeypatch, VACUOUS_SMALL, 1)
+        ill_conditioned_trial(monkeypatch, *bad)
+        fresh = run_trials(VACUOUS_SMALL, ZFB, POLICY_EQUAL_POWER, 20, seed=2, p_eq=0.01)
+        assert fresh.n_failed == len(bad)
+        draws = counted_draws(monkeypatch)
+        with _shared_gains(0.95):
+            res = run_trials(VACUOUS_SMALL, ZFB, POLICY_EQUAL_POWER, 20, seed=2, p_eq=0.01)
+        assert len(draws) == expect_draws
+        assert (res.p_served >= 0.95) == (fresh.p_served >= 0.95) == (len(bad) < 2)
+        assert res.p_served == (expect_draws - len(bad)) / 20
+        assert res.n_failed == len(bad)
+
+    def test_workers_draw_every_trial(self, monkeypatch, pools):
+        # a pool's generator is never left suspended: at two workers the same
+        # fail draws all 12 trials, and a one-worker call then reads them
+        trials_per_block(monkeypatch, SMALL, 4)
+        draws = counted_draws(monkeypatch)
+        with _shared_gains(0.95):
+            run_trials(SMALL.replace(r0=1e9), ZFB, POLICY_EQUAL_POWER, 12, seed=4, p_eq=0.3,
+                       n_workers=2)
+            assert len(shared_entry()[0]) == 3
+            run_trials(SMALL, ZFB, POLICY_EQUAL_POWER, 12, seed=4, p_eq=0.3)
+        assert pools == [2] and draws == []  # the pool drew every trial, the caller none
+
+
 class TestMaxSus:
     def test_vacuous_constraints_reach_cap(self):
         cfg = NetworkConfig(m_b=8, m_u=1, k_su=1, l_tx=0, l_rx=1,
@@ -650,21 +715,35 @@ class TestMaxSus:
                                      policy=POLICY_EQUAL_POWER, p_eq=0.01)
         assert rows == [(3, 5), (0, 8), (1, 7)]
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_lockstep_matches_one_search_per_value(self, seed, monkeypatch):
+    @pytest.mark.parametrize("seed, confidence",
+                             [pytest.param(seed, 0.95, id=str(seed)) for seed in range(4)]
+                             + [pytest.param(seed, 0.5, id=f"{seed}-at-0.5") for seed in (0, 1)])
+    def test_lockstep_matches_one_search_per_value(self, seed, confidence, monkeypatch):
         # the Criterion 8 scenario: the same run_trials calls and the same rows
-        # as searching the values one after another, each call outside any scope
+        # as searching the values one after another, each call outside any
+        # scope; each k's trials are drawn at most once, and fewer in all than
+        # drawing every probed k in full; at 0.5 probes settle early by passing too
         cfg, sweep = NetworkConfig(m_b=128, sigma2_delta=0.1), (1.0, 2.0, 3.0, 4.0)
         original = crmimo.montecarlo.run_trials
-        calls = []
+        calls, p_served = [], {}
 
         def recorded(config, scheme, policy, n_trials, seed, p_eq=None):
-            calls.append((config, scheme, policy, n_trials, seed, p_eq))
-            return original(config, scheme, policy, n_trials, seed, p_eq=p_eq)
+            call = (config, scheme, policy, n_trials, seed, p_eq)
+            calls.append(call)
+            res = original(config, scheme, policy, n_trials, seed, p_eq=p_eq)
+            p_served.setdefault(call, []).append(res.p_served)
+            return res
 
         def passes(config, k):
             res = recorded(config.replace(k_su=k), scheme, POLICY_EQUAL_POWER_OPT, 10, seed)
-            return res.p_served >= 0.95
+            return res.p_served >= confidence
+
+        draw = crmimo.montecarlo.generate_channels
+        draws, drawn, drawn_in_full = [], 0, 0
+
+        def counted(config, seed):
+            draws.append((config.k_su, seed.entropy))
+            return draw(config, seed)
 
         for scheme in (MEB, ZFB):
             expected = []
@@ -683,12 +762,34 @@ class TestMaxSus:
                 expected.append((value, lo))
             reference, calls[:] = Counter(calls), []
             monkeypatch.setattr(crmimo.montecarlo, "run_trials", recorded)
-            rows = max_sus_at_confidence(cfg, scheme, 0.95, "r0", sweep, n_trials=10,
+            monkeypatch.setattr(crmimo.montecarlo, "generate_channels", counted)
+            rows = max_sus_at_confidence(cfg, scheme, confidence, "r0", sweep, n_trials=10,
                                          seed=seed)
             monkeypatch.setattr(crmimo.montecarlo, "run_trials", original)
+            monkeypatch.setattr(crmimo.montecarlo, "generate_channels", draw)
             assert rows == expected
             assert Counter(calls) == reference
-            calls[:] = []
+            assert max(Counter(draws).values()) == 1
+            drawn += len(draws)
+            drawn_in_full += 10 * len({call[0].k_su for call in calls})
+            for fresh, searched in p_served.values():
+                assert (fresh >= confidence) == (searched >= confidence)
+                assert searched <= fresh
+            early_passes = sum(confidence <= searched < fresh
+                               for fresh, searched in p_served.values())
+            assert early_passes > 0 if confidence == 0.5 else early_passes == 0
+            calls[:], draws[:] = [], []
+            p_served.clear()
+        assert drawn < drawn_in_full
+
+    @pytest.mark.parametrize("cap, max_k", [(63, 59), (64, 55)])
+    def test_max_k_depends_on_the_probe_path(self, cap, max_k, monkeypatch):
+        # p_served need not fall with k at 10 trials: k = 56 fails where k = 59
+        # passes, so the k = 64 probe's bisection stops below 59
+        monkeypatch.setattr(crmimo.montecarlo, "MAX_K_SWEEP", cap)
+        rows = max_sus_at_confidence(NetworkConfig(), ZFB, 0.95, "m_b", [100], n_trials=10,
+                                     seed=1)
+        assert rows == [(100, max_k)]
 
     def test_validation(self, monkeypatch):
         monkeypatch.setattr(crmimo.montecarlo, "run_trials", None)  # no trial may run
