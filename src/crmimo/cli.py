@@ -93,6 +93,8 @@ class ExperimentSpec:
             raise ValueError(f"workers must be positive, got {self.n_workers}")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must lie in (0, 1), got {self.confidence!r}")
+        if self.p_eq is not None:  # a non-finite power fails here, before any trial
+            equal_power(self.config, self.p_eq)
 
 
 def build_spec(args) -> ExperimentSpec:
@@ -366,15 +368,16 @@ def run(spec: ExperimentSpec) -> int:
     exception name in the trailing error column instead of losing the
     rest of the run.
 
-    Runs that reuse one draw of trials share a _shared_gains scope that
-    their runner opens and that stays open while run consumes their
-    rows: fig2's p_eq sweep at one (m_b, scheme), a unit of its own, and
-    fig3/fig4's policy units at one (sweep value, scheme).  No other
-    run_trials call of a run is in a scope (fig5's search opens its
-    own), so it keeps its gains only while they are small, in
-    run_trials' one-entry memo of 512 KB at most; a larger call, such
-    as a default cdf_validation run, streams its trials.  No such call
-    repeats the key of the call before it, so none is served by the memo.
+    run_trials keeps a call's gains for the next by one rule: when they
+    fit the current store.  Runs that reuse one draw of trials share a
+    _shared_gains scope, whose store fits any run, that their runner
+    opens and that stays open while run consumes their rows: fig2's p_eq
+    sweep at one (m_b, scheme), a unit of its own, and fig3/fig4's policy
+    units at one (sweep value, scheme).  Every other run_trials call of
+    a run (fig5's search opens its own scope) uses the store outside any
+    scope, which fits 512 KB, so a larger call, such as a default
+    cdf_validation run, streams its trials.  None of them repeats the key
+    of the call before it, so none reuses kept gains.
     Returns a process exit status.
     """
     os.makedirs(spec.out_dir, exist_ok=True)

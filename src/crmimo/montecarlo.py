@@ -9,17 +9,18 @@ computes the beams and the link gains of the whole block along a
 leading trial axis; several workers compute the blocks in a process
 pool.  The serve stage, in the calling process, allocates power per
 trial and computes the slack of each block.  The gains read no rate
-floor, cap, budget, policy or p_eq, so a run reuses the previous run's
-gains when it reads the same ones: inside a _shared_gains scope always,
-and outside one when they are small (a one-entry memo, see run_trials).
-Block size, worker count and reuse change no bit of any result.  run_trials
-estimates the probability that all SUs are served (the serving verdict
-uses the estimated constraints, i.e. what the SBS can check; the
-true-channel verdict is kept as an audit column).  max_sus_at_confidence
-searches the largest number of SUs servable at a given confidence along
-a constraint sweep; its probes stop serving, and drawing, trials once
-their verdict is settled.  EmpiricalCdf pools raw samples for
-Kolmogorov-Smirnov comparisons against the closed-form laws.
+floor, cap, budget, policy or p_eq, so a run keeps its gains for a next
+run that reads the same ones, by one rule: when they fit the current
+store, of any size inside a _shared_gains scope and up to 512 KB outside
+one (see run_trials).  Block size, worker count and reuse change no bit
+of any result.  run_trials estimates the probability that all SUs are
+served (the serving verdict uses the estimated constraints, i.e. what
+the SBS can check; the true-channel verdict is kept as an audit
+column).  max_sus_at_confidence searches the largest number of SUs
+servable at a given confidence along a constraint sweep; its probes stop
+serving, and drawing, trials once their verdict is settled.
+EmpiricalCdf pools raw samples for Kolmogorov-Smirnov comparisons
+against the closed-form laws.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import optimize_equal_power
-from .beamforming import AntennaShortageError, IllConditionedError, compute_beams
+from .beamforming import MEB, ZFB, AntennaShortageError, IllConditionedError, compute_beams
 from .network import ChannelRealization, NetworkConfig, evaluate_links, generate_channels
 from .power import equal_power, slack_from_links, solve_lf
 
@@ -71,21 +72,22 @@ _BLOCK_ELEMENTS = 2 ** 15
 # the config fields that a trial's channels, beams and link gains do not read
 _SERVE_FIELDS = ("r0", "i0", "p0")
 
-# inside a _shared_gains scope, {key: (drawn, rest)} of the scope's last
-# run_trials call: the (rows, gains) blocks drawn so far and an iterator of
-# the blocks still to draw
-_SHARED_GAINS: ContextVar[dict | None] = ContextVar("_SHARED_GAINS", default=None)
 
-# inside a deciding _shared_gains scope, the confidence that a run's p_served
-# is compared with
-_SETTLE_AT: ContextVar[float | None] = ContextVar("_SETTLE_AT", default=None)
+@dataclass
+class _GainsStore:
+    """run_trials' kept link gains.  entries is {key: (drawn, rest)}, the
+    (rows, gains) blocks drawn so far and an iterator of the rest; limit
+    is the most floats a call may keep; settle_at is the confidence that
+    a deciding call settles at, or None."""
 
-# outside a scope, {key: (drawn, rest)} of the last run_trials call whose
-# gains are small, every block drawn (rest is empty): at most 2
-# _BLOCK_ELEMENTS floats (512 KB, the size of the block of channels that the
-# gains stage holds while it runs) per concurrent caller; empty after a
-# larger call
-_LAST_GAINS: dict = {}
+    entries: dict
+    limit: float
+    settle_at: float | None = None
+
+
+# outside any _shared_gains scope, one store shared by every thread; its
+# limit is the size of the block of channels the gains stage holds (512 KB)
+_GAINS = ContextVar("_GAINS", default=_GainsStore({}, 2 * _BLOCK_ELEMENTS))
 
 # added to a gap's deviation bound in ks_distance before it is compared with
 # the largest deviation found: far above the laws' rounding (about 1e-14)
@@ -187,11 +189,13 @@ def _drawn_then_rest(drawn, rest):
         yield part
 
 
-def _serve(gains, n, config, scheme, policy, p_eq, settle_at=None) -> dict:
+def _serve(gains, n, config, scheme, power, settle_at=None) -> dict:
     """The result buffers of n trials, trial axis first, from their (rows, gains) blocks.
 
-    A failed trial keeps its NaN samples and unserved verdicts, and its
-    error names the exception; the error entry is None for a trial that ran.
+    Each trial runs at the per-SU powers `power`, or at its LF allocation
+    where power is None.  A failed trial keeps its NaN samples and
+    unserved verdicts, and its error names the exception; the error entry
+    is None for a trial that ran.
     With settle_at set, it stops after the block, failed or not, that
     settles whether p_served >= settle_at: the s trials served among the
     first m pass it once s / n does, and fail it once n - (m - s), the
@@ -209,12 +213,12 @@ def _serve(gains, n, config, scheme, policy, p_eq, settle_at=None) -> dict:
             out["error"][rows] = links
         else:
             size = rows.stop - rows.start
-            if policy == POLICY_LF:
+            if power is None:
                 allocs = [solve_lf(links[t], scheme, config) for t in range(size)]
                 p = np.stack([a.p for a in allocs])
                 solver_ok = np.array([a.feasible for a in allocs])
             else:
-                p = np.broadcast_to(equal_power(config, p_eq), (size, config.k_su))
+                p = np.broadcast_to(power, (size, config.k_su))
                 solver_ok = True
 
             est, true = slack_from_links(links, p, config)
@@ -232,29 +236,21 @@ def _serve(gains, n, config, scheme, policy, p_eq, settle_at=None) -> dict:
 
 @contextlib.contextmanager
 def _shared_gains(confidence=None):
-    """A scope in which run_trials reuses the previous call's link gains.
+    """A scope with a fresh store of no limit for run_trials' link gains.
 
-    A call reuses them, at any worker count, when it matches the
-    previous call of the scope in every input the gains stage reads: the
-    config fields but _SERVE_FIELDS, the scheme, the seed, n_trials and
-    the stage functions.  Otherwise it draws and keeps its own gains in
-    their place, whatever their size.  The scope holds at most one
-    run's gains, about n_trials k_su^2 floats (16 MB at 500 trials and
-    k_su = 64), and drops them on exit; a nested scope starts empty.
-
-    With a confidence, the scope decides: a call at one worker stops
-    serving, and drawing, trials once whether p_served >= confidence is
-    settled (see _serve), and keeps the blocks drawn so far with the
-    iterator of the rest.  A later call with the same key serves the kept
-    blocks and draws only those it still needs, so each trial is drawn at
-    most once per scope.  A call that does not decide draws every block.
+    It holds one run's gains at most, about n_trials k_su^2 floats (16 MB
+    at 500 trials and k_su = 64), and drops them on exit; a nested scope
+    starts empty.  With a confidence the scope decides: a call at one
+    worker stops serving, and drawing, trials once whether p_served >=
+    confidence is settled (see _serve), and keeps the blocks drawn so
+    far with the iterator of the rest, so a later call with the same key
+    draws only the blocks it still needs.
     """
-    gains_token, settle_token = _SHARED_GAINS.set({}), _SETTLE_AT.set(confidence)
+    token = _GAINS.set(_GainsStore({}, math.inf, confidence))
     try:
         yield
     finally:
-        _SHARED_GAINS.reset(gains_token)
-        _SETTLE_AT.reset(settle_token)
+        _GAINS.reset(token)
 
 
 def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, seed: int,
@@ -270,33 +266,35 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
             computed once and reused across trials).
         n_trials: number of realizations, an integer >= 1.
         seed: master seed, an integer >= 0; trial i uses sub-seed (seed, i).
-        p_eq: per-SU power for POLICY_EQUAL_POWER.
+        p_eq: per-SU power for POLICY_EQUAL_POWER, finite and >= 0.
         n_workers: process count, an integer >= 1; the result does not depend on it.
             More than one starts a pool for the gains stage, in which one
             _gains call draws, beams and links each block of trials; the
             serve stage always runs in the calling process.
 
-    A call reuses the previous call's channels, beams and link gains
-    when only r0, i0, p0, the policy or p_eq differ, whatever either
-    call's worker count, and montecarlo binds the same trial_seed,
-    generate_channels, compute_beams and evaluate_links (a patched or
-    traced stage draws afresh).  Inside a _shared_gains scope
-    (max_sus_at_confidence opens one, and the CLI opens one around the
-    runs that share trials) every call keeps its gains for the next.
-    Outside a scope a call keeps them only when n_trials k_su (k_su + 2 +
-    2 l_rx) floats fit in 2 _BLOCK_ELEMENTS (512 KB, 64 trials at the
-    default config); a larger call streams its trials and keeps none.
-    Either way a miss drops the kept gains before it draws (threads
-    that miss at once can each leave an entry until the next miss), and
-    the result is bit-identical to a fresh draw.  A bad count or seed raises
-    ValueError before the optimizer runs or any channel is drawn.
+    A bad count, seed, scheme, policy or p_eq raises ValueError before
+    the optimizer runs or any channel is drawn.
+
+    One rule keeps a call's channels, beams and link gains: a call
+    reuses the current store's entry when only r0, i0, p0, the policy or
+    p_eq differ, at any worker count, and montecarlo binds the same
+    trial_seed, generate_channels, compute_beams and evaluate_links (a
+    patched or traced stage draws afresh).  On a miss it empties the
+    store, draws, and keeps its gains if their n_trials k_su (k_su + 2 +
+    2 l_rx) floats fit the store's limit; a larger call streams its
+    trials.  Threads that miss at once can each leave an entry.  Outside
+    any scope the store is shared by every thread, with a limit of 2
+    _BLOCK_ELEMENTS floats (512 KB, 64 trials at the default config); a
+    _shared_gains scope (max_sus_at_confidence and the CLI open them)
+    sets one with no limit.  The result is bit-identical to a fresh draw.
 
     Inside the deciding scope of max_sus_at_confidence, a call with
     n_workers = 1 serves and draws trials block by block and stops once
     whether p_served >= confidence is settled.  Its result then counts
     the trials it did not run as not served, in p_served and the audit
     rates, which gives the same verdict, and their samples stay NaN;
-    n_failed counts only the trials that ran.
+    n_failed counts only the trials that ran.  Any other call that keeps
+    its gains draws them all before serving, so a failed draw keeps none.
 
     Returns:
         ExperimentResult with exact p_served = (#served)/n_trials,
@@ -306,36 +304,33 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
     for name, val, least in (("n_trials", n_trials, 1), ("n_workers", n_workers, 1),
                              ("seed", seed, 0)):
         _check_integer(name, val, least)
+    if scheme not in (MEB, ZFB):
+        raise ValueError(f"unknown scheme {scheme!r}")
     if policy not in _POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    policy_run = POLICY_EQUAL_POWER if policy == POLICY_EQUAL_POWER_OPT else policy
     if policy == POLICY_EQUAL_POWER_OPT:
         p_eq = optimize_equal_power(scheme, config).p_eq
-    if policy_run == POLICY_EQUAL_POWER and p_eq is None:
+    if policy != POLICY_LF and p_eq is None:
         raise ValueError("equal-power policy needs p_eq")
+    power = None if policy == POLICY_LF else equal_power(config, p_eq)
 
     gains = _trial_gains(config, scheme, seed, n_trials, n_workers)
-    store = _SHARED_GAINS.get()
+    store = _GAINS.get()
     # a pool's generator is never left suspended
-    settle_at = _SETTLE_AT.get() if n_workers == 1 else None
-    if store is None:
-        store = _LAST_GAINS
-        if n_trials * config.k_su * (config.k_su + 2 + 2 * config.l_rx) > 2 * _BLOCK_ELEMENTS:
-            store.clear()  # a large call streams its trials and keeps none
-            store = None
-    if store is not None:
-        key = (tuple(v for f, v in vars(config).items() if f not in _SERVE_FIELDS),
-               scheme, seed, n_trials, trial_seed, generate_channels, compute_beams,
-               evaluate_links)
-        kept = store.get(key)  # not store[key]: another thread may clear the entry
-        if kept is None:
-            # before drawing, so one caller's old and new gains never coexist;
-            # callers that miss at once can each leave an entry until the next miss
-            store.clear()
-            kept = store[key] = (([], gains) if settle_at is not None
-                                 else (list(gains), iter(())))
-        gains = _drawn_then_rest(*kept)
-    out = _serve(gains, n_trials, config, scheme, policy_run, p_eq, settle_at)
+    settle_at = store.settle_at if n_workers == 1 else None
+    key = (tuple(v for f, v in vars(config).items() if f not in _SERVE_FIELDS),
+           scheme, seed, n_trials, trial_seed, generate_channels, compute_beams,
+           evaluate_links)
+    kept = store.entries.get(key)  # not [key]: another thread may clear the entry
+    if kept is None:
+        # before drawing, so one caller's old and new gains never coexist
+        store.entries.clear()
+        # a call too large for the store streams its trials and keeps none
+        if n_trials * config.k_su * (config.k_su + 2 + 2 * config.l_rx) <= store.limit:
+            kept = store.entries[key] = (([], gains) if settle_at is not None
+                                         else (list(gains), iter(())))
+    gains = gains if kept is None else _drawn_then_rest(*kept)
+    out = _serve(gains, n_trials, config, scheme, power, settle_at)
 
     p_served = out["served"].sum() / n_trials
     return ExperimentResult(

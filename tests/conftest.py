@@ -1,14 +1,18 @@
 """Shared test plumbing: a count of the trial pools started, run_trials'
-memo of small link gains switched off unless a test asks for it, and a
-terminal summary for the acceptance verdicts."""
+default store of link gains limited to nothing unless a test asks for
+it, and a terminal summary for the acceptance verdicts."""
 
 from concurrent.futures import ProcessPoolExecutor
+from contextvars import ContextVar
 
 import pytest
 
 import crmimo.montecarlo as montecarlo
 
 ACCEPTANCE_LINES = []
+
+# the limit of run_trials' own store outside any scope
+_DEFAULT_LIMIT = montecarlo._GAINS.get().limit
 
 
 @pytest.fixture
@@ -25,27 +29,27 @@ def pools(monkeypatch):
     return started
 
 
-class _KeepsNothing(dict):
-    """A memo of link gains that stores nothing, so every call misses."""
-
-    def __setitem__(self, key, value):
-        pass
+def _install_default_store(monkeypatch, limit):
+    """An empty store that keeps at most `limit` floats a call, made the
+    one that run_trials uses outside any scope, in every thread."""
+    store = montecarlo._GainsStore({}, limit)
+    monkeypatch.setattr(montecarlo, "_GAINS", ContextVar("_GAINS", default=store))
+    return store
 
 
 @pytest.fixture(autouse=True)
-def no_gains_memo(monkeypatch):
-    """Switch off run_trials' memo of the last call's gains: a test that
-    compares two calls outside a scope compares two fresh draws, and its
-    draw and pool counts do not depend on the tests run before it."""
-    monkeypatch.setattr(montecarlo, "_LAST_GAINS", _KeepsNothing())
+def default_store(monkeypatch):
+    """run_trials' store outside any scope, with a limit of 0: every call
+    there streams its trials, so a test that compares two calls outside a
+    scope compares two fresh draws, and its draw and pool counts do not
+    depend on the tests run before it."""
+    return _install_default_store(monkeypatch, 0)
 
 
 @pytest.fixture
-def gains_memo(no_gains_memo, monkeypatch):
-    """run_trials' memo of the last call's gains, switched on and empty."""
-    memo = {}
-    monkeypatch.setattr(montecarlo, "_LAST_GAINS", memo)
-    return memo
+def gains_memo(default_store, monkeypatch):
+    """run_trials' store outside any scope, empty, at its own limit."""
+    return _install_default_store(monkeypatch, _DEFAULT_LIMIT)
 
 
 def pytest_terminal_summary(terminalreporter):

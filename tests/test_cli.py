@@ -119,6 +119,17 @@ class TestMainExitCodes:
         assert message in capsys.readouterr().err
         assert not os.listdir(tmp_path)
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("experiment", ["single_solve", "fig3_meb_compare",
+                                            "cdf_validation", "fig5_max_sus"])
+    def test_non_finite_power(self, tmp_path, capsys, experiment, value):
+        # rejected before any trial, as a bad seed is: no CSV of error rows
+        code = main(["--experiment", experiment, *TINY, "--p-eq-db", value,
+                     "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+        assert "p_eq must be finite" in capsys.readouterr().err
+        assert not os.listdir(tmp_path)
+
     def test_bad_confidence(self, tmp_path, capsys):
         # rejected before any trial, as a bad seed is: no CSV of error rows
         code = main(["--experiment", "fig5_max_sus", *TINY, "--confidence", "1.5",
@@ -424,7 +435,7 @@ class TestSweepExperiments:
 
     @pytest.mark.parametrize("experiment", ["fig2_eq_power_sweep", "fig4_zfb_compare"])
     def test_shared_trials_give_each_row_its_own_run(self, experiment, tmp_path, capsys,
-                                                     monkeypatch):
+                                                     monkeypatch, default_store):
         # one draw of each trial serves every run of a config in the sweep; each
         # row still equals a run_trials call made on its own, outside any scope
         draws = []
@@ -437,9 +448,9 @@ class TestSweepExperiments:
         monkeypatch.setattr(crmimo.montecarlo, "generate_channels", counted)
         code = main(["--experiment", experiment, *TINY, "--trials", "30",
                      "--out", str(tmp_path)])
-        monkeypatch.undo()
+        monkeypatch.setattr(crmimo.montecarlo, "generate_channels", original)
         assert code == EXIT_OK
-        assert crmimo.montecarlo._SHARED_GAINS.get() is None
+        assert crmimo.montecarlo._GAINS.get() is default_store
         _, body = read_csv(tmp_path / f"{experiment}.csv")
         config = NetworkConfig(m_b=16, m_u=2, k_su=3)
         expected = []
@@ -475,19 +486,20 @@ class TestSweepExperiments:
         csvs = [(tmp_path / w / f"{experiment}.csv").read_bytes() for w in ("w1", "w2")]
         assert csvs[0] == csvs[1]
 
-    def test_cdf_validation_runs_outside_any_scope(self, tmp_path, capsys, monkeypatch):
+    def test_cdf_validation_runs_outside_any_scope(self, tmp_path, capsys, monkeypatch,
+                                                   default_store):
         # no later run reuses a cdf_validation run's gains, so none is kept
         scopes = []
 
         def recorded(*args, **kwargs):
-            scopes.append(crmimo.montecarlo._SHARED_GAINS.get())
+            scopes.append(crmimo.montecarlo._GAINS.get() is default_store)
             return run_trials(*args, **kwargs)
 
         monkeypatch.setattr(crmimo.cli, "run_trials", recorded)
         code = main(["--experiment", "cdf_validation", *TINY, "--trials", "20",
                      "--out", str(tmp_path)])
         assert code == EXIT_OK
-        assert scopes == [None, None]
+        assert scopes == [True, True]
 
     def test_fig5_tiny(self, tmp_path, capsys):
         code = main(["--experiment", "fig5_max_sus", *TINY,

@@ -53,6 +53,10 @@ def trials_per_block(monkeypatch, config, n):
                         n * config.k_su * config.m_u * config.m_b)
 
 
+def reached_past_the_checks(*args, **kwargs):
+    raise AssertionError("reached past the argument checks")
+
+
 def counted_draws(monkeypatch):
     """The trial seeds' entropies that run_trials draws from, as it draws them."""
     draws = []
@@ -80,6 +84,11 @@ def ill_conditioned_trial(monkeypatch, *indices):
         return dataclasses.replace(real, hhat_pu_rx=hhat)
 
     monkeypatch.setattr(crmimo.montecarlo, "generate_channels", defective)
+
+
+def kept_entries():
+    """The {key: (drawn, rest)} entries of the store that run_trials uses here."""
+    return crmimo.montecarlo._GAINS.get().entries
 
 
 def assert_same_result(a, b):
@@ -215,10 +224,8 @@ class TestServingLogic:
     def test_counts_must_be_integers(self, name, value, monkeypatch):
         # rejected before the optimizer runs or a channel is drawn; the seed
         # would otherwise run as int(seed) and be recorded as given
-        def never(*args, **kwargs):
-            raise AssertionError("reached past the argument checks")
-        monkeypatch.setattr(crmimo.montecarlo, "optimize_equal_power", never)
-        monkeypatch.setattr(crmimo.montecarlo, "generate_channels", never)
+        monkeypatch.setattr(crmimo.montecarlo, "optimize_equal_power", reached_past_the_checks)
+        monkeypatch.setattr(crmimo.montecarlo, "generate_channels", reached_past_the_checks)
         counts = {"n_trials": 5, "n_workers": 1, "seed": 0, name: value}
         negative = not isinstance(value, bool) and value < 0
         with pytest.raises(ValueError, match=f"{name} must be "
@@ -247,9 +254,28 @@ class TestServingLogic:
 
     @pytest.mark.parametrize("scheme", ["meb", "bogus"])
     @pytest.mark.parametrize("policy", [POLICY_LF, POLICY_EQUAL_POWER])
-    def test_unknown_scheme_rejected(self, scheme, policy):
-        with pytest.raises(ValueError, match="unknown scheme"):
-            run_trials(SMALL, scheme, policy, 3, seed=0, p_eq=0.5)
+    def test_unknown_scheme_rejected(self, scheme, policy, monkeypatch, pools):
+        # rejected before any pool starts or any channel is drawn
+        monkeypatch.setattr(crmimo.montecarlo, "generate_channels", reached_past_the_checks)
+        for n_workers in (1, 2):
+            with pytest.raises(ValueError, match="unknown scheme"):
+                run_trials(SMALL, scheme, policy, 30, seed=0, p_eq=0.5, n_workers=n_workers)
+        assert pools == []
+
+    @pytest.mark.parametrize("p_eq, message", [
+        (-1.0, "p_eq must be finite and nonnegative"),
+        (math.nan, "p_eq must be finite and nonnegative"),
+        (math.inf, "p_eq must be finite and nonnegative"),
+        (None, "equal-power policy needs p_eq"),
+    ])
+    def test_bad_power_rejected_before_any_draw(self, p_eq, message, monkeypatch, pools,
+                                                gains_memo):
+        monkeypatch.setattr(crmimo.montecarlo, "generate_channels", reached_past_the_checks)
+        for n_workers in (1, 2):
+            with pytest.raises(ValueError, match=message):
+                run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 30, seed=0, p_eq=p_eq,
+                           n_workers=n_workers)
+        assert pools == [] and gains_memo.entries == {}
 
     @pytest.mark.parametrize("scheme", [MEB, ZFB])
     def test_lf_without_receiving_pu_has_no_cap(self, scheme):
@@ -447,6 +473,7 @@ class TestSharedGains:
             run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 4, seed=1, p_eq=0.3)
         assert len(draws) == 4  # outside a scope, a repeated small call draws once
         trials_per_block(monkeypatch, SMALL, 1)  # the gains of 9 trials fit the bound
+        gains_memo.limit = 2 * crmimo.montecarlo._BLOCK_ELEMENTS
         for _ in range(2):
             run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 10, seed=1, p_eq=0.3)
         assert len(draws) == 4 + 20  # and a call over the bound redraws
@@ -457,7 +484,7 @@ class TestSharedGains:
             run_trials(SMALL, MEB, POLICY_LF, 4, seed=1)
         run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 4, seed=1, p_eq=0.3)
         assert len(draws) == 24 + 4 + 4 + 4
-        assert crmimo.montecarlo._SHARED_GAINS.get() is None
+        assert crmimo.montecarlo._GAINS.get() is gains_memo
 
     def test_workers_read_and_fill_the_gains(self, monkeypatch, pools):
         # the first call's pool draws the gains and the scope keeps them; the
@@ -487,7 +514,7 @@ class TestGainsMemo:
         config, scheme, variants = gains_case(case, monkeypatch)
         fresh = []
         for variant in variants:
-            crmimo.montecarlo._LAST_GAINS.clear()
+            kept_entries().clear()
             fresh += run_variants(config, scheme, [variant])
         draws = counted_draws(monkeypatch)
         pools.clear()
@@ -497,13 +524,14 @@ class TestGainsMemo:
             draws = None
         expect_shared(case, draws, kept, fresh)
 
-    def test_bound(self, monkeypatch):
+    def test_bound(self, monkeypatch, gains_memo):
         # SMALL's gains are 3 (3 + 2 + 2) = 21 floats per trial, and two blocks
         # of one trial hold 2 * 96 elements: 9 trials fit, 10 do not
-        memo = crmimo.montecarlo._LAST_GAINS
+        memo = gains_memo.entries
         run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 4, seed=1, p_eq=0.3)
         assert len(memo) == 1
         trials_per_block(monkeypatch, SMALL, 1)
+        gains_memo.limit = 2 * crmimo.montecarlo._BLOCK_ELEMENTS
         run_trials(SMALL, ZFB, POLICY_EQUAL_POWER, 10, seed=1, p_eq=0.3)
         assert memo == {}  # a call over the bound keeps nothing
         run_trials(SMALL, ZFB, POLICY_EQUAL_POWER, 9, seed=1, p_eq=0.3)
@@ -528,8 +556,8 @@ class TestGainsMemo:
         run_trials(SMALL, ZFB, POLICY_EQUAL_POWER, 6, seed=3, p_eq=0.3)
         assert calls == []  # and keeps them for the same pipeline
 
-    def test_a_miss_drops_the_old_entry_before_drawing(self, monkeypatch):
-        memo = crmimo.montecarlo._LAST_GAINS
+    def test_a_miss_drops_the_old_entry_before_drawing(self, monkeypatch, gains_memo):
+        memo = gains_memo.entries
         run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 4, seed=1, p_eq=0.3)
         kept_while_drawing = []
         draw = crmimo.montecarlo.generate_channels
@@ -543,12 +571,35 @@ class TestGainsMemo:
         assert kept_while_drawing == [0] * 4
         assert len(memo) == 1
 
+    def test_a_failed_draw_leaves_no_entry(self, monkeypatch):
+        # a kept entry is drawn in full before it is served: a lazy entry whose
+        # draw died at trial 5 would serve trials 0-4 and count the rest as
+        # unserved, with no failure
+        fresh = run_trials(SMALL, ZFB, POLICY_EQUAL_POWER, 9, seed=3, p_eq=0.3)
+        draws, fail_at = [], [5]
+        draw = crmimo.montecarlo.generate_channels
+
+        def fails_once(config, seed):  # one binding, so both calls share a key
+            if seed.entropy[1] in fail_at:
+                fail_at.clear()
+                raise RuntimeError("draw failed")
+            draws.append(seed.entropy[1])
+            return draw(config, seed)
+
+        monkeypatch.setattr(crmimo.montecarlo, "generate_channels", fails_once)
+        with pytest.raises(RuntimeError, match="draw failed"):
+            run_trials(SMALL, ZFB, POLICY_EQUAL_POWER, 9, seed=3, p_eq=0.3)
+        assert draws == [0, 1, 2, 3, 4] and kept_entries() == {}
+        res = run_trials(SMALL, ZFB, POLICY_EQUAL_POWER, 9, seed=3, p_eq=0.3)
+        assert draws[5:] == list(range(9))
+        assert_same_result(res, fresh)
+
     def test_a_numpy_scalar_field_draws_as_the_number_it_equals(self):
         # np.float32(1.0) equals and hashes as 1.0, so both configs share a key,
         # and a hit is right only because both draw the same bits
         narrow = SMALL.replace(sigma2_h=np.float32(SMALL.sigma2_h))
         fresh = run_trials(narrow, ZFB, POLICY_LF, 6, seed=3)
-        crmimo.montecarlo._LAST_GAINS.clear()
+        kept_entries().clear()
         run_trials(SMALL, ZFB, POLICY_LF, 6, seed=3)
         assert_same_result(fresh, run_trials(narrow, ZFB, POLICY_LF, 6, seed=3))
 
@@ -562,7 +613,7 @@ class TestGainsMemo:
                  for policy in (POLICY_EQUAL_POWER, POLICY_LF)]
         fresh = {}
         for call in calls:
-            crmimo.montecarlo._LAST_GAINS.clear()
+            kept_entries().clear()
             fresh[call] = run(*call)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -582,7 +633,7 @@ VACUOUS_SMALL = SMALL.replace(l_rx=2, r0=1e-9, i0=1e9, p0=1e9)
 
 def shared_entry():
     """The (drawn, rest) entry of the open scope's one key."""
-    (entry,) = crmimo.montecarlo._SHARED_GAINS.get().values()
+    (entry,) = kept_entries().values()
     return entry
 
 
