@@ -101,13 +101,15 @@ def compute_meb(real: ChannelRealization) -> BeamformingSolution:
     return BeamformingSolution(v=v, u=u, sigma2_k1=sigma2_k1)
 
 
-def compute_zfb(real: ChannelRealization) -> BeamformingSolution:
+def compute_zfb(real: ChannelRealization,
+                meb: BeamformingSolution | None = None) -> BeamformingSolution:
     """Zero-forcing beamforming against other SUs and estimated PU receivers.
 
     Transmit beams are the first k_su columns of the pseudo-inverse of
     G = [g_1 .. g_K, hhat_rx...], normalized to unit power, where
     g_k = H_k^H u_k are the equivalent channels under the MEB receive
-    beams.
+    beams.  meb is compute_meb(real) when the caller already has it;
+    None computes it.
 
     Raises:
         AntennaShortageError: if m_b <= k_su - 1 + l_rx.
@@ -119,7 +121,7 @@ def compute_zfb(real: ChannelRealization) -> BeamformingSolution:
         raise AntennaShortageError(
             f"ZFB needs m_b > k_su - 1 + l_rx, got m_b={mb}, k_su={k}, l_rx={l_rx}"
         )
-    meb = compute_meb(real)
+    meb = compute_meb(real) if meb is None else meb
     # g_k = H_k^H u_k = sqrt(sigma2_k1) v_k, phase fix included
     g = meb.v.swapaxes(-1, -2) * np.sqrt(meb.sigma2_k1)[..., None, :]
     big_g = np.concatenate([g, real.hhat_pu_rx.swapaxes(-1, -2)], axis=-1)

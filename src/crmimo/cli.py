@@ -172,24 +172,29 @@ def _fig2(spec: ExperimentSpec):
     name, values = spec.sweep
 
     def sweep(config, scheme):
-        with _shared_gains():  # the p_eq sweep draws each trial once
-            for value in values:
-                p_eq = float(db_to_linear(value)) if name == "p_eq_db" else float(value)
-                p_eq_db = float(linear_to_db(p_eq))
-                analytic = analytics.q_k(scheme, config, p_eq)
-                res = run_trials(config, scheme, POLICY_EQUAL_POWER, spec.n_trials,
-                                 spec.seed, p_eq=p_eq, n_workers=spec.n_workers)
-                print(f"fig2 m_b={config.m_b} scheme={scheme} p_eq={p_eq_db:+.1f}dB "
-                      f"analytic={analytic:.4f} empirical={res.p_served:.4f}")
-                yield [config.m_b, p_eq_db, scheme, _fmt(analytic), _fmt(res.p_served),
-                       _fmt(res.stderr), res.n_trials, ""]
+        for value in values:
+            p_eq = float(db_to_linear(value)) if name == "p_eq_db" else float(value)
+            p_eq_db = float(linear_to_db(p_eq))
+            analytic = analytics.q_k(scheme, config, p_eq)
+            res = run_trials(config, scheme, POLICY_EQUAL_POWER, spec.n_trials,
+                             spec.seed, p_eq=p_eq, n_workers=spec.n_workers)
+            print(f"fig2 m_b={config.m_b} scheme={scheme} p_eq={p_eq_db:+.1f}dB "
+                  f"analytic={analytic:.4f} empirical={res.p_served:.4f}")
+            yield [config.m_b, p_eq_db, scheme, _fmt(analytic), _fmt(res.p_served),
+                   _fmt(res.stderr), res.n_trials, ""]
+
+    def units():
+        for m_b in spec.m_b_list:
+            # every scheme's p_eq sweep at this m_b reads one draw of each trial
+            with _shared_gains(schemes=spec.schemes):
+                for scheme in spec.schemes:
+                    yield (f"fig2 m_b={m_b} scheme={scheme}",
+                           sweep(spec.config.replace(m_b=m_b), scheme),
+                           [[m_b, "", scheme, "", "", "", ""]])
 
     header = ["m_b", "p_eq_db", "scheme", "p_served_analytical",
               "p_served_empirical", "stderr", "n_trials", "error"]
-    return header, ((f"fig2 m_b={m_b} scheme={scheme}",
-                     sweep(spec.config.replace(m_b=m_b), scheme),
-                     [[m_b, "", scheme, "", "", "", ""]])
-                    for m_b in spec.m_b_list for scheme in spec.schemes)
+    return header, units()
 
 
 def _fig_compare(spec: ExperimentSpec):
@@ -371,13 +376,14 @@ def run(spec: ExperimentSpec) -> int:
     run_trials keeps a call's gains for the next by one rule: when they
     fit the current store.  Runs that reuse one draw of trials share a
     _shared_gains scope, whose store fits any run, that their runner
-    opens and that stays open while run consumes their rows: fig2's p_eq
-    sweep at one (m_b, scheme), a unit of its own, and fig3/fig4's policy
-    units at one (sweep value, scheme).  Every other run_trials call of
-    a run (fig5's search opens its own scope) uses the store outside any
-    scope, which fits 512 KB, so a larger call, such as a default
-    cdf_validation run, streams its trials.  None of them repeats the key
-    of the call before it, so none reuses kept gains.
+    opens and that stays open while run consumes their rows: fig2's
+    units at one m_b, one per scheme, whose first call computes both
+    schemes' gains for every p_eq, and fig3/fig4's policy units at one
+    (sweep value, scheme); each unit still fails on its own.  Every
+    other run_trials call (fig5's search opens its own scope) uses the
+    store outside any scope, which fits 512 KB of both schemes' gains,
+    so cdf_validation draws once for both up to 234 trials at the
+    default config and streams each scheme's trials past that.
     Returns a process exit status.
     """
     os.makedirs(spec.out_dir, exist_ok=True)

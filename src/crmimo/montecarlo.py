@@ -5,18 +5,19 @@ run is fully determined by (config, scheme, policy, n_trials, seed) and
 independent of how many workers execute it.  A run has two stages.  In
 the gains stage, one function (_gains) turns each block of trials into
 link gains: each trial draws its own channels, then one call each
-computes the beams and the link gains of the whole block along a
-leading trial axis; several workers compute the blocks in a process
-pool.  The serve stage, in the calling process, allocates power per
-trial and computes the slack of each block.  The gains read no rate
-floor, cap, budget, policy or p_eq, so a run keeps its gains for a next
-run that reads the same ones, by one rule: when they fit the current
-store, of any size inside a _shared_gains scope and up to 512 KB outside
-one (see run_trials).  Block size, worker count and reuse change no bit
-of any result.  run_trials estimates the probability that all SUs are
-served (the serving verdict uses the estimated constraints, i.e. what
-the SBS can check; the true-channel verdict is kept as an audit
-column).  max_sus_at_confidence searches the largest number of SUs
+computes the MEB beams, the ZFB beams built on them where asked, and
+each scheme's link gains of the whole block along a leading trial axis;
+several workers compute the blocks in a process pool.  The serve stage,
+in the calling process, allocates power per trial and computes the
+slack of each block.  The gains read no rate floor, cap, budget, policy
+or p_eq, so a run keeps its gains for a next run that reads the same
+ones, by one rule: when they fit the current store, of any size inside
+a _shared_gains scope and up to 512 KB outside one; one draw can feed
+both schemes (see run_trials).  Block size, worker count and reuse
+change no bit of any result.  run_trials estimates the probability
+that all SUs are served (the serving verdict uses the estimated
+constraints, i.e. what the SBS can check; the true-channel verdict is
+kept as an audit column).  max_sus_at_confidence searches the largest number of SUs
 servable at a given confidence along a constraint sweep; its probes stop
 serving, and drawing, trials once their verdict is settled.
 EmpiricalCdf pools raw samples for Kolmogorov-Smirnov comparisons
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import itertools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -37,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analytics import optimize_equal_power
-from .beamforming import MEB, ZFB, AntennaShortageError, IllConditionedError, compute_beams
+from .beamforming import (MEB, ZFB, AntennaShortageError, IllConditionedError, compute_meb,
+                          compute_zfb)
 from .network import ChannelRealization, NetworkConfig, evaluate_links, generate_channels
 from .power import equal_power, slack_from_links, solve_lf
 
@@ -75,19 +76,21 @@ _SERVE_FIELDS = ("r0", "i0", "p0")
 
 @dataclass
 class _GainsStore:
-    """run_trials' kept link gains.  entries is {key: (drawn, rest)}, the
-    (rows, gains) blocks drawn so far and an iterator of the rest; limit
-    is the most floats a call may keep; settle_at is the confidence that
-    a deciding call settles at, or None."""
+    """run_trials' kept link gains.  entries is {key: (schemes, drawn,
+    rest)}: the schemes held, the _gains blocks drawn so far and an
+    iterator of the rest; limit is the most floats a call may keep;
+    schemes are those a miss computes together; settle_at is the
+    confidence that a deciding call settles at, or None."""
 
     entries: dict
     limit: float
+    schemes: tuple = ()
     settle_at: float | None = None
 
 
 # outside any _shared_gains scope, one store shared by every thread; its
 # limit is the size of the block of channels the gains stage holds (512 KB)
-_GAINS = ContextVar("_GAINS", default=_GainsStore({}, 2 * _BLOCK_ELEMENTS))
+_GAINS = ContextVar("_GAINS", default=_GainsStore({}, 2 * _BLOCK_ELEMENTS, (MEB, ZFB)))
 
 # added to a gap's deviation bound in ks_distance before it is compared with
 # the largest deviation found: far above the laws' rounding (about 1e-14)
@@ -135,14 +138,16 @@ def trial_seed(master_seed: int, index: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=(int(master_seed), int(index)))
 
 
-def _gains(config, scheme, master_seed, trials):
-    """[(rows, gains)] of `trials`, consecutive indices in order, one pool task.
+def _gains(config, schemes, master_seed, trials):
+    """{scheme: [(rows, gains)]} of `trials`, consecutive indices in order, one pool task.
 
     The trials' draws, in trial order, are stacked read-only along a
-    leading axis (one trial is viewed, not copied) for one beam and one
-    link call; gains is the LinkMetrics of trials `rows`, or the name of
-    the exception the beams raised.  An ill-conditioned block is released
-    and redrawn one trial at a time, so only that trial fails."""
+    leading axis (one trial is viewed, not copied) for one MEB beam call,
+    which ZFB builds on, and one link call per scheme; gains is the
+    LinkMetrics of trials `rows`, or the name of the exception the beams
+    raised.  A block ill-conditioned for ZFB is released and redrawn one
+    trial at a time for ZFB alone, so only that trial fails; the block's
+    MEB gains stand."""
     n, block = len(trials), {}
     for t, i in enumerate(trials):
         for name, a in vars(generate_channels(config, trial_seed(master_seed, i))).items():
@@ -152,33 +157,35 @@ def _gains(config, scheme, master_seed, trials):
                 block[name][t] = a
     for a in block.values():
         a.setflags(write=False)
-    real = ChannelRealization(**block)
-    try:
-        beams = compute_beams(real, scheme)
-    except (AntennaShortageError, IllConditionedError) as exc:
-        gains = type(exc).__name__
-    else:
-        gains = evaluate_links(real, beams.v, beams.u, config)
-    if gains == IllConditionedError.__name__ and n > 1:
-        del real, block, a
-        return [part for i in trials for part in _gains(config, scheme, master_seed, [i])]
-    return [(slice(trials[0], trials[-1] + 1), gains)]
+    real, rows, out = ChannelRealization(**block), slice(trials[0], trials[-1] + 1), {}
+    meb = compute_meb(real)
+    for scheme in schemes:
+        try:
+            beams = meb if scheme == MEB else compute_zfb(real, meb)
+        except (AntennaShortageError, IllConditionedError) as exc:
+            out[scheme] = [(rows, type(exc).__name__)]
+        else:
+            out[scheme] = [(rows, evaluate_links(real, beams.v, beams.u, config))]
+    if n > 1 and out.get(ZFB) == [(rows, IllConditionedError.__name__)]:
+        real = block = a = meb = beams = None
+        out[ZFB] = [part for i in trials for part in _gains(config, (ZFB,), master_seed, [i])[ZFB]]
+    return out
 
 
-def _trial_gains(config, scheme, master_seed, n_trials, n_workers):
-    """(rows, gains) of trials 0..n_trials-1, block by block in trial order.
+def _trial_gains(config, schemes, master_seed, n_trials, n_workers):
+    """The _gains of trials 0..n_trials-1, block by block in trial order.
 
     One worker computes each block as it is taken; more start a process
     pool that computes the same blocks, one task each, in trial order.
     """
     per_block = max(1, _BLOCK_ELEMENTS // (config.k_su * config.m_u * config.m_b))
     blocks = [range(lo, min(lo + per_block, n_trials)) for lo in range(0, n_trials, per_block)]
-    gains = functools.partial(_gains, config, scheme, master_seed)
+    gains = functools.partial(_gains, config, schemes, master_seed)
     if n_workers == 1:
-        yield from itertools.chain.from_iterable(map(gains, blocks))
+        yield from map(gains, blocks)
     else:
         with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            yield from itertools.chain.from_iterable(pool.map(gains, blocks))
+            yield from pool.map(gains, blocks)
 
 
 def _drawn_then_rest(drawn, rest):
@@ -189,8 +196,8 @@ def _drawn_then_rest(drawn, rest):
         yield part
 
 
-def _serve(gains, n, config, scheme, power, settle_at=None) -> dict:
-    """The result buffers of n trials, trial axis first, from their (rows, gains) blocks.
+def _serve(blocks, n, config, scheme, power, settle_at=None) -> dict:
+    """The result buffers of n trials, trial axis first, from the _gains of their blocks.
 
     Each trial runs at the per-SU powers `power`, or at its LF allocation
     where power is None.  A failed trial keeps its NaN samples and
@@ -208,7 +215,7 @@ def _serve(gains, n, config, scheme, power, settle_at=None) -> dict:
            "int_to_pu_est": np.full((n, config.l_rx), np.nan),
            "int_to_pu_true": np.full((n, config.l_rx), np.nan),
            "error": np.full(n, None, dtype=object)}
-    for rows, links in gains:
+    for rows, links in (part for block in blocks for part in block[scheme]):
         if isinstance(links, str):
             out["error"][rows] = links
         else:
@@ -235,18 +242,19 @@ def _serve(gains, n, config, scheme, power, settle_at=None) -> dict:
 
 
 @contextlib.contextmanager
-def _shared_gains(confidence=None):
+def _shared_gains(confidence=None, schemes=()):
     """A scope with a fresh store of no limit for run_trials' link gains.
 
-    It holds one run's gains at most, about n_trials k_su^2 floats (16 MB
-    at 500 trials and k_su = 64), and drops them on exit; a nested scope
-    starts empty.  With a confidence the scope decides: a call at one
-    worker stops serving, and drawing, trials once whether p_served >=
-    confidence is settled (see _serve), and keeps the blocks drawn so
-    far with the iterator of the rest, so a later call with the same key
-    draws only the blocks it still needs.
+    It holds one draw's gains at most, about n_trials k_su^2 floats a
+    scheme (16 MB at 500 trials and k_su = 64), and drops them on exit;
+    a nested scope starts empty.  A miss computes all of `schemes` if
+    its own is one of them.  With a confidence the scope decides: a call
+    at one worker stops serving, and drawing, trials once whether
+    p_served >= confidence is settled (see _serve), and keeps the blocks
+    drawn so far with the iterator of the rest, so a later call with the
+    same key draws only the blocks it still needs.
     """
-    token = _GAINS.set(_GainsStore({}, math.inf, confidence))
+    token = _GAINS.set(_GainsStore({}, math.inf, schemes, confidence))
     try:
         yield
     finally:
@@ -275,18 +283,22 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
     A bad count, seed, scheme, policy or p_eq raises ValueError before
     the optimizer runs or any channel is drawn.
 
-    One rule keeps a call's channels, beams and link gains: a call
-    reuses the current store's entry when only r0, i0, p0, the policy or
-    p_eq differ, at any worker count, and montecarlo binds the same
-    trial_seed, generate_channels, compute_beams and evaluate_links (a
+    One rule keeps a call's channels, beams and link gains.  The store
+    keys an entry by its draw: a call reuses the entry when it holds the
+    call's scheme and only r0, i0, p0, the policy or p_eq differ, at any
+    worker count, and montecarlo binds the same trial_seed,
+    generate_channels, compute_meb, compute_zfb and evaluate_links (a
     patched or traced stage draws afresh).  On a miss it empties the
     store, draws, and keeps its gains if their n_trials k_su (k_su + 2 +
-    2 l_rx) floats fit the store's limit; a larger call streams its
-    trials.  Threads that miss at once can each leave an entry.  Outside
-    any scope the store is shared by every thread, with a limit of 2
-    _BLOCK_ELEMENTS floats (512 KB, 64 trials at the default config); a
-    _shared_gains scope (max_sus_at_confidence and the CLI open them)
-    sets one with no limit.  The result is bit-identical to a fresh draw.
+    2 l_rx) floats a scheme fit the store's limit; a larger call streams
+    its trials.  The miss computes, from one draw, every scheme the store
+    names if the call's is one of them and all fit; else only its own.
+    Threads that miss at once can each leave an entry.  Outside any
+    scope the store is shared by every thread, names MEB and ZFB and
+    fits 2 _BLOCK_ELEMENTS floats (512 KB: 468 trials of one scheme at
+    the default config, 234 of both); a _shared_gains scope
+    (max_sus_at_confidence and the CLI open them) sets one with no
+    limit.  The result is bit-identical to a fresh draw.
 
     Inside the deciding scope of max_sus_at_confidence, a call with
     n_workers = 1 serves and draws trials block by block and stops once
@@ -314,30 +326,32 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
         raise ValueError("equal-power policy needs p_eq")
     power = None if policy == POLICY_LF else equal_power(config, p_eq)
 
-    gains = _trial_gains(config, scheme, seed, n_trials, n_workers)
     store = _GAINS.get()
     # a pool's generator is never left suspended
     settle_at = store.settle_at if n_workers == 1 else None
     key = (tuple(v for f, v in vars(config).items() if f not in _SERVE_FIELDS),
-           scheme, seed, n_trials, trial_seed, generate_channels, compute_beams,
+           seed, n_trials, trial_seed, generate_channels, compute_meb, compute_zfb,
            evaluate_links)
     kept = store.entries.get(key)  # not [key]: another thread may clear the entry
-    if kept is None:
+    if kept is None or scheme not in kept[0]:
         # before drawing, so one caller's old and new gains never coexist
         store.entries.clear()
-        # a call too large for the store streams its trials and keeps none
-        if n_trials * config.k_su * (config.k_su + 2 + 2 * config.l_rx) <= store.limit:
-            kept = store.entries[key] = (([], gains) if settle_at is not None
-                                         else (list(gains), iter(())))
-    gains = gains if kept is None else _drawn_then_rest(*kept)
-    out = _serve(gains, n_trials, config, scheme, power, settle_at)
+        size = n_trials * config.k_su * (config.k_su + 2 + 2 * config.l_rx)  # one scheme's
+        schemes = (store.schemes if scheme in store.schemes
+                   and len(store.schemes) * size <= store.limit else (scheme,))
+        blocks = _trial_gains(config, schemes, seed, n_trials, n_workers)
+        kept = None  # a call too large for the store streams its trials and keeps none
+        if size <= store.limit:  # an eager entry's rest is its spent iterator
+            kept = store.entries[key] = (schemes, [] if settle_at else list(blocks), blocks)
+    blocks = blocks if kept is None else _drawn_then_rest(*kept[1:])
+    out = _serve(blocks, n_trials, config, scheme, power, settle_at)
 
     p_served = out["served"].sum() / n_trials
     return ExperimentResult(
         config=config,
         scheme=scheme,
         policy=policy,
-        p_eq=p_eq if policy != POLICY_LF else None,
+        p_eq=float(p_eq) if policy != POLICY_LF else None,
         n_trials=n_trials,
         seed=seed,
         p_served=float(p_served),

@@ -208,6 +208,8 @@ def solve_lf(links: LinkMetrics, scheme: str, config: NetworkConfig) -> PowerAll
 
 def equal_power(config: NetworkConfig, p_eq: float) -> np.ndarray:
     """Uniform power vector p_eq per SU."""
+    if isinstance(p_eq, (bool, np.bool_)):
+        raise ValueError(f"p_eq must be a number, got {p_eq!r}")
     if not np.isfinite(p_eq) or p_eq < 0:
         raise ValueError(f"p_eq must be finite and nonnegative, got {p_eq!r}")
     return np.full(config.k_su, float(p_eq))

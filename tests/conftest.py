@@ -11,8 +11,8 @@ import crmimo.montecarlo as montecarlo
 
 ACCEPTANCE_LINES = []
 
-# the limit of run_trials' own store outside any scope
-_DEFAULT_LIMIT = montecarlo._GAINS.get().limit
+# run_trials' own store outside any scope
+_DEFAULT = montecarlo._GAINS.get()
 
 
 @pytest.fixture
@@ -30,9 +30,10 @@ def pools(monkeypatch):
 
 
 def _install_default_store(monkeypatch, limit):
-    """An empty store that keeps at most `limit` floats a call, made the
-    one that run_trials uses outside any scope, in every thread."""
-    store = montecarlo._GainsStore({}, limit)
+    """An empty store that keeps at most `limit` floats a call and names
+    the schemes of the module's own, made the one that run_trials uses
+    outside any scope, in every thread."""
+    store = montecarlo._GainsStore({}, limit, _DEFAULT.schemes)
     monkeypatch.setattr(montecarlo, "_GAINS", ContextVar("_GAINS", default=store))
     return store
 
@@ -49,7 +50,7 @@ def default_store(monkeypatch):
 @pytest.fixture
 def gains_memo(default_store, monkeypatch):
     """run_trials' store outside any scope, empty, at its own limit."""
-    return _install_default_store(monkeypatch, _DEFAULT_LIMIT)
+    return _install_default_store(monkeypatch, _DEFAULT.limit)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -26,6 +26,7 @@ from crmimo import analytics
 from crmimo.beamforming import MEB, ZFB, compute_meb, compute_zfb
 from crmimo.montecarlo import (
     POLICY_EQUAL_POWER,
+    _shared_gains,
     empirical_cdf,
     max_sus_at_confidence,
     run_trials,
@@ -62,14 +63,15 @@ _grid_cache = {}
 
 
 def _grid_run(scheme, m_b, k, s2d):
-    key = (scheme, m_b, k, s2d)
-    if key not in _grid_cache:
+    if (scheme, m_b, k, s2d) not in _grid_cache:
         cfg = BASELINE.replace(m_b=m_b, k_su=k, sigma2_delta=s2d)
         p_eq = cfg.p0 / cfg.k_su
-        res = run_trials(cfg, scheme, POLICY_EQUAL_POWER, _N_GRID_TRIALS,
-                         seed=SEED, p_eq=p_eq)
-        _grid_cache[key] = (cfg, p_eq, res)
-    return _grid_cache[key]
+        with _shared_gains(schemes=(MEB, ZFB)):  # one pass gives both schemes' runs
+            for each in (MEB, ZFB):
+                res = run_trials(cfg, each, POLICY_EQUAL_POWER, _N_GRID_TRIALS,
+                                 seed=SEED, p_eq=p_eq)
+                _grid_cache[(each, m_b, k, s2d)] = (cfg, p_eq, res)
+    return _grid_cache[(scheme, m_b, k, s2d)]
 
 
 def _grid_ks(scheme, quantity):

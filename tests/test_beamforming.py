@@ -295,6 +295,17 @@ class TestZfbCutoff:
         # nulling accuracy is about cond(G) eps
         assert (pu_res / gain).max() < 1e-10 and (stream_res / gain).max() < 1e-10
 
+    @pytest.mark.parametrize("kappa", [None, 7e9], ids=["bound", "svd-fallback"])
+    def test_given_meb_solution_gives_the_same_beams(self, kappa, svd_calls, monkeypatch):
+        cfg, real = make() if kappa is None else tilted(kappa)
+        reals = stack([generate_channels(cfg, 1), real])
+        meb, alone = compute_meb(reals), compute_zfb(reals)
+        monkeypatch.setattr("crmimo.beamforming.compute_meb", None)  # not computed again
+        given = compute_zfb(reals, meb)
+        assert svd_calls == ([] if kappa is None else [(2, 7, 7)] * 2)
+        for field in fields(BeamformingSolution):
+            assert np.array_equal(getattr(given, field.name), getattr(alone, field.name))
+
     @pytest.mark.parametrize("kappa", [2e9, 7e9, 9.9e9, 1.01e10, 1.5e10])
     def test_raises_exactly_where_svd_rule_fires(self, kappa):
         cfg, real = tilted(kappa)

@@ -436,8 +436,9 @@ class TestSweepExperiments:
     @pytest.mark.parametrize("experiment", ["fig2_eq_power_sweep", "fig4_zfb_compare"])
     def test_shared_trials_give_each_row_its_own_run(self, experiment, tmp_path, capsys,
                                                      monkeypatch, default_store):
-        # one draw of each trial serves every run of a config in the sweep; each
-        # row still equals a run_trials call made on its own, outside any scope
+        # one draw of each trial serves every run of a config in the sweep, of
+        # both schemes in fig2; each row still equals a run_trials call made on
+        # its own, outside any scope
         draws = []
         original = crmimo.montecarlo.generate_channels
 
@@ -455,7 +456,7 @@ class TestSweepExperiments:
         config = NetworkConfig(m_b=16, m_u=2, k_su=3)
         expected = []
         if experiment == "fig2_eq_power_sweep":
-            assert len(draws) == 30 * 2  # once per trial per (m_b, scheme)
+            assert len(draws) == 30  # once per trial per m_b, for both schemes
             for scheme in ("MEB", "ZFB"):
                 for p_eq_db in range(-20, 1, 2):
                     p_eq = float(db_to_linear(p_eq_db))
@@ -473,12 +474,12 @@ class TestSweepExperiments:
                                      repr(res.stderr), p_eq_db, "30", ""])
             assert [row[:5] + row[6:] for row in body] == expected
 
-    @pytest.mark.parametrize("experiment, n_pools", [("fig2_eq_power_sweep", 4),
+    @pytest.mark.parametrize("experiment, n_pools", [("fig2_eq_power_sweep", 2),
                                                      ("fig4_zfb_compare", 6)])
     def test_workers_write_the_same_bytes(self, experiment, n_pools, tmp_path, capsys,
                                           pools):
         # with two workers a shared draw is still drawn once, by one pool: fig2
-        # starts one per (m_b, scheme), fig4 one per sweep value
+        # starts one per m_b, fig4 one per sweep value
         args = ["--experiment", experiment, "--set", "k_su=3", "--trials", "6"]
         assert main([*args, "--out", str(tmp_path / "w1")]) == EXIT_OK
         assert main([*args, "--workers", "2", "--out", str(tmp_path / "w2")]) == EXIT_OK
@@ -488,7 +489,8 @@ class TestSweepExperiments:
 
     def test_cdf_validation_runs_outside_any_scope(self, tmp_path, capsys, monkeypatch,
                                                    default_store):
-        # no later run reuses a cdf_validation run's gains, so none is kept
+        # cdf_validation opens no scope: its MEB and ZFB runs share a draw only
+        # through the store outside any scope, when both schemes' gains fit it
         scopes = []
 
         def recorded(*args, **kwargs):

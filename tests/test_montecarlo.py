@@ -87,7 +87,7 @@ def ill_conditioned_trial(monkeypatch, *indices):
 
 
 def kept_entries():
-    """The {key: (drawn, rest)} entries of the store that run_trials uses here."""
+    """The {key: (schemes, drawn, rest)} entries of the store that run_trials uses here."""
     return crmimo.montecarlo._GAINS.get().entries
 
 
@@ -267,6 +267,7 @@ class TestServingLogic:
         (math.nan, "p_eq must be finite and nonnegative"),
         (math.inf, "p_eq must be finite and nonnegative"),
         (None, "equal-power policy needs p_eq"),
+        (True, "p_eq must be a number"),
     ])
     def test_bad_power_rejected_before_any_draw(self, p_eq, message, monkeypatch, pools,
                                                 gains_memo):
@@ -276,6 +277,11 @@ class TestServingLogic:
                 run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 30, seed=0, p_eq=p_eq,
                            n_workers=n_workers)
         assert pools == [] and gains_memo.entries == {}
+
+    @pytest.mark.parametrize("p_eq", [1, np.float32(0.25)])
+    def test_power_is_kept_as_a_float(self, p_eq):
+        res = run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 2, seed=0, p_eq=p_eq)
+        assert type(res.p_eq) is float and res.p_eq == p_eq
 
     @pytest.mark.parametrize("scheme", [MEB, ZFB])
     def test_lf_without_receiving_pu_has_no_cap(self, scheme):
@@ -340,7 +346,7 @@ class TestBlocks:
 
     def test_per_trial_call_shape(self, monkeypatch):
         # one seed, one draw and one LF solve per trial, in trial order; one
-        # beam and one link call per block
+        # beam and one link call per block, and no ZFB beams for a MEB run
         calls = []
 
         def counting(module, name):
@@ -352,14 +358,15 @@ class TestBlocks:
 
             monkeypatch.setattr(module, name, counted)
 
-        for name in ("trial_seed", "generate_channels", "compute_beams", "evaluate_links"):
+        for name in ("trial_seed", "generate_channels", "compute_meb", "compute_zfb",
+                     "evaluate_links"):
             counting(crmimo.montecarlo, name)
         counting(crmimo.power, "solve_lf_meb")
         trials_per_block(monkeypatch, SMALL, 4)
         run_trials(SMALL, MEB, POLICY_LF, 10, seed=2)
         names = [name for name, _ in calls]
         for name, count in (("trial_seed", 10), ("generate_channels", 10),
-                            ("solve_lf_meb", 10), ("compute_beams", 3),
+                            ("solve_lf_meb", 10), ("compute_meb", 3), ("compute_zfb", 0),
                             ("evaluate_links", 3)):
             assert names.count(name) == count, name
         draws = [entropy for name, entropy in calls if name == "generate_channels"]
@@ -524,6 +531,46 @@ class TestGainsMemo:
             draws = None
         expect_shared(case, draws, kept, fresh)
 
+    @pytest.mark.parametrize("n_workers", [1, 2])
+    @pytest.mark.parametrize("order", [(MEB, ZFB), (ZFB, MEB)], ids="-then-".join)
+    @pytest.mark.parametrize("case", GAINS_CASES)
+    def test_one_draw_feeds_both_schemes(self, case, order, n_workers, monkeypatch, pools):
+        # the first call computes both schemes' gains from one draw; the
+        # second draws nothing, and each equals a run of its scheme alone
+        config, _, variants = gains_case(case, monkeypatch)
+        with _shared_gains():  # a scope that names no scheme computes one
+            fresh = [run_variants(config, scheme, variants[:1])[0] for scheme in order]
+        draws = counted_draws(monkeypatch)  # a binding of the key, so set before both calls
+        first = run_variants(config, order[0], variants[:1], n_workers=n_workers)[0]
+        draws.clear()
+        pools.clear()
+        second = run_variants(config, order[1], variants[:1], n_workers=n_workers)[0]
+        assert draws == [] and pools == []
+        for a, b in zip(fresh, (first, second)):
+            for field in dataclasses.fields(ExperimentResult):
+                x, y = getattr(a, field.name), getattr(b, field.name)
+                assert (np.array_equal(x, y, equal_nan=True) if isinstance(x, np.ndarray)
+                        else x == y), field.name
+
+    @pytest.mark.parametrize("limit, both", [(377, False), (378, True)])
+    def test_both_schemes_only_when_both_fit(self, limit, both, monkeypatch, gains_memo):
+        # SMALL's gains are 21 floats per trial and scheme: 189 for 9 trials
+        # of one scheme, 378 for both
+        gains_memo.limit = limit
+        zfb_beams = []
+        original = crmimo.montecarlo.compute_zfb
+        monkeypatch.setattr(crmimo.montecarlo, "compute_zfb",
+                            lambda *args: zfb_beams.append(1) or original(*args))
+        draws = counted_draws(monkeypatch)
+        run_trials(SMALL, MEB, POLICY_EQUAL_POWER, 9, seed=1, p_eq=0.3)
+        ((schemes, drawn, _),) = kept_entries().values()
+        assert schemes == ((MEB, ZFB) if both else (MEB,))
+        assert all(set(block) == set(schemes) for block in drawn)
+        assert len(zfb_beams) == (len(drawn) if both else 0)
+        draws.clear()
+        run_trials(SMALL, ZFB, POLICY_EQUAL_POWER, 9, seed=1, p_eq=0.3)
+        assert len(draws) == (0 if both else 9)
+
     def test_bound(self, monkeypatch, gains_memo):
         # SMALL's gains are 3 (3 + 2 + 2) = 21 floats per trial, and two blocks
         # of one trial hold 2 * 96 elements: 9 trials fit, 10 do not
@@ -537,8 +584,8 @@ class TestGainsMemo:
         run_trials(SMALL, ZFB, POLICY_EQUAL_POWER, 9, seed=1, p_eq=0.3)
         assert len(memo) == 1
 
-    @pytest.mark.parametrize("name", ["trial_seed", "generate_channels", "compute_beams",
-                                      "evaluate_links"])
+    @pytest.mark.parametrize("name", ["trial_seed", "generate_channels", "compute_meb",
+                                      "compute_zfb", "evaluate_links"])
     def test_a_patched_stage_misses(self, name, monkeypatch):
         plain = run_trials(SMALL, ZFB, POLICY_LF, 6, seed=3)
         calls = []
@@ -631,10 +678,11 @@ class TestGainsMemo:
 VACUOUS_SMALL = SMALL.replace(l_rx=2, r0=1e-9, i0=1e9, p0=1e9)
 
 
-def shared_entry():
-    """The (drawn, rest) entry of the open scope's one key."""
-    (entry,) = kept_entries().values()
-    return entry
+def shared_blocks():
+    """The blocks drawn so far of the open scope's one entry, which holds ZFB alone."""
+    ((schemes, drawn, _),) = kept_entries().values()
+    assert schemes == (ZFB,)
+    return drawn
 
 
 class TestSettledProbes:
@@ -650,10 +698,9 @@ class TestSettledProbes:
             failed = run_trials(SMALL.replace(r0=1e9), ZFB, POLICY_EQUAL_POWER, 12, seed=4,
                                 p_eq=0.3)
             assert [t for _, t in draws] == [0, 1, 2, 3]
-            drawn, _ = shared_entry()
-            assert [rows for rows, _ in drawn] == [slice(0, 4)]
+            assert [rows for block in shared_blocks() for rows, _ in block[ZFB]] == [slice(0, 4)]
             served = run_trials(SMALL, ZFB, POLICY_EQUAL_POWER, 12, seed=4, p_eq=0.3)
-            assert len(shared_entry()[0]) == 3
+            assert len(shared_blocks()) == 3
         assert [t for _, t in draws] == list(range(12))  # each trial drawn once
         assert fresh.p_served == 1.0
         assert_same_result(served, fresh)
@@ -687,12 +734,25 @@ class TestSettledProbes:
         with _shared_gains(0.95):
             run_trials(SMALL.replace(r0=1e9), ZFB, POLICY_EQUAL_POWER, 12, seed=4, p_eq=0.3,
                        n_workers=2)
-            assert len(shared_entry()[0]) == 3
+            assert len(shared_blocks()) == 3
             run_trials(SMALL, ZFB, POLICY_EQUAL_POWER, 12, seed=4, p_eq=0.3)
         assert pools == [2] and draws == []  # the pool drew every trial, the caller none
 
 
 class TestMaxSus:
+    def test_meb_search_builds_no_zfb_beams(self, monkeypatch, gains_memo):
+        # the deciding scope computes the called scheme alone, whatever the
+        # store outside it names; 113 draws is the count a one-scheme pass gave
+        zfb_beams = []
+        monkeypatch.setattr(crmimo.montecarlo, "compute_zfb", lambda *args: zfb_beams.append(1))
+        monkeypatch.setattr(crmimo.montecarlo, "_BLOCK_ELEMENTS", 1)  # one trial a block
+        draws = counted_draws(monkeypatch)
+        cfg = NetworkConfig(m_b=32, m_u=2, sigma2_delta=0.1)
+        rows = max_sus_at_confidence(cfg, MEB, 0.9, "r0", [0.25, 0.5, 1.0], n_trials=20,
+                                     seed=3, policy=POLICY_EQUAL_POWER, p_eq=0.05)
+        assert rows == [(0.25, 6), (0.5, 4), (1.0, 0)]
+        assert zfb_beams == [] and len(draws) == 113
+
     def test_vacuous_constraints_reach_cap(self):
         cfg = NetworkConfig(m_b=8, m_u=1, k_su=1, l_tx=0, l_rx=1,
                             r0=1e-9, i0=1e9, p0=1e9, sigma2_delta=0.0)
