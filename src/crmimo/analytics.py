@@ -6,8 +6,11 @@ principal channel gain by its mean), the SINR of a ZF stream by a
 generalized-F law (ratio of two moment-matched gammas, the paper's
 law) or by the exact-denominator law of zfb_sinr_exact_cdf, and the
 aggregate interference at a receiving PU by a gamma law with shape
-k_su.  From the paper's laws, q_k gives the probability that all k_su
-SUs reach rate r0 while every receiving PU stays below the cap i0, and
+k_su.  laws(scheme, config, p_eq) is the one table of these laws that
+q_k, cdf_validation and the tests read; its in_q rows are the paper's
+laws, from which q_k gives the probability that all k_su SUs reach
+rate r0 while every receiving PU stays below the cap i0.  So q_k(ZFB)
+reads the generalized-F law, while Criterion 4c asserts the exact one.
 optimize_equal_power finds the best p_eq inside the feasible bracket.
 The law functions and q_k also take a 1-D array of powers and then
 return laws with array parameters and an array of q_k values.  Every
@@ -19,17 +22,10 @@ between, and _check_point makes each public *_cdf reject a negative or
 NaN point.
 Array results equal scalar calls bit for bit (see specfun for how).
 
-q_k runs in two stages.  _q_kernel(scheme, config) validates the config
-and computes every constant that depends on it alone (2^r0 - 1,
-E[sigma2_k1], sigma2_leak, the MEB PU moments, k_n, k_d, the ZFB law
-class) once, and returns the per-power kernel; q_k applies it once, and
-optimize_equal_power builds it once and sends its grid and every
-golden-section point through it.  A float power calls each law's one CDF
-formula, the one its dataclass .cdf calls, after inline range checks,
-without building a dataclass.  An array of powers puts the MEB
-inverse-gamma SINR term and the gamma interference term through one
-regularized_lower_gamma call over their concatenated (shape, point)
-arrays, so the series and continued-fraction loops run once per grid.
+q_k runs in two stages: _q_kernel(scheme, config) reads the scheme's row
+of the table and computes every constant of the config once, and its
+kernel scores a power, a float without building a dataclass or an array
+in one specfun pass; optimize_equal_power builds it once for its search.
 
 The mean principal Wishart eigenvalue E[sigma2_k1] that the models
 need is read from the table of Monte Carlo means in
@@ -42,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from importlib import resources
 
 import numpy as np
@@ -65,6 +61,7 @@ __all__ = [
     "zfb_sinr_cdf",
     "zfb_sinr_exact_cdf",
     "zfb_interference_cdf",
+    "laws",
     "q_k",
     "equal_power_bounds",
     "optimize_equal_power",
@@ -77,7 +74,9 @@ _SHAPE_MAX = float.fromhex("0x1.754d9278b51a8p+1014")
 
 
 def _check_positive(name: str, val, upper: float = math.inf):
-    """Raise ValueError unless val (a float or an array) is positive and below upper."""
+    """Raise ValueError unless val (a float or an array, not a bool) is positive and below upper."""
+    if isinstance(val, bool) or getattr(val, "dtype", None) == bool:
+        raise ValueError(f"{name} must be a number, got {val!r}")
     if isinstance(val, np.ndarray):
         bad = ~((val > 0.0) & (val < upper))
         if not bad.any():
@@ -379,14 +378,15 @@ def meb_sinr_cdf(law: InverseGammaParams | PointMassParams,
 def meb_interference_cdf(config: NetworkConfig, p_eq: float,
                          x: float | np.ndarray) -> float | np.ndarray:
     """Pr(interference at a receiving PU <= x) under MEB at power p_eq; x may be an array."""
-    return _interference_cdf(config, p_eq, x, config.sigma2_h)
+    return _interference_cdf(MEB, config, p_eq, x)
 
 
-def _interference_cdf(config: NetworkConfig, p_eq: float, x, sigma2_leak: float):
+def _interference_cdf(scheme: str, config: NetworkConfig, p_eq: float, x):
     """Pr(interference at a receiving PU <= x): the gamma CDF of shape k_su and
-    scale p_eq sigma2_leak, or the unit step at 0 when nothing leaks."""
+    scale p_eq sigma2_leak (see _SCHEMES), or the unit step at 0 when nothing leaks."""
     _check_positive("p_eq", p_eq)
     _check_point("x", x)
+    sigma2_leak = getattr(config, _SCHEMES[scheme][2])
     if sigma2_leak == 0.0:
         return np.ones(x.shape) if isinstance(x, np.ndarray) else 1.0
     return GammaParams(shape=float(config.k_su), scale=p_eq * sigma2_leak).cdf(x)
@@ -463,7 +463,7 @@ def zfb_interference_cdf(config: NetworkConfig, p_eq: float,
     the gamma scale uses sigma2_delta, and with perfect CSI the
     interference is identically zero (unit step at 0).
     """
-    return _interference_cdf(config, p_eq, x, config.sigma2_delta)
+    return _interference_cdf(ZFB, config, p_eq, x)
 
 
 @lru_cache(maxsize=64)
@@ -560,11 +560,42 @@ def _clip_unit(v):
     return min(max(v, 0.0), 1.0)
 
 
+class _Schemes(dict):
+    """The table of laws() and q_k, per scheme: the SINR law of q_k as a function of
+    the config (see _meb_sinr_law), its public CDF, the config field of the variance
+    leaking to a receiving PU, and the (quantity, public CDF) of validated-only laws."""
+
+    def __missing__(self, scheme):
+        raise ValueError(f"unknown scheme {scheme!r}")
+
+
+_SCHEMES = _Schemes({
+    MEB: (_meb_sinr_law, meb_sinr_cdf, "sigma2_h", ()),
+    ZFB: (_zfb_sinr_law, zfb_sinr_cdf, "sigma2_delta", (("sinr_exact", zfb_sinr_exact_cdf),)),
+})
+
+
+def laws(scheme: str, config: NetworkConfig, p_eq: float) -> list[tuple]:
+    """The closed-form laws of scheme at power p_eq, as rows (quantity, the
+    ExperimentResult sample field it describes, its public *_cdf at config and
+    p_eq, in_q): MEB's sinr and interference, ZFB's sinr (the paper's law),
+    sinr_exact and interference.  q_k multiplies the in_q rows' 1 - F(2^r0 - 1)
+    per SU and F(i0) per receiving PU."""
+    sinr_law, sinr_cdf, _, validated = _SCHEMES[scheme]
+    _check_positive("p_eq", p_eq)
+    law, params, _ = sinr_law(config)(p_eq)
+    return [("sinr", "sinr_true", partial(sinr_cdf, law(*params)), True),
+            *((quantity, "sinr_true", partial(cdf, config, p_eq), False)
+              for quantity, cdf in validated),
+            ("interference", "int_to_pu_true", partial(_interference_cdf, scheme, config, p_eq),
+             True)]
+
+
 def q_k(scheme: str, config: NetworkConfig, p_eq: float | np.ndarray) -> float | np.ndarray:
     """Probability of serving all k_su SUs at equal power p_eq.
 
     [1 - sinr_cdf(2^r0 - 1)]^k_su * [interference_cdf(i0)]^l_rx with the
-    scheme's distributions.  p_eq may be a 1-D array of powers: the laws
+    in_q rows of laws().  p_eq may be a 1-D array of powers: the laws
     then carry array parameters and the result is the array of q_k
     values, equal element for element to scalar calls (a 0-d array is
     one power, and gives a float).  Where p_eq takes
@@ -590,12 +621,8 @@ def _q_kernel(scheme: str, config: NetworkConfig):
     terms share one specfun pass (see _cdfs_in_range).
     """
     thr = 2.0 ** config.r0 - 1.0
-    if scheme == MEB:
-        sinr_law, sigma2_leak = _meb_sinr_law(config), config.sigma2_h
-    elif scheme == ZFB:
-        sinr_law, sigma2_leak = _zfb_sinr_law(config), config.sigma2_delta
-    else:
-        raise ValueError(f"unknown scheme {scheme!r}")
+    entry = _SCHEMES[scheme]
+    sinr_law, sigma2_leak = entry[0](config), getattr(config, entry[2])
     k_su = float(config.k_su)
 
     def served(exceed, comply):
@@ -618,9 +645,9 @@ def _q_kernel(scheme: str, config: NetworkConfig):
     def q(p_eq):
         if isinstance(p_eq, np.ndarray) and p_eq.ndim:
             return q_array(p_eq)
+        _check_positive("p_eq", p_eq)
         try:
             p = float(p_eq)
-            _check_positive("p_eq", p)
             law, params, _ = sinr_law(p)
             leak = p * sigma2_leak
             if (all(0.0 < v < upper for v, upper in zip(params, law._upper))

@@ -264,23 +264,16 @@ def _cdf_validation(spec: ExperimentSpec):
     def validate(scheme):
         res = run_trials(config, scheme, POLICY_EQUAL_POWER, spec.n_trials,
                          spec.seed, p_eq=p_eq, n_workers=spec.n_workers)
-        if scheme == MEB:
-            laws = [("sinr", res.sinr_true, analytics.meb_sinr_params(config, p_eq).cdf),
-                    ("interference", res.int_to_pu_true,
-                     lambda x: analytics.meb_interference_cdf(config, p_eq, x))]
-        else:
-            laws = [("sinr", res.sinr_true, analytics.zfb_sinr_params(config, p_eq).cdf),
-                    ("sinr_exact", res.sinr_true,
-                     lambda s: analytics.zfb_sinr_exact_cdf(config, p_eq, s)),
-                    ("interference", res.int_to_pu_true,
-                     lambda x: analytics.zfb_interference_cdf(config, p_eq, x))]
-        for quantity, samples, law in laws:
+        dumped = set()  # one samples file per field: sinr_exact reads the sinr samples
+        for quantity, field, law, _ in analytics.laws(scheme, config, p_eq):
+            samples = getattr(res, field)
             if samples.size == 0:
                 continue
             cdf = empirical_cdf(samples)  # failed trials' NaNs dropped
             ks = cdf.ks_distance(law)
             print(f"cdf_validation scheme={scheme} quantity={quantity} ks={ks:.4f}")
-            if spec.dump_samples and quantity != "sinr_exact":  # same samples as sinr
+            if spec.dump_samples and field not in dumped:
+                dumped.add(field)
                 np.savetxt(os.path.join(spec.out_dir, f"samples_{scheme}_{quantity}.txt"),
                            cdf.samples)
             yield [scheme, quantity, _fmt(ks), cdf.n, res.n_trials, _fmt(p_eq_db), ""]

@@ -78,25 +78,9 @@ def _grid_ks(scheme, quantity):
     rows = []
     for m_b, k, s2d in _GRID:
         cfg, p_eq, res = _grid_run(scheme, m_b, k, s2d)
-        if scheme == MEB and quantity == "sinr":
-            model = analytics.meb_sinr_params(cfg, p_eq)
-            cdf = lambda s, m=model: analytics.meb_sinr_cdf(m, s)
-            samples = res.sinr_true
-        elif scheme == MEB:
-            cdf = lambda x, c=cfg, p=p_eq: analytics.meb_interference_cdf(c, p, x)
-            samples = res.int_to_pu_true
-        elif quantity == "sinr":
-            model = analytics.zfb_sinr_params(cfg, p_eq)
-            cdf = lambda s, m=model: analytics.zfb_sinr_cdf(m, s)
-            samples = res.sinr_true
-        elif quantity == "exact sinr":
-            cdf = lambda s, c=cfg, p=p_eq: analytics.zfb_sinr_exact_cdf(c, p, s)
-            samples = res.sinr_true
-        else:
-            cdf = lambda x, c=cfg, p=p_eq: analytics.zfb_interference_cdf(c, p, x)
-            samples = res.int_to_pu_true
-        ks = empirical_cdf(samples).ks_distance(cdf)
-        rows.append(((m_b, k, s2d), ks))
+        field, cdf = next((field, cdf) for name, field, cdf, _ in analytics.laws(scheme, cfg, p_eq)
+                          if name == quantity)
+        rows.append(((m_b, k, s2d), empirical_cdf(getattr(res, field)).ks_distance(cdf)))
     return rows
 
 
@@ -163,7 +147,7 @@ class TestCriterion4:
         # the exact-denominator law is asserted; the paper's generalized-F
         # law is only reported: its gamma-matched denominator starts at 0
         # instead of sigma2_w and keeps KS near 0.1 whatever p_eq
-        rows = _grid_ks(ZFB, "exact sinr")
+        rows = _grid_ks(ZFB, "sinr_exact")
         ok = all(ks <= 0.05 for _, ks in rows)
         paper = _grid_ks(ZFB, "sinr")
         verdict("4c zfb sinr ks<=0.05", ok,

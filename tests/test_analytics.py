@@ -69,6 +69,17 @@ def ks_against(samples, cdf):
     return float(max(np.max(np.abs(f - hi)), np.max(np.abs(f - lo))))
 
 
+def q_from_laws(scheme, config, p_eq):
+    """q_k's product taken over the in_q rows of analytics.laws, in their order."""
+    q = 1.0
+    for _, field, cdf, in_q in analytics.laws(scheme, config, p_eq):
+        if in_q and field == "sinr_true":
+            q *= (1.0 - cdf(2.0 ** config.r0 - 1.0)) ** config.k_su
+        elif in_q:
+            q *= cdf(config.i0) ** config.l_rx
+    return q
+
+
 class TestDistributionPrimitives:
     def test_gamma_cdf_matches_quadrature(self):
         g = GammaParams(shape=3.2, scale=0.7)
@@ -564,14 +575,26 @@ class TestServingProbability:
     def test_product_of_law_cdfs(self, cfg):
         # generalized F / gamma for ZFB; inverse gamma, and a point mass
         # at k_su = 1 with l_tx = 0, for MEB
-        thr = 2.0 ** cfg.r0 - 1.0
         for p_eq in (0.005, 0.05, 0.5):
-            for scheme, law, interference_cdf in (
-                    (MEB, meb_sinr_params(cfg, p_eq), meb_interference_cdf),
-                    (ZFB, zfb_sinr_params(cfg, p_eq), zfb_interference_cdf)):
-                expect = ((1.0 - law.cdf(thr)) ** cfg.k_su
-                          * interference_cdf(cfg, p_eq, cfg.i0) ** cfg.l_rx)
-                assert q_k(scheme, cfg, p_eq) == pytest.approx(expect, abs=1e-15)
+            for scheme in (MEB, ZFB):
+                assert q_k(scheme, cfg, p_eq) == q_from_laws(scheme, cfg, p_eq)
+
+    @pytest.mark.parametrize("power", [True, np.True_], ids=["bool", "numpy bool"])
+    @pytest.mark.parametrize("call", [
+        lambda p: q_k(MEB, BASE, p),
+        lambda p: q_k(ZFB, BASE, np.array([p])),
+        lambda p: meb_sinr_params(BASE, p),
+        lambda p: zfb_sinr_params(BASE, p),
+        lambda p: zfb_sinr_exact_cdf(BASE, p, 1.0),
+        lambda p: meb_interference_cdf(BASE, p, 0.5),
+        lambda p: zfb_interference_cdf(BASE, p, 0.5),
+        lambda p: analytics.laws(ZFB, BASE, p),
+    ], ids=["q_k", "q_k array", "meb_sinr_params", "zfb_sinr_params", "zfb_sinr_exact_cdf",
+            "meb_interference_cdf", "zfb_interference_cdf", "laws"])
+    def test_bool_power_raises(self, call, power):
+        # float() reads True as 1.0: the raw value is checked
+        with pytest.raises(ValueError, match="p_eq must be a number"):
+            call(power)
 
     @pytest.mark.parametrize("cfg,laws", [
         (BASE, (InverseGammaParams, GenFParams)),

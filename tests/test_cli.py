@@ -563,14 +563,16 @@ class TestSweepExperiments:
         assert code == EXIT_OK
         header, body = read_csv(tmp_path / "cdf_validation.csv")
         assert header[:3] == ["scheme", "quantity", "ks_distance"]
-        assert {(row[0], row[1]) for row in body} == {
+        assert [(row[0], row[1]) for row in body] == [
             ("MEB", "sinr"), ("MEB", "interference"),
             ("ZFB", "sinr"), ("ZFB", "sinr_exact"), ("ZFB", "interference"),
-        }
+        ]
         for row in body:
             assert 0.0 <= float(row[2]) <= 1.0
-        assert (tmp_path / "samples_MEB_sinr.txt").exists()
-        assert (tmp_path / "samples_ZFB_interference.txt").exists()
+        # one file per sample field: sinr_exact reads the sinr samples
+        assert sorted(p.name for p in tmp_path.glob("samples_*")) == [
+            f"samples_{scheme}_{quantity}.txt" for scheme in ("MEB", "ZFB")
+            for quantity in ("interference", "sinr")]
 
     def test_cdf_validation_failed_scheme_keeps_the_others(self, tmp_path, capsys):
         code = main(["--experiment", "cdf_validation", "--set", "m_b=12", "--set", "k_su=12",

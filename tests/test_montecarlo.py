@@ -17,12 +17,9 @@ import crmimo.power
 from crmimo.analytics import (
     GammaParams,
     PointMassParams,
-    meb_interference_cdf,
+    laws,
     meb_sinr_cdf,
     meb_sinr_params,
-    zfb_interference_cdf,
-    zfb_sinr_cdf,
-    zfb_sinr_exact_cdf,
     zfb_sinr_params,
 )
 from crmimo.beamforming import MEB, ZFB, compute_beams
@@ -1001,20 +998,16 @@ def counting(cdf):
 
 
 def crmimo_laws(config, p_eq):
-    """(scheme, quantity, name, cdf) of every closed-form law of crmimo at p_eq."""
+    """(scheme, sample field, name, cdf) of every row of analytics.laws at p_eq,
+    and of the other call forms of the SINR laws: the dataclass .cdf and the
+    benchmark's scalar-only wrapper."""
     meb, zfb = meb_sinr_params(config, p_eq), zfb_sinr_params(config, p_eq)
-    return [
-        (MEB, "sinr", "law", meb.cdf),
-        (MEB, "sinr", "meb_sinr_cdf", lambda s: meb_sinr_cdf(meb, s)),
+    return [(scheme, field, quantity, cdf) for scheme in (MEB, ZFB)
+            for quantity, field, cdf, _ in laws(scheme, config, p_eq)] + [
+        (MEB, "sinr_true", "law", meb.cdf),
+        (ZFB, "sinr_true", "law", zfb.cdf),
         # the benchmark's scalar-only form: Python's max rejects an array
-        (MEB, "sinr", "scalar meb_sinr_cdf", lambda s: meb_sinr_cdf(meb, max(s, 1e-300))),
-        (MEB, "interference", "meb_interference_cdf",
-         lambda x: meb_interference_cdf(config, p_eq, x)),
-        (ZFB, "sinr", "law", zfb.cdf),
-        (ZFB, "sinr", "zfb_sinr_cdf", lambda s: zfb_sinr_cdf(zfb, s)),
-        (ZFB, "sinr", "zfb_sinr_exact_cdf", lambda s: zfb_sinr_exact_cdf(config, p_eq, s)),
-        (ZFB, "interference", "zfb_interference_cdf",
-         lambda x: zfb_interference_cdf(config, p_eq, x)),
+        (MEB, "sinr_true", "scalar meb_sinr_cdf", lambda s: meb_sinr_cdf(meb, max(s, 1e-300))),
     ]
 
 
@@ -1077,9 +1070,8 @@ class TestKsDistanceContract:
                                     p_eq=p_eq) for scheme in (MEB, ZFB)}
         if config.k_su == 1:
             assert isinstance(meb_sinr_params(config, p_eq), PointMassParams)
-        for scheme, quantity, name, cdf in crmimo_laws(config, p_eq):
-            res = pools[scheme]
-            samples = res.sinr_true if quantity == "sinr" else res.int_to_pu_true
+        for scheme, field, name, cdf in crmimo_laws(config, p_eq):
+            samples = getattr(pools[scheme], field)
             ks = empirical_cdf(samples).ks_distance(cdf)
             assert ks == ks_per_point(cdf, samples), (scheme, name)
 

@@ -9,23 +9,14 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from crmimo.analytics import (
-    equal_power_bounds,
-    meb_interference_cdf,
-    meb_sinr_params,
-    optimize_equal_power,
-    q_k,
-    zfb_interference_cdf,
-    zfb_sinr_exact_cdf,
-    zfb_sinr_params,
-)
+from crmimo.analytics import equal_power_bounds, laws, optimize_equal_power, q_k
 from crmimo.beamforming import MEB, ZFB, compute_beams, compute_meb, compute_zfb
 from crmimo.network import NetworkConfig, evaluate_links, generate_channels
 from crmimo.power import lf_meb_constraints, slack_from_links, solve_lf
 
 from crmimo.montecarlo import empirical_cdf
 
-from test_analytics import ks_against
+from test_analytics import ks_against, q_from_laws
 from test_beamforming import assert_principal_pair, residuals
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -136,7 +127,8 @@ def test_q_k_grid_call_matches_scalar_calls(config):
 @hypothesis.example(NetworkConfig(p0=0.1, r0=6.0))  # p_min above p_max
 def test_optimum_reproduces_through_q_k(config):
     # the optimizer's kernel gives q_k's bits: at the returned power a float
-    # call and a one-element array call both give the returned q
+    # call and a one-element array call both give the returned q; there and
+    # at p0/k_su, q_k is the product of the in_q laws' public CDFs, bit for bit
     for scheme in (MEB, ZFB):
         try:
             opt = optimize_equal_power(scheme, config)
@@ -144,6 +136,12 @@ def test_optimum_reproduces_through_q_k(config):
             continue  # large MEB shapes near the series seam, as in the grid test
         assert q_k(scheme, config, opt.p_eq).hex() == opt.q.hex()
         assert q_k(scheme, config, np.array([opt.p_eq]))[0].hex() == opt.q.hex()
+        for p_eq in (opt.p_eq, config.p0 / config.k_su):
+            try:
+                expect = q_from_laws(scheme, config, p_eq)
+            except (ValueError, ArithmeticError):
+                continue  # a law out of its range, where q_k takes its limit
+            assert q_k(scheme, config, p_eq) == expect
 
 
 @hypothesis.settings(derandomize=True, max_examples=120, deadline=None, database=None)
@@ -154,11 +152,7 @@ def test_ks_array_call_matches_per_point_oracle(config, log_p, exponents):
     # samples from 1e-6 to 1e6, with exact zeros, against every law of the config
     p_eq = 10.0 ** log_p
     samples = np.array([e and 10.0 ** e for e in exponents])
-    cdfs = [meb_sinr_params(config, p_eq).cdf, zfb_sinr_params(config, p_eq).cdf,
-            lambda x: meb_interference_cdf(config, p_eq, x),
-            lambda x: zfb_interference_cdf(config, p_eq, x),
-            lambda s: zfb_sinr_exact_cdf(config, p_eq, s)]
-    for cdf in cdfs:
+    for _, _, cdf, _ in laws(MEB, config, p_eq) + laws(ZFB, config, p_eq):
         try:
             expect = ks_against(samples, cdf)
         except ArithmeticError as exc:
