@@ -30,7 +30,6 @@ from .beamforming import (
     IllConditionedError,
     compute_meb,
     compute_zfb,
-    compute_beams,
 )
 from .power import (
     PowerAllocation,

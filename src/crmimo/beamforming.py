@@ -33,7 +33,6 @@ __all__ = [
     "IllConditionedError",
     "compute_meb",
     "compute_zfb",
-    "compute_beams",
 ]
 
 MEB = "MEB"
@@ -149,16 +148,3 @@ def compute_zfb(real: ChannelRealization,
     v = (big_g @ (r_inv @ c)).swapaxes(-1, -2)
     v.setflags(write=False)
     return BeamformingSolution(v=v, u=meb.u, sigma2_k1=meb.sigma2_k1)
-
-
-def compute_beams(real: ChannelRealization, scheme: str) -> BeamformingSolution:
-    """Beams of the named scheme.
-
-    Raises:
-        ValueError: if scheme is neither MEB nor ZFB.
-    """
-    if scheme == MEB:
-        return compute_meb(real)
-    if scheme == ZFB:
-        return compute_zfb(real)
-    raise ValueError(f"unknown scheme {scheme!r}")

@@ -24,12 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import MEB, ZFB, IllConditionedError, compute_beams
+from .beamforming import MEB, ZFB, IllConditionedError, compute_meb, compute_zfb
 from .montecarlo import (
     POLICY_EQUAL_POWER,
     POLICY_EQUAL_POWER_OPT,
     POLICY_LF,
     _POLICIES,
+    _policy_power,
     _shared_gains,
     max_sus_at_confidence,
     empirical_cdf,
@@ -109,8 +110,11 @@ def build_spec(args) -> ExperimentSpec:
         if "=" not in args.sweep:
             raise ValueError(f"--sweep expects FIELD=V1,V2,..., got {args.sweep!r}")
         name, _, tail = args.sweep.partition("=")
-        values = tuple(float(tok) for tok in tail.split(",") if tok.strip())
-        sweep = (name.strip(), values)
+        name, tokens = name.strip(), [tok for tok in tail.split(",") if tok.strip()]
+        if name not in ("p_eq", "p_eq_db"):
+            for tok in tokens:  # --set's rule per key, and its messages
+                config.with_items({name: tok})
+        sweep = (name, tuple(float(tok) for tok in tokens))
 
     # only fig2 sweeps the power itself; the other sweeps set config fields
     power_sweep = preset.sweep is not None and preset.sweep[0] == "p_eq_db"
@@ -184,13 +188,12 @@ def _fig2(spec: ExperimentSpec):
                    _fmt(res.stderr), res.n_trials, ""]
 
     def units():
-        for m_b in spec.m_b_list:
-            # every scheme's p_eq sweep at this m_b reads one draw of each trial
-            with _shared_gains(schemes=spec.schemes):
+        with _shared_gains(schemes=spec.schemes):
+            for m_b in spec.m_b_list:
                 for scheme in spec.schemes:
                     yield (f"fig2 m_b={m_b} scheme={scheme}",
                            sweep(spec.config.replace(m_b=m_b), scheme),
-                           [[m_b, "", scheme, "", "", "", ""]])
+                           {"m_b": m_b, "scheme": scheme})
 
     header = ["m_b", "p_eq_db", "scheme", "p_served_analytical",
               "p_served_empirical", "stderr", "n_trials", "error"]
@@ -213,15 +216,15 @@ def _fig_compare(spec: ExperimentSpec):
                _fmt(res.stderr), analytic, p_eq_db, res.n_trials, ""]
 
     def units():
-        for value in values:
-            config = spec.config.with_items({name: value})
-            for scheme in spec.schemes:
-                with _shared_gains():  # the policies draw each trial once
+        with _shared_gains(schemes=spec.schemes):
+            for value in values:
+                config = spec.config.with_items({name: value})
+                for scheme in spec.schemes:
                     for policy in spec.policies:
                         yield (f"{spec.experiment} {name}={value} scheme={scheme} "
                                f"policy={policy}",
                                compare(value, config, scheme, policy),
-                               [[_fmt(float(value)), scheme, policy, "", "", "", "", ""]])
+                               {name: _fmt(float(value)), "scheme": scheme, "policy": policy})
 
     header = [name, "scheme", "policy", "p_served", "stderr",
               "q_analytical", "p_eq_db", "n_trials", "error"]
@@ -232,8 +235,8 @@ def _fig5(spec: ExperimentSpec):
     name, values = spec.sweep
     # (print prefix, leading columns, config) per table; an m_b sweep sets the
     # antenna count itself, so it runs one table per scheme with no m_b column
-    tables = [("fig5", [], spec.config)] if name == "m_b" else \
-        [(f"fig5 m_b={m_b}", [m_b], spec.config.replace(m_b=m_b)) for m_b in spec.m_b_list]
+    tables = [("fig5", {}, spec.config)] if name == "m_b" else \
+        [(f"fig5 m_b={m_b}", {"m_b": m_b}, spec.config.replace(m_b=m_b)) for m_b in spec.m_b_list]
 
     def table(prefix, lead, config, scheme):
         for value, max_k in max_sus_at_confidence(
@@ -241,15 +244,14 @@ def _fig5(spec: ExperimentSpec):
                 n_trials=spec.n_trials, seed=spec.seed,
                 policy=spec.policies[0], p_eq=spec.p_eq):
             print(f"{prefix} {name}={value} max_k={max_k}")
-            yield [*lead, _fmt(float(value)), scheme, max_k,
+            yield [*lead.values(), _fmt(float(value)), scheme, max_k,
                    _fmt(spec.confidence), spec.n_trials, ""]
 
     def units():
         for where, lead, config in tables:
             for scheme in spec.schemes:
                 prefix = f"{where} scheme={scheme}"
-                yield (prefix, table(prefix, lead, config, scheme),
-                       [[*lead, "", scheme, "", "", ""]])
+                yield prefix, table(prefix, lead, config, scheme), {**lead, "scheme": scheme}
 
     header = ["m_b"] * (name != "m_b") + [name, "scheme", "max_k", "confidence",
                                           "n_trials", "error"]
@@ -280,26 +282,23 @@ def _cdf_validation(spec: ExperimentSpec):
 
     header = ["scheme", "quantity", "ks_distance", "n_samples", "n_trials", "p_eq_db", "error"]
     return header, ((f"cdf_validation scheme={scheme}", validate(scheme),
-                     [[scheme, "", "", "", "", _fmt(p_eq_db)]]) for scheme in spec.schemes)
+                     {"scheme": scheme, "p_eq_db": _fmt(p_eq_db)}) for scheme in spec.schemes)
 
 
 def _single_solve(spec: ExperimentSpec):
     config = spec.config
     real = generate_channels(config, spec.seed)
+    meb = compute_meb(real)
+    p_eq = spec.p_eq if spec.p_eq is not None else config.p0 / config.k_su
 
     def solve(scheme, policy):
-        beams = compute_beams(real, scheme)
+        beams = meb if scheme == MEB else compute_zfb(real, meb)
         links = evaluate_links(real, beams.v, beams.u, config)
-        if policy == POLICY_LF:
+        _, p = _policy_power(config, scheme, policy, p_eq)
+        if p is None:
             alloc = solve_lf(links, scheme, config)
             p, feasible = alloc.p, alloc.feasible
         else:
-            p_eq = spec.p_eq
-            if p_eq is None and policy == POLICY_EQUAL_POWER_OPT:
-                p_eq = analytics.optimize_equal_power(scheme, config).p_eq
-            if p_eq is None:
-                p_eq = config.p0 / config.k_su
-            p = equal_power(config, p_eq)
             feasible = bool(slack_from_links(links, p, config)[0].all_met())
         print(f"single_solve scheme={scheme} policy={policy} feasible={feasible}")
         for k, pk in enumerate(p):
@@ -310,7 +309,7 @@ def _single_solve(spec: ExperimentSpec):
 
     header = ["su", "p", "p_db", "scheme", "policy", "feasible", "error"]
     return header, ((f"single_solve scheme={scheme} policy={policy}", solve(scheme, policy),
-                     [["", "", "", scheme, policy, ""]])
+                     {"scheme": scheme, "policy": policy})
                     for scheme in spec.schemes for policy in spec.policies)
 
 
@@ -358,36 +357,35 @@ EXPERIMENTS = tuple(_PRESETS)
 def run(spec: ExperimentSpec) -> int:
     """Execute one experiment spec and write <out_dir>/<experiment>.csv.
 
-    The runner returns the CSV header and units of (prefix, rows,
-    failed_rows).  A model-domain error while a unit yields its rows (a
-    ValueError such as AntennaShortageError, an IllConditionedError, or
-    the ArithmeticError of a special function that does not converge) is
-    printed after the prefix, and the unit records failed_rows with the
+    The runner returns the CSV header and units of (prefix, rows, key),
+    key being the unit's {column: value} cells.  A model-domain error
+    while a unit yields its rows (a ValueError such as
+    AntennaShortageError, an IllConditionedError, or the ArithmeticError
+    of a special function that does not converge) is printed after the
+    prefix, and the unit records a row of its key cells with the
     exception name in the trailing error column instead of losing the
     rest of the run.
 
-    run_trials keeps a call's gains for the next by one rule: when they
-    fit the current store.  Runs that reuse one draw of trials share a
-    _shared_gains scope, whose store fits any run, that their runner
-    opens and that stays open while run consumes their rows: fig2's
-    units at one m_b, one per scheme, whose first call computes both
-    schemes' gains for every p_eq, and fig3/fig4's policy units at one
-    (sweep value, scheme); each unit still fails on its own.  Every
-    other run_trials call (fig5's search opens its own scope) uses the
-    store outside any scope, which fits 512 KB of both schemes' gains,
-    so cdf_validation draws once for both up to 234 trials at the
+    run_trials keeps a call's gains for the next when they fit the
+    current store.  fig2, fig3 and fig4 each open one scope naming their
+    schemes; fig5's search opens its own; cdf_validation streams.  A
+    runner's _shared_gains scope fits any run and stays open while run
+    consumes its units: those on one draw read it once, across schemes
+    and r0/i0/p0 points, and one on a new draw empties it.
+    cdf_validation's store, outside any scope, fits 512 KB of both
+    schemes' gains: it draws once for both up to 234 trials at the
     default config and streams each scheme's trials past that.
     Returns a process exit status.
     """
     os.makedirs(spec.out_dir, exist_ok=True)
     header, units = _PRESETS[spec.experiment].runner(spec)
     rows = []
-    for prefix, unit_rows, failed_rows in units:
+    for prefix, unit_rows, key in units:
         try:
             rows += list(unit_rows)
         except (ValueError, ArithmeticError, IllConditionedError) as exc:
             print(f"{prefix} error={type(exc).__name__}: {exc}")
-            rows += [row + [type(exc).__name__] for row in failed_rows]
+            rows.append([key.get(c, "") for c in header[:-1]] + [type(exc).__name__])
     path = os.path.join(spec.out_dir, f"{spec.experiment}.csv")
     with open(path, "w", newline="") as fh:
         fh.write("# schema=1\n")

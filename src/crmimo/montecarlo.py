@@ -261,6 +261,22 @@ def _shared_gains(confidence=None, schemes=()):
         _GAINS.reset(token)
 
 
+def _policy_power(config, scheme, policy, p_eq):
+    """(p_eq, per-SU powers) that `policy` runs at, (None, None) under POLICY_LF.
+
+    POLICY_EQUAL_POWER_OPT runs at optimize_equal_power's p_eq whatever p_eq
+    is given.  An unknown policy, or a missing or bad p_eq, raises ValueError."""
+    if policy not in _POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
+    if policy == POLICY_LF:
+        return None, None
+    if policy == POLICY_EQUAL_POWER_OPT:
+        p_eq = optimize_equal_power(scheme, config).p_eq
+    if p_eq is None:
+        raise ValueError("equal-power policy needs p_eq")
+    return p_eq, equal_power(config, p_eq)
+
+
 def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, seed: int,
                p_eq: float | None = None, n_workers: int = 1) -> ExperimentResult:
     """Estimate the probability of serving all SUs over seeded trials.
@@ -318,13 +334,7 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
         _check_integer(name, val, least)
     if scheme not in (MEB, ZFB):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if policy not in _POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
-    if policy == POLICY_EQUAL_POWER_OPT:
-        p_eq = optimize_equal_power(scheme, config).p_eq
-    if policy != POLICY_LF and p_eq is None:
-        raise ValueError("equal-power policy needs p_eq")
-    power = None if policy == POLICY_LF else equal_power(config, p_eq)
+    p_eq, power = _policy_power(config, scheme, policy, p_eq)
 
     store = _GAINS.get()
     # a pool's generator is never left suspended
@@ -351,7 +361,7 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
         config=config,
         scheme=scheme,
         policy=policy,
-        p_eq=float(p_eq) if policy != POLICY_LF else None,
+        p_eq=None if p_eq is None else float(p_eq),
         n_trials=n_trials,
         seed=seed,
         p_served=float(p_served),

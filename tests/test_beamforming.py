@@ -11,7 +11,6 @@ from crmimo.beamforming import (
     AntennaShortageError,
     BeamformingSolution,
     IllConditionedError,
-    compute_beams,
     compute_meb,
     compute_zfb,
 )
@@ -327,15 +326,6 @@ class TestZfbCutoff:
         assert np.linalg.qr(stacking(real), mode="r")[-1, -1] == 0.0
         with pytest.raises(IllConditionedError, match="condition number inf"):
             compute_zfb(real)
-
-
-class TestComputeBeams:
-    def test_dispatch_and_unknown_scheme(self):
-        _, real = make()
-        assert np.array_equal(compute_beams(real, MEB).v, compute_meb(real).v)
-        assert np.array_equal(compute_beams(real, ZFB).v, compute_zfb(real).v)
-        with pytest.raises(ValueError, match="unknown scheme"):
-            compute_beams(real, "meb")
 
 
 class TestDiagnostics:

@@ -18,6 +18,7 @@ from crmimo.cli import (
     emit_plot_data,
     main,
 )
+from crmimo.analytics import optimize_equal_power
 from crmimo.montecarlo import POLICY_EQUAL_POWER, max_sus_at_confidence, run_trials
 from crmimo.network import NetworkConfig, db_to_linear, linear_to_db
 
@@ -154,7 +155,7 @@ class TestMainExitCodes:
             code = main(["--experiment", experiment, *TINY, "--sweep", "m_b=16,16.5",
                          "--trials", "2", "--out", str(tmp_path)])
             assert code == EXIT_CONFIG
-            assert "needs an integer, got 16.5" in capsys.readouterr().err
+            assert "config key 'm_b' needs an integer, got '16.5'" in capsys.readouterr().err
 
     def test_fig5_cannot_sweep_the_searched_count(self, tmp_path, capsys, monkeypatch):
         def no_trials(*args, **kwargs):
@@ -173,11 +174,16 @@ class TestMainExitCodes:
     @pytest.mark.parametrize("pair, message", [
         ("m_b=16.5", "config key 'm_b' needs an integer, got '16.5'"),
         ("p0=true", "config key 'p0' needs a number, got 'true'"),
+        ("r0=x", "config key 'r0' needs a number, got 'x'"),
+        ("bogus=x", "unknown config key 'bogus'"),
     ])
     def test_set_value_that_does_not_parse(self, pair, message, tmp_path, capsys):
-        code = main(["--experiment", "single_solve", "--set", pair, "--out", str(tmp_path)])
-        assert code == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+        # a --sweep value of a config key parses by --set's rule, with its message
+        key, _, value = pair.partition("=")
+        for args in (["--set", pair], ["--sweep", f"{key}=1,{value}"]):
+            code = main(["--experiment", "fig3_meb_compare", *args, "--out", str(tmp_path)])
+            assert code == EXIT_CONFIG
+            assert f"error: {message}\n" == capsys.readouterr().err
         assert not list(tmp_path.iterdir())
 
     def test_power_sweep_only_in_fig2(self, tmp_path, capsys):
@@ -332,6 +338,19 @@ class TestSingleSolve:
         _, body = read_csv(tmp_path / "single_solve.csv")
         assert all(float(row[1]) == pytest.approx(0.1) for row in body)
 
+    @pytest.mark.parametrize("scheme", ["MEB", "ZFB"])
+    def test_optimal_power_ignores_a_given_power(self, scheme, tmp_path, capsys):
+        # as in run_trials, EQUAL_POWER_OPT runs at the optimum; EQUAL_POWER at --p-eq-db
+        code = main(["--experiment", "single_solve", *TINY, "--schemes", scheme,
+                     "--policies", "EQUAL_POWER,EQUAL_POWER_OPT", "--p-eq-db", "-3",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        _, body = read_csv(tmp_path / "single_solve.csv")
+        opt = optimize_equal_power(scheme, NetworkConfig(m_b=16, m_u=2, k_su=3))
+        assert [(row[4], row[1]) for row in body] == \
+            [("EQUAL_POWER", repr(float(db_to_linear(-3.0))))] * 3 + \
+            [("EQUAL_POWER_OPT", repr(opt.p_eq))] * 3
+
 
 class TestSweepExperiments:
     def test_fig2_tiny(self, tmp_path, capsys):
@@ -474,6 +493,39 @@ class TestSweepExperiments:
                                      repr(res.stderr), p_eq_db, "30", ""])
             assert [row[:5] + row[6:] for row in body] == expected
 
+    @pytest.mark.parametrize("experiment, args, n_draws, units", [
+        # both schemes and every r0 read one draw
+        ("fig3_meb_compare", [*TINY, "--schemes", "MEB,ZFB", "--sweep", "r0=1,2"], 20,
+         [["--schemes", s, "--sweep", f"r0={v}"] for v in (1, 2) for s in ("MEB", "ZFB")]),
+        # each m_b, and each sigma2_delta, is a draw of its own
+        ("fig2_eq_power_sweep", ["--set", "m_u=2", "--set", "k_su=3",
+                                 "--sweep", "p_eq_db=-10,0"], 40,
+         [["--set", f"m_b={m}", "--schemes", s] for m in (64, 128) for s in ("MEB", "ZFB")]),
+        ("fig4_zfb_compare", [*TINY, "--sweep", "sigma2_delta=0.01,0.1"], 40,
+         [["--sweep", f"sigma2_delta={v}"] for v in (0.01, 0.1)]),
+    ], ids=["fig3_two_schemes_r0", "fig2_two_m_b", "fig4_sigma2_delta"])
+    def test_one_scope_per_runner(self, experiment, args, n_draws, units, tmp_path, capsys,
+                                  monkeypatch):
+        # a runner's one scope draws each trial once per draw key, and every
+        # row equals that of a fresh run of its unit alone
+        draws = []
+        original = crmimo.montecarlo.generate_channels
+
+        def counted(config, seed):
+            draws.append(seed.entropy)
+            return original(config, seed)
+
+        base = ["--experiment", experiment, *args, "--trials", "20"]
+        monkeypatch.setattr(crmimo.montecarlo, "generate_channels", counted)
+        assert main([*base, "--out", str(tmp_path / "all")]) == EXIT_OK
+        monkeypatch.setattr(crmimo.montecarlo, "generate_channels", original)
+        assert len(draws) == n_draws
+        alone = []
+        for i, unit in enumerate(units):
+            assert main([*base, *unit, "--out", str(tmp_path / str(i))]) == EXIT_OK
+            alone += read_csv(tmp_path / str(i) / f"{experiment}.csv")[1]
+        assert read_csv(tmp_path / "all" / f"{experiment}.csv")[1] == alone
+
     @pytest.mark.parametrize("experiment, n_pools", [("fig2_eq_power_sweep", 2),
                                                      ("fig4_zfb_compare", 6)])
     def test_workers_write_the_same_bytes(self, experiment, n_pools, tmp_path, capsys,
@@ -573,6 +625,17 @@ class TestSweepExperiments:
         assert sorted(p.name for p in tmp_path.glob("samples_*")) == [
             f"samples_{scheme}_{quantity}.txt" for scheme in ("MEB", "ZFB")
             for quantity in ("interference", "sinr")]
+
+    def test_cdf_validation_without_receiving_pus(self, tmp_path, capsys):
+        # no receiving PU leaves no interference samples, hence no interference rows
+        code = main(["--experiment", "cdf_validation", *TINY, "--set", "l_rx=0",
+                     "--trials", "20", "--out", str(tmp_path), "--dump-samples"])
+        assert code == EXIT_OK
+        _, body = read_csv(tmp_path / "cdf_validation.csv")
+        assert [(row[0], row[1], row[-1]) for row in body] == [
+            ("MEB", "sinr", ""), ("ZFB", "sinr", ""), ("ZFB", "sinr_exact", "")]
+        assert sorted(p.name for p in tmp_path.glob("samples_*")) == [
+            "samples_MEB_sinr.txt", "samples_ZFB_sinr.txt"]
 
     def test_cdf_validation_failed_scheme_keeps_the_others(self, tmp_path, capsys):
         code = main(["--experiment", "cdf_validation", "--set", "m_b=12", "--set", "k_su=12",

@@ -22,7 +22,7 @@ from crmimo.analytics import (
     meb_sinr_params,
     zfb_sinr_params,
 )
-from crmimo.beamforming import MEB, ZFB, compute_beams
+from crmimo.beamforming import MEB, ZFB, compute_meb, compute_zfb
 from crmimo.montecarlo import (
     MAX_K_SWEEP,
     POLICY_EQUAL_POWER,
@@ -332,7 +332,7 @@ class TestBlocks:
                                         "int_to_pu_true")}
         for i in range(12):
             real = generate_channels(SMALL, trial_seed(8, i))
-            beams = compute_beams(real, scheme)
+            beams = compute_meb(real) if scheme == MEB else compute_zfb(real)
             links = evaluate_links(real, beams.v, beams.u, SMALL)
             est, true = slack_from_links(links, equal_power(SMALL, 0.3), SMALL)
             for flavor, report in (("est", est), ("true", true)):

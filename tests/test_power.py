@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import linprog
 
 from crmimo.beamforming import MEB, ZFB, compute_meb, compute_zfb
-from crmimo.network import NetworkConfig, evaluate_links, generate_channels
+from crmimo.network import LinkMetrics, NetworkConfig, evaluate_links, generate_channels
 from crmimo.power import (
     PowerAllocation,
     ZeroGainError,
@@ -135,6 +135,18 @@ class TestSolveLfMeb:
             rate = slack_from_links(links, alloc.p, cfg)[0].rate
             assert np.max(np.abs(rate)) < 1e-12
             assert np.allclose(alloc.p, lp.x, rtol=1e-6)
+
+    def test_singular_rate_system_is_infeasible(self):
+        # thr = 1 makes I - F = [[1, -1], [-1, 1]] exactly singular: no p* exists
+        k = 2
+        links = LinkMetrics(cross=np.ones((k, k)), pu_to_su_true=np.zeros(k),
+                            pu_to_su_est=np.zeros(k), leak_true=np.zeros((k, 1)),
+                            leak_est=np.zeros((k, 1)), noise=1.0)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(np.eye(k) - np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones(k))
+        alloc = solve_lf_meb(links, NetworkConfig(k_su=k, r0=1.0))
+        assert not alloc.feasible and alloc.blocking == "rate"
+        assert np.array_equal(alloc.p, np.zeros(k))
 
     def test_vacuous_rate_floor(self):
         # r0 -> 0 drops the rate rows to "0 <= 0"; p = 0 is always feasible

@@ -10,7 +10,7 @@ import pytest
 from scipy.optimize import linprog
 
 from crmimo.analytics import equal_power_bounds, laws, optimize_equal_power, q_k
-from crmimo.beamforming import MEB, ZFB, compute_beams, compute_meb, compute_zfb
+from crmimo.beamforming import MEB, ZFB, compute_meb, compute_zfb
 from crmimo.network import NetworkConfig, evaluate_links, generate_channels
 from crmimo.power import lf_meb_constraints, slack_from_links, solve_lf
 
@@ -75,7 +75,7 @@ def test_lf_verdict(case):
     config, seed, p_eq = case
     real = generate_channels(config, seed)
     for scheme in (MEB, ZFB):
-        beams = compute_beams(real, scheme)
+        beams = compute_meb(real) if scheme == MEB else compute_zfb(real)
         links = evaluate_links(real, beams.v, beams.u, config)
         alloc = solve_lf(links, scheme, config)
         a, b, _ = lf_meb_constraints(links, config)
