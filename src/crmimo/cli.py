@@ -116,13 +116,15 @@ def build_spec(args) -> ExperimentSpec:
                 config.with_items({name: tok})
         sweep = (name, tuple(float(tok) for tok in tokens))
 
-    # only fig2 sweeps the power itself; the other sweeps set config fields
-    power_sweep = preset.sweep is not None and preset.sweep[0] == "p_eq_db"
-    if preset.sweep is not None and sweep is not None \
-            and power_sweep != (sweep[0] in ("p_eq", "p_eq_db")):
-        raise ValueError(f"{args.experiment} sweeps "
-                         f"{'p_eq_db' if power_sweep else 'config fields'}; "
-                         f"cannot sweep {sweep[0]!r} here")
+    if sweep is not None:
+        if preset.sweep is None:
+            raise ValueError(f"{args.experiment} has no sweep axis")
+        # only fig2 sweeps the power itself; the other sweeps set config fields
+        power_sweep = preset.sweep[0] == "p_eq_db"
+        if power_sweep != (sweep[0] in ("p_eq", "p_eq_db")):
+            raise ValueError(f"{args.experiment} sweeps "
+                             f"{'p_eq_db' if power_sweep else 'config fields'}; "
+                             f"cannot sweep {sweep[0]!r} here")
 
     if "m_b" in overrides or args.config:
         m_b_list = (config.m_b,)

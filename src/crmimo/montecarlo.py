@@ -8,12 +8,13 @@ link gains: each trial draws its own channels, then one call each
 computes the MEB beams, the ZFB beams built on them where asked, and
 each scheme's link gains of the whole block along a leading trial axis;
 several workers compute the blocks in a process pool.  The serve stage,
-in the calling process, allocates power per trial and computes the
-slack of each block.  The gains read no rate floor, cap, budget, policy
-or p_eq, so a run keeps its gains for a next run that reads the same
-ones, by one rule: when they fit the current store, of any size inside
-a _shared_gains scope and up to 512 KB outside one; one draw can feed
-both schemes (see run_trials).  Block size, worker count and reuse
+in the calling process, allocates power (LF-ZFB a block at a time,
+LF-MEB one trial at a time) and computes the slack of each block.  The
+gains read no rate floor, cap, budget, policy or p_eq, so a run keeps
+its gains for a next run that reads the same ones, by one rule: when
+they fit the current store, of any size inside a _shared_gains scope
+and up to 512 KB outside one; one draw can feed both schemes (see
+run_trials).  Block size, worker count and reuse
 change no bit of any result.  run_trials estimates the probability
 that all SUs are served (the serving verdict uses the estimated
 constraints, i.e. what the SBS can check; the true-channel verdict is
@@ -40,7 +41,7 @@ from .analytics import optimize_equal_power
 from .beamforming import (MEB, ZFB, AntennaShortageError, IllConditionedError, compute_meb,
                           compute_zfb)
 from .network import ChannelRealization, NetworkConfig, evaluate_links, generate_channels
-from .power import equal_power, slack_from_links, solve_lf
+from .power import _lf_block, equal_power, slack_from_links
 
 __all__ = [
     "POLICY_LF",
@@ -219,13 +220,10 @@ def _serve(blocks, n, config, scheme, power, settle_at=None) -> dict:
         if isinstance(links, str):
             out["error"][rows] = links
         else:
-            size = rows.stop - rows.start
             if power is None:
-                allocs = [solve_lf(links[t], scheme, config) for t in range(size)]
-                p = np.stack([a.p for a in allocs])
-                solver_ok = np.array([a.feasible for a in allocs])
+                p, solver_ok = _lf_block(links, scheme, config)
             else:
-                p = np.broadcast_to(power, (size, config.k_su))
+                p = np.broadcast_to(power, (rows.stop - rows.start, config.k_su))
                 solver_ok = True
 
             est, true = slack_from_links(links, p, config)

@@ -10,7 +10,8 @@ point that meets them; the caps and the budget have nonnegative
 coefficients, so p* decides the whole system (Zander 1992; Foschini and
 Miljanic 1993; Yates 1995).  solve_lf_zfb computes the powers that make
 every SU's estimated rate exactly r0 under ZF beams, which is the same
-point once ZF removes F.  solve_lf picks the solver by scheme.
+point once ZF removes F; its kernel decides a block of trials in one
+call.  solve_lf picks the solver by scheme.
 lf_meb_constraints stacks the rows for export and for independent LP
 audits.  slack_from_links and verify_allocation audit any powers against
 the constraints, on estimated and true channels.
@@ -171,6 +172,19 @@ def solve_lf_meb(links: LinkMetrics, config: NetworkConfig) -> PowerAllocation:
     return PowerAllocation(p=p, feasible=feasible, blocking=None if feasible else family)
 
 
+def _lf_zfb(links: LinkMetrics, config: NetworkConfig):
+    """solve_lf_zfb along the leading trial axes of links: the equal-rate powers
+    p, and over_budget and over_cap, the per-trial verdicts of the budget and cap rows."""
+    gain = np.diagonal(links.cross, axis1=-2, axis2=-1)
+    if np.any(gain <= 0.0):
+        raise ZeroGainError("nonpositive ZF gain, beams are degenerate")
+    thr = 2.0 ** config.r0 - 1.0
+    p = thr * (links.noise + links.pu_to_su_est) / gain
+    over_budget = p.sum(axis=-1) > config.p0
+    over_cap = np.any(links.int_to_pu(p, use_estimates=True) > config.i0, axis=-1)
+    return p, over_budget, over_cap
+
+
 def solve_lf_zfb(links: LinkMetrics, config: NetworkConfig) -> PowerAllocation:
     """Decide LF ZFB through the equal-rate powers, which decide it exactly.
 
@@ -178,18 +192,13 @@ def solve_lf_zfb(links: LinkMetrics, config: NetworkConfig) -> PowerAllocation:
     with gain_k = cross[k, k] makes every estimated rate exactly r0 (ZF
     removes the inter-stream terms).  The allocation is feasible iff
     sum(p) <= p0 and it meets every estimated cap row; ZF nulls the PU
-    estimates, so a cap row reads sigma2_delta sum(p) <= i0.
+    estimates, so a cap row reads sigma2_delta sum(p) <= i0.  It is the
+    one-trial view of the kernel that decides a block of trials.
 
     Raises:
         ZeroGainError: if any gain is not strictly positive.
     """
-    gain = np.diagonal(links.cross)
-    if np.any(gain <= 0.0):
-        raise ZeroGainError("nonpositive ZF gain, beams are degenerate")
-    thr = 2.0 ** config.r0 - 1.0
-    p = thr * (links.noise + links.pu_to_su_est) / gain
-    over_budget = p.sum() > config.p0
-    over_cap = bool(np.any(links.int_to_pu(p, use_estimates=True) > config.i0))
+    p, over_budget, over_cap = _lf_zfb(links, config)
     feasible = not (over_budget or over_cap)
     return PowerAllocation(
         p=p, feasible=feasible,
@@ -204,6 +213,16 @@ def solve_lf(links: LinkMetrics, scheme: str, config: NetworkConfig) -> PowerAll
     if scheme == ZFB:
         return solve_lf_zfb(links, config)
     raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _lf_block(links: LinkMetrics, scheme: str, config: NetworkConfig):
+    """(p, feasible) of the LF problems of a block of trials, trial axis first:
+    ZFB in one call of its kernel, MEB in one solve_lf_meb call per trial."""
+    if scheme == ZFB:
+        p, over_budget, over_cap = _lf_zfb(links, config)
+        return p, ~(over_budget | over_cap)
+    allocs = [solve_lf_meb(links[t], config) for t in range(len(links.cross))]
+    return np.stack([a.p for a in allocs]), np.array([a.feasible for a in allocs])
 
 
 def equal_power(config: NetworkConfig, p_eq: float) -> np.ndarray:

@@ -171,6 +171,23 @@ class TestMainExitCodes:
         assert "fig5_max_sus searches k_su" in err
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("experiment", ["cdf_validation", "single_solve"])
+    def test_no_sweep_axis(self, experiment, tmp_path, capsys, monkeypatch):
+        # a preset without a sweep axis would run one unswept point
+        def no_trials(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(crmimo.cli, "run_trials", no_trials)
+        monkeypatch.setattr(crmimo.cli, "generate_channels", no_trials)
+        for sweep in ("r0=1,2,3", "p_eq_db=-10,0"):
+            code = main(["--experiment", experiment, *TINY, "--sweep", sweep,
+                         "--out", str(tmp_path)])
+            assert code == EXIT_CONFIG
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert f"error: {experiment} has no sweep axis\n" == err
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("pair, message", [
         ("m_b=16.5", "config key 'm_b' needs an integer, got '16.5'"),
         ("p0=true", "config key 'p0' needs a number, got 'true'"),

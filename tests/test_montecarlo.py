@@ -370,6 +370,45 @@ class TestBlocks:
         assert draws == [(2, i) for i in range(10)]
         assert names[:2] == ["trial_seed", "generate_channels"]
 
+    def test_lf_decides_a_zfb_block_in_one_call(self, monkeypatch):
+        # LF-ZFB makes no solve_lf_zfb call, and equals one per trial field by
+        # field (its trials are feasible, cap-blocked and budget-blocked);
+        # LF-MEB still solves each trial with solve_lf_meb, as the benchmark's
+        # tracer counts
+        cfg = SMALL.replace(sigma2_delta=0.1, i0=0.3, r0=3.0, p0=4.0)
+        solve_lf_zfb, calls = crmimo.power.solve_lf_zfb, Counter()
+        for name in ("solve_lf_meb", "solve_lf_zfb"):
+            def counted(*args, _name=name, _original=getattr(crmimo.power, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(crmimo.power, name, counted)
+        trials_per_block(monkeypatch, cfg, 4)
+        res = run_trials(cfg, ZFB, POLICY_LF, 10, seed=2)
+        assert calls == Counter()
+        run_trials(cfg, MEB, POLICY_LF, 10, seed=2)
+        assert calls == Counter(solve_lf_meb=10)
+
+        served, pooled, families = [], {name: [] for name in RESULT_FIELDS[5:]}, set()
+        for i in range(10):
+            real = generate_channels(cfg, trial_seed(2, i))
+            beams = compute_zfb(real)
+            links = evaluate_links(real, beams.v, beams.u, cfg)
+            alloc = solve_lf_zfb(links, cfg)
+            families.add(alloc.blocking)
+            est, true = slack_from_links(links, alloc.p, cfg)
+            served.append((alloc.feasible and est.all_met(), alloc.feasible and true.all_met()))
+            for flavor, report in (("est", est), ("true", true)):
+                pooled[f"sinr_{flavor}"].append(report.sinr)
+                pooled[f"int_to_pu_{flavor}"].append(report.int_to_pu)
+        assert families == {None, "interference", "power"}
+        est_ok, true_ok = np.array(served).T
+        p = est_ok.sum() / 10
+        assert_same_result(res, SimpleNamespace(
+            p_served=p, stderr=float(np.sqrt(p * (1.0 - p) / 10)),
+            p_served_true=true_ok.sum() / 10, csi_violation_rate=(est_ok & ~true_ok).sum() / 10,
+            n_failed=0, **{name: np.concatenate(parts) for name, parts in pooled.items()}))
+
     def test_ill_conditioned_trial_fails_alone(self, monkeypatch):
         # a duplicated receiving-PU estimate makes trial 3 rank deficient; its
         # block falls back to one trial at a time and loses only that trial

@@ -1,6 +1,7 @@
-"""Property tests of the beamformers, the LF verdict, the array q_k, the
-equal-power optimum and the array KS validation over valid configs, and of
-the pruned KS distance over nondecreasing step functions."""
+"""Property tests of the beamformers, the LF verdict, the block LF-ZFB
+kernel, the array q_k, the equal-power optimum and the array KS validation
+over valid configs, and of the pruned KS distance over nondecreasing step
+functions."""
 
 import bisect
 import math
@@ -12,9 +13,10 @@ from scipy.optimize import linprog
 from crmimo.analytics import equal_power_bounds, laws, optimize_equal_power, q_k
 from crmimo.beamforming import MEB, ZFB, compute_meb, compute_zfb
 from crmimo.network import NetworkConfig, evaluate_links, generate_channels
-from crmimo.power import lf_meb_constraints, slack_from_links, solve_lf
+from crmimo.power import (_lf_block, _lf_zfb, lf_meb_constraints, slack_from_links, solve_lf,
+                          solve_lf_zfb)
 
-from crmimo.montecarlo import empirical_cdf
+from crmimo.montecarlo import _gains, empirical_cdf
 
 from test_analytics import ks_against, q_from_laws
 from test_beamforming import assert_principal_pair, residuals
@@ -84,6 +86,51 @@ def test_lf_verdict(case):
         if alloc.feasible:
             assert slack_from_links(links, alloc.p, config)[0].all_met()
         assert 0.0 <= q_k(scheme, config, p_eq) <= 1.0
+
+
+@st.composite
+def zfb_blocks(draw):
+    """(config, seed, n_trials, frac): a block of 1-5 trials with ZF room, and
+    the cap's share frac of the budget where a cap binds."""
+    l_rx = draw(st.integers(0, 2))
+    k_su = draw(st.integers(1, 8))
+    config = NetworkConfig(
+        m_b=draw(st.integers(k_su + l_rx + 1, k_su + l_rx + 24)), m_u=draw(st.integers(1, 4)),
+        k_su=k_su, l_tx=draw(st.integers(0, 2)), l_rx=l_rx,
+        sigma2_delta=draw(st.sampled_from([0.0, 0.01, 0.1])),
+        p0=10.0 ** draw(st.floats(-1.0, 2.0)),
+    )
+    return config, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 5)), \
+        draw(st.floats(0.05, 0.5))
+
+
+@hypothesis.settings(derandomize=True, max_examples=100, deadline=None, database=None)
+@hypothesis.given(zfb_blocks())
+def test_lf_zfb_block_matches_one_trial_calls(case):
+    # every trial of a block gets solve_lf_zfb's powers, bit for bit, verdict
+    # and blocking family.  The cap is i0 = frac sigma2_delta p0, since ZF
+    # leaves a cap row sigma2_delta sum(p) <= i0; r0 puts trial 0's sum(p) at
+    # frac p0 / 2 (feasible), sqrt(frac) p0 (cap-blocked where a cap binds)
+    # and 2 p0 (budget-blocked)
+    config, seed, n, frac = case
+    [(_, links)] = _gains(config, (ZFB,), seed, range(n))[ZFB]  # the block run_trials serves
+    caps_bind = config.sigma2_delta > 0.0 and config.l_rx > 0
+    i0 = frac * config.p0 * (config.sigma2_delta if caps_bind else 1.0)
+    # trial 0's sum(p) at 2^r0 - 1 = 1
+    unit_sum = np.sum((config.sigma2_w + links.pu_to_su_est[0]) / np.diagonal(links.cross[0]))
+    for share, expect in ((frac / 2, None), (math.sqrt(frac), "interference" if caps_bind else None),
+                          (2.0, "power")):
+        cfg = config.replace(r0=math.log2(1.0 + share * config.p0 / unit_sum), i0=i0)
+        p, over_budget, over_cap = _lf_zfb(links, cfg)
+        block_p, feasible = _lf_block(links, ZFB, cfg)
+        assert block_p.shape == (n, config.k_su) and feasible.shape == (n,)
+        for t in range(n):
+            alloc = solve_lf_zfb(links[t], cfg)
+            assert block_p[t].tobytes() == alloc.p.tobytes()
+            assert feasible[t] == alloc.feasible
+            assert ("power" if over_budget[t] else "interference" if over_cap[t] else None) \
+                == alloc.blocking
+        assert solve_lf_zfb(links[0], cfg).blocking == expect
 
 
 @st.composite
