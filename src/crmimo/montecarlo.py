@@ -8,8 +8,10 @@ link gains: each trial draws its own channels, then one call each
 computes the MEB beams, the ZFB beams built on them where asked, and
 each scheme's link gains of the whole block along a leading trial axis;
 several workers compute the blocks in a process pool.  The serve stage,
-in the calling process, allocates power (LF-ZFB a block at a time,
-LF-MEB one trial at a time) and computes the slack of each block.  The
+in the calling process, allocates power and computes the slack part by
+part (LF-MEB allocates one trial at a time): a call that reads kept
+gains and does not decide serves each run of good trials as one part,
+a streamed or deciding call each block.  The
 gains read no rate floor, cap, budget, policy or p_eq, so a run keeps
 its gains for a next run that reads the same ones, by one rule: when
 they fit the current store, of any size inside a _shared_gains scope
@@ -28,7 +30,9 @@ against the closed-form laws.
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import functools
+import itertools
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -64,11 +68,13 @@ MAX_K_SWEEP = 64
 
 # complex SU-channel elements per block of trials: 12 trials at m_b=64,
 # k_su=10, m_u=4, 4-16 at m_b=128 with k_su=16-4, and one at m_b=1024.
-# A block's ~60 numpy calls for beams, links and slack are shared by its
-# trials: against 2^13 (3 trials at m_b=64), the benchmark's trials_m64
-# ran about 10% more trials per second while its peak memory rose 3%,
-# from 47.1 to 48.6 MB (a block's arrays, about twice this budget, live
-# at once).  2^16 ran no faster (541 against 530 us/trial) in 1.6 MB more.
+# A block's ~60 numpy calls for beams and links are shared by its trials,
+# and so are its calls for power and slack where a streamed or deciding
+# call serves it (a call on kept gains serves a run of blocks at once):
+# against 2^13 (3 trials at m_b=64), the benchmark's trials_m64 ran
+# about 10% more trials per second while its peak memory rose 3%, from
+# 47.1 to 48.6 MB (a block's arrays, about twice this budget, live at
+# once).  2^16 ran no faster (541 against 530 us/trial) in 1.6 MB more.
 _BLOCK_ELEMENTS = 2 ** 15
 
 # the config fields that a trial's channels, beams and link gains do not read
@@ -197,18 +203,33 @@ def _drawn_then_rest(drawn, rest):
         yield part
 
 
-def _serve(blocks, n, config, scheme, power, settle_at=None) -> dict:
-    """The result buffers of n trials, trial axis first, from the _gains of their blocks.
+def _joined(parts):
+    """The (rows, gains) parts, in trial order, with each run of consecutive
+    LinkMetrics joined along the trial axis into one; a failed part stays its own."""
+    for failed, run in itertools.groupby(parts, key=lambda part: isinstance(part[1], str)):
+        run = list(run)
+        if failed or len(run) == 1:
+            yield from run
+        else:
+            first = run[0][1]
+            yield slice(run[0][0].start, run[-1][0].stop), dataclasses.replace(first, **{
+                f.name: np.concatenate([getattr(links, f.name) for _, links in run])
+                for f in dataclasses.fields(first) if f.name != "noise"})
+
+
+def _serve(parts, n, config, scheme, power, settle_at=None) -> dict:
+    """The result buffers of n trials, trial axis first, from the (rows, gains)
+    parts of their gains for `scheme`, in trial order.
 
     Each trial runs at the per-SU powers `power`, or at its LF allocation
     where power is None.  A failed trial keeps its NaN samples and
     unserved verdicts, and its error names the exception; the error entry
     is None for a trial that ran.
-    With settle_at set, it stops after the block, failed or not, that
+    With settle_at set, it stops after the part, failed or not, that
     settles whether p_served >= settle_at: the s trials served among the
     first m pass it once s / n does, and fail it once n - (m - s), the
     most that can still be served, over n falls below it.  The trials
-    after that block keep the buffers of a failed trial, with no error.
+    after that part keep the buffers of a failed trial, with no error.
     """
     out = {"served": np.zeros(n, dtype=bool), "served_true": np.zeros(n, dtype=bool),
            "sinr_est": np.full((n, config.k_su), np.nan),
@@ -216,7 +237,7 @@ def _serve(blocks, n, config, scheme, power, settle_at=None) -> dict:
            "int_to_pu_est": np.full((n, config.l_rx), np.nan),
            "int_to_pu_true": np.full((n, config.l_rx), np.nan),
            "error": np.full(n, None, dtype=object)}
-    for rows, links in (part for block in blocks for part in block[scheme]):
+    for rows, links in parts:
         if isinstance(links, str):
             out["error"][rows] = links
         else:
@@ -233,7 +254,7 @@ def _serve(blocks, n, config, scheme, power, settle_at=None) -> dict:
                 out[f"sinr_{flavor}"][rows] = report.sinr
                 out[f"int_to_pu_{flavor}"][rows] = report.int_to_pu
         if settle_at is not None:
-            served = int(out["served"].sum())  # no trial past this block has run
+            served = int(out["served"].sum())  # no trial past this part has run
             if served / n >= settle_at or (n - (rows.stop - served)) / n < settle_at:
                 break
     return out
@@ -312,7 +333,12 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
     fits 2 _BLOCK_ELEMENTS floats (512 KB: 468 trials of one scheme at
     the default config, 234 of both); a _shared_gains scope
     (max_sus_at_confidence and the CLI open them) sets one with no
-    limit.  The result is bit-identical to a fresh draw.
+    limit.  The result is bit-identical to a fresh draw.  A call that
+    reads a kept entry, and does not decide as below, serves each run of
+    trials whose beams did not fail in one piece: one allocation (LF-MEB
+    still one solve_lf_meb call per trial) and one slack pass, on the
+    run's gains joined for the call and dropped after it.  A call that
+    streams serves block by block, so its memory stays bounded.
 
     Inside the deciding scope of max_sus_at_confidence, a call with
     n_workers = 1 serves and draws trials block by block and stops once
@@ -352,7 +378,12 @@ def run_trials(config: NetworkConfig, scheme: str, policy: str, n_trials: int, s
         if size <= store.limit:  # an eager entry's rest is its spent iterator
             kept = store.entries[key] = (schemes, [] if settle_at else list(blocks), blocks)
     blocks = blocks if kept is None else _drawn_then_rest(*kept[1:])
-    out = _serve(blocks, n_trials, config, scheme, power, settle_at)
+    parts = (part for block in blocks for part in block[scheme])
+    # kept gains are held anyway, so a run of them serves in one piece; a deciding
+    # call serves block by block to settle early, a streamed one to bound its memory
+    if kept is not None and settle_at is None:
+        parts = _joined(parts)
+    out = _serve(parts, n_trials, config, scheme, power, settle_at)
 
     p_served = out["served"].sum() / n_trials
     return ExperimentResult(

@@ -250,9 +250,9 @@ class LinkMetrics:
 
     def __getitem__(self, index) -> "LinkMetrics":
         """The gains of trial `index` along the leading trial axis."""
-        return dataclasses.replace(self, **{
-            f.name: getattr(self, f.name)[index]
-            for f in dataclasses.fields(self) if f.name != "noise"})
+        return LinkMetrics(self.cross[index], self.pu_to_su_true[index],
+                           self.pu_to_su_est[index], self.leak_true[index],
+                           self.leak_est[index], self.noise)
 
     def sinr(self, p) -> tuple[np.ndarray, np.ndarray]:
         """Per-SU (estimated, true) SINR at powers p; the inter-stream term is exact.

@@ -1,5 +1,6 @@
 """Seeded trials: determinism, serving logic, pooled samples and the CDF tools."""
 
+import contextlib
 import dataclasses
 import math
 import re
@@ -408,6 +409,43 @@ class TestBlocks:
             p_served=p, stderr=float(np.sqrt(p * (1.0 - p) / 10)),
             p_served_true=true_ok.sum() / 10, csi_violation_rate=(est_ok & ~true_ok).sum() / 10,
             n_failed=0, **{name: np.concatenate(parts) for name, parts in pooled.items()}))
+
+    @pytest.mark.parametrize("scope, per_call", [("kept", 1), ("streamed", 3), ("deciding", 3)])
+    def test_a_kept_draw_serves_in_one_piece(self, scope, per_call, monkeypatch):
+        # 10 trials in blocks of 4: a call on a kept entry that does not
+        # decide makes one allocation and one slack pass; a streamed or a
+        # deciding call one per block; LF-MEB solves each trial on its own
+        calls = Counter()
+        for module, name in ((crmimo.montecarlo, "slack_from_links"),
+                             (crmimo.power, "_lf_zfb"), (crmimo.power, "solve_lf_meb")):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        trials_per_block(monkeypatch, VACUOUS_SMALL, 4)
+        with {"kept": _shared_gains(), "streamed": contextlib.nullcontext(),
+              "deciding": _shared_gains(0.95)}[scope]:
+            results = [run_trials(VACUOUS_SMALL, scheme, POLICY_LF, 10, seed=2)
+                       for scheme in (ZFB, MEB)]
+        assert [res.p_served for res in results] == [1.0, 1.0]  # a deciding call serves all
+        assert calls == Counter(slack_from_links=2 * per_call, _lf_zfb=per_call,
+                                solve_lf_meb=10)
+
+    @pytest.mark.parametrize("policy", [POLICY_LF, POLICY_EQUAL_POWER, POLICY_EQUAL_POWER_OPT])
+    @pytest.mark.parametrize("scheme", [MEB, ZFB])
+    def test_kept_and_streamed_runs_agree(self, scheme, policy, monkeypatch):
+        # ZFB trials 3, 4 and 11 fail, so the kept draw joins good parts
+        # between failed ones, across blocks and inside a block redrawn by trial
+        cfg = SMALL.replace(l_rx=2)
+        ill_conditioned_trial(monkeypatch, 3, 4, 11)
+        for n in (1, 7, 1000):
+            trials_per_block(monkeypatch, cfg, n)
+            streamed = run_trials(cfg, scheme, policy, 23, seed=6, p_eq=0.3)
+            with _shared_gains(schemes=(MEB, ZFB)):
+                kept = run_trials(cfg, scheme, policy, 23, seed=6, p_eq=0.3)
+            assert streamed.n_failed == (3 if scheme == ZFB else 0)
+            assert_same_result(kept, streamed)
 
     def test_ill_conditioned_trial_fails_alone(self, monkeypatch):
         # a duplicated receiving-PU estimate makes trial 3 rank deficient; its
