@@ -37,7 +37,6 @@ from .power import (
     ZeroGainError,
     solve_lf_meb,
     solve_lf_zfb,
-    solve_lf,
     verify_allocation,
 )
 from .analytics import (

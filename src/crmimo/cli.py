@@ -31,14 +31,15 @@ from .montecarlo import (
     POLICY_LF,
     _POLICIES,
     _policy_power,
+    _serve_part,
     _shared_gains,
     max_sus_at_confidence,
     empirical_cdf,
     run_trials,
 )
-from .network import (NetworkConfig, _parse_kv_lines, db_to_linear, evaluate_links,
-                      generate_channels, linear_to_db)
-from .power import equal_power, slack_from_links, solve_lf
+from .network import (ChannelRealization, NetworkConfig, _parse_kv_lines, db_to_linear,
+                      evaluate_links, generate_channels, linear_to_db)
+from .power import equal_power
 from . import analytics
 
 __all__ = ["ExperimentSpec", "build_spec", "run", "emit_plot_data", "main"]
@@ -88,6 +89,8 @@ class ExperimentSpec:
                 raise ValueError(f"unknown policy {policy!r}")
         if self.n_trials < 1:
             raise ValueError("trials must be positive")
+        if self.experiment == "single_solve" and self.n_trials != 1:
+            raise ValueError(f"single_solve solves one realization, got {self.n_trials} trials")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.n_workers < 1:
@@ -189,17 +192,11 @@ def _fig2(spec: ExperimentSpec):
             yield [config.m_b, p_eq_db, scheme, _fmt(analytic), _fmt(res.p_served),
                    _fmt(res.stderr), res.n_trials, ""]
 
-    def units():
-        with _shared_gains(schemes=spec.schemes):
-            for m_b in spec.m_b_list:
-                for scheme in spec.schemes:
-                    yield (f"fig2 m_b={m_b} scheme={scheme}",
-                           sweep(spec.config.replace(m_b=m_b), scheme),
-                           {"m_b": m_b, "scheme": scheme})
-
     header = ["m_b", "p_eq_db", "scheme", "p_served_analytical",
               "p_served_empirical", "stderr", "n_trials", "error"]
-    return header, units()
+    return header, ((f"fig2 m_b={m_b} scheme={scheme}",
+                     sweep(spec.config.replace(m_b=m_b), scheme), {"m_b": m_b, "scheme": scheme})
+                    for m_b in spec.m_b_list for scheme in spec.schemes)
 
 
 def _fig_compare(spec: ExperimentSpec):
@@ -217,20 +214,12 @@ def _fig_compare(spec: ExperimentSpec):
         yield [_fmt(float(value)), scheme, policy, _fmt(res.p_served),
                _fmt(res.stderr), analytic, p_eq_db, res.n_trials, ""]
 
-    def units():
-        with _shared_gains(schemes=spec.schemes):
-            for value in values:
-                config = spec.config.with_items({name: value})
-                for scheme in spec.schemes:
-                    for policy in spec.policies:
-                        yield (f"{spec.experiment} {name}={value} scheme={scheme} "
-                               f"policy={policy}",
-                               compare(value, config, scheme, policy),
-                               {name: _fmt(float(value)), "scheme": scheme, "policy": policy})
-
     header = [name, "scheme", "policy", "p_served", "stderr",
               "q_analytical", "p_eq_db", "n_trials", "error"]
-    return header, units()
+    return header, ((f"{spec.experiment} {name}={value} scheme={scheme} policy={policy}",
+                     compare(value, spec.config.with_items({name: value}), scheme, policy),
+                     {name: _fmt(float(value)), "scheme": scheme, "policy": policy})
+                    for value in values for scheme in spec.schemes for policy in spec.policies)
 
 
 def _fig5(spec: ExperimentSpec):
@@ -289,19 +278,18 @@ def _cdf_validation(spec: ExperimentSpec):
 
 def _single_solve(spec: ExperimentSpec):
     config = spec.config
-    real = generate_channels(config, spec.seed)
+    # the one realization as a one-trial block, served by run_trials' own step
+    real = ChannelRealization(**{name: a[None] for name, a in
+                                 vars(generate_channels(config, spec.seed)).items()})
     meb = compute_meb(real)
     p_eq = spec.p_eq if spec.p_eq is not None else config.p0 / config.k_su
 
     def solve(scheme, policy):
         beams = meb if scheme == MEB else compute_zfb(real, meb)
         links = evaluate_links(real, beams.v, beams.u, config)
-        _, p = _policy_power(config, scheme, policy, p_eq)
-        if p is None:
-            alloc = solve_lf(links, scheme, config)
-            p, feasible = alloc.p, alloc.feasible
-        else:
-            feasible = bool(slack_from_links(links, p, config)[0].all_met())
+        _, power = _policy_power(config, scheme, policy, p_eq)
+        [p], _, _, [feasible], _ = _serve_part(links, scheme, config, power)
+        feasible = bool(feasible)
         print(f"single_solve scheme={scheme} policy={policy} feasible={feasible}")
         for k, pk in enumerate(p):
             db = float(linear_to_db(pk)) if pk > 0 else float("-inf")
@@ -368,26 +356,24 @@ def run(spec: ExperimentSpec) -> int:
     exception name in the trailing error column instead of losing the
     rest of the run.
 
-    run_trials keeps a call's gains for the next when they fit the
-    current store.  fig2, fig3 and fig4 each open one scope naming their
-    schemes; fig5's search opens its own; cdf_validation streams.  A
-    runner's _shared_gains scope fits any run and stays open while run
-    consumes its units: those on one draw read it once, across schemes
-    and r0/i0/p0 points, and one on a new draw empties it.
-    cdf_validation's store, outside any scope, fits 512 KB of both
-    schemes' gains: it draws once for both up to 234 trials at the
-    default config and streams each scheme's trials past that.
+    Every experiment runs inside one _shared_gains scope naming its
+    schemes, open while run consumes its units.  The scope keeps
+    run_trials' gains of any size: the units on one draw read it once,
+    across schemes and r0/i0/p0 points, and one on a new draw empties
+    it.  So cdf_validation draws once for both schemes; fig5's search
+    opens its own deciding scope inside it.
     Returns a process exit status.
     """
     os.makedirs(spec.out_dir, exist_ok=True)
-    header, units = _PRESETS[spec.experiment].runner(spec)
     rows = []
-    for prefix, unit_rows, key in units:
-        try:
-            rows += list(unit_rows)
-        except (ValueError, ArithmeticError, IllConditionedError) as exc:
-            print(f"{prefix} error={type(exc).__name__}: {exc}")
-            rows.append([key.get(c, "") for c in header[:-1]] + [type(exc).__name__])
+    with _shared_gains(schemes=spec.schemes):
+        header, units = _PRESETS[spec.experiment].runner(spec)
+        for prefix, unit_rows, key in units:
+            try:
+                rows += list(unit_rows)
+            except (ValueError, ArithmeticError, IllConditionedError) as exc:
+                print(f"{prefix} error={type(exc).__name__}: {exc}")
+                rows.append([key.get(c, "") for c in header[:-1]] + [type(exc).__name__])
     path = os.path.join(spec.out_dir, f"{spec.experiment}.csv")
     with open(path, "w", newline="") as fh:
         fh.write("# schema=1\n")

@@ -4,20 +4,20 @@ Each trial draws its own sub-seed from the master seed by counter, so a
 run is fully determined by (config, scheme, policy, n_trials, seed) and
 independent of how many workers execute it.  A run has two stages.  In
 the gains stage, one function (_gains) turns each block of trials into
-link gains: each trial draws its own channels, then one call each
+link gains: each trial draws its channels once, then one call each
 computes the MEB beams, the ZFB beams built on them where asked, and
 each scheme's link gains of the whole block along a leading trial axis;
 several workers compute the blocks in a process pool.  The serve stage,
-in the calling process, allocates power and computes the slack part by
-part (LF-MEB allocates one trial at a time): a call that reads kept
-gains and does not decide serves each run of good trials as one part,
-a streamed or deciding call each block.  The
-gains read no rate floor, cap, budget, policy or p_eq, so a run keeps
-its gains for a next run that reads the same ones, by one rule: when
-they fit the current store, of any size inside a _shared_gains scope
-and up to 512 KB outside one; one draw can feed both schemes (see
-run_trials).  Block size, worker count and reuse
-change no bit of any result.  run_trials estimates the probability
+in the calling process, serves part by part through one step
+(_serve_part, which the CLI's single_solve shares): powers, by LF
+(LF-MEB one trial at a time) or the policy's, slack and verdicts.  A call
+reading kept gains that does not decide serves each run of good trials
+as one part, a streamed or deciding call each block.  The gains read
+no rate floor, cap, budget, policy or p_eq, so a run keeps its gains
+for a next run that reads the same ones, by one rule: when they fit the
+current store, of any size inside a _shared_gains scope and up to 512
+KB outside one; one draw can feed both schemes (see run_trials).  Block
+size, worker count and reuse change no bit of any result.  run_trials estimates the probability
 that all SUs are served (the serving verdict uses the estimated
 constraints, i.e. what the SBS can check; the true-channel verdict is
 kept as an audit column).  max_sus_at_confidence searches the largest number of SUs
@@ -149,12 +149,8 @@ def _gains(config, schemes, master_seed, trials):
     """{scheme: [(rows, gains)]} of `trials`, consecutive indices in order, one pool task.
 
     The trials' draws, in trial order, are stacked read-only along a
-    leading axis (one trial is viewed, not copied) for one MEB beam call,
-    which ZFB builds on, and one link call per scheme; gains is the
-    LinkMetrics of trials `rows`, or the name of the exception the beams
-    raised.  A block ill-conditioned for ZFB is released and redrawn one
-    trial at a time for ZFB alone, so only that trial fails; the block's
-    MEB gains stand."""
+    leading axis (one trial is viewed, not copied) for one MEB beam call;
+    _block_gains turns them into the gains without drawing a trial again."""
     n, block = len(trials), {}
     for t, i in enumerate(trials):
         for name, a in vars(generate_channels(config, trial_seed(master_seed, i))).items():
@@ -164,8 +160,19 @@ def _gains(config, schemes, master_seed, trials):
                 block[name][t] = a
     for a in block.values():
         a.setflags(write=False)
-    real, rows, out = ChannelRealization(**block), slice(trials[0], trials[-1] + 1), {}
-    meb = compute_meb(real)
+    real = ChannelRealization(**block)
+    return _block_gains(real, compute_meb(real), schemes, trials[0], config)
+
+
+def _block_gains(real, meb, schemes, first, config):
+    """_gains of the block `real` of trials first, first + 1, ..., from its
+    MEB beams `meb`: gains is the LinkMetrics of trials `rows`, one link
+    call per scheme, or the name of the exception the beams raised.  A
+    block ill-conditioned for ZFB is solved again for ZFB alone, one trial
+    at a time from views of its channels and MEB beams, so only that trial
+    fails, no trial is drawn twice and the block's MEB gains stand."""
+    n, out = len(meb.v), {}
+    rows = slice(first, first + n)
     for scheme in schemes:
         try:
             beams = meb if scheme == MEB else compute_zfb(real, meb)
@@ -174,8 +181,9 @@ def _gains(config, schemes, master_seed, trials):
         else:
             out[scheme] = [(rows, evaluate_links(real, beams.v, beams.u, config))]
     if n > 1 and out.get(ZFB) == [(rows, IllConditionedError.__name__)]:
-        real = block = a = meb = beams = None
-        out[ZFB] = [part for i in trials for part in _gains(config, (ZFB,), master_seed, [i])[ZFB]]
+        out[ZFB] = [part for t in range(n) for part in _block_gains(
+            *(type(x)(**{k: a[t:t + 1] for k, a in vars(x).items()}) for x in (real, meb)),
+            (ZFB,), first + t, config)[ZFB]]
     return out
 
 
@@ -217,14 +225,26 @@ def _joined(parts):
                 for f in dataclasses.fields(first) if f.name != "noise"})
 
 
+def _serve_part(links, scheme, config, power):
+    """(p, est, true, served, served_true) of a part of trials, trial axis first:
+    the powers `power`, or the LF allocation (_lf_block) where power is None,
+    their (estimated, true) SlackReports and verdicts, which need LF's too."""
+    if power is None:
+        p, solver_ok = _lf_block(links, scheme, config)
+    else:
+        p = np.broadcast_to(power, (len(links.cross), config.k_su))
+        solver_ok = True
+    est, true = slack_from_links(links, p, config)
+    return p, est, true, solver_ok & est.all_met(), solver_ok & true.all_met()
+
+
 def _serve(parts, n, config, scheme, power, settle_at=None) -> dict:
     """The result buffers of n trials, trial axis first, from the (rows, gains)
     parts of their gains for `scheme`, in trial order.
 
-    Each trial runs at the per-SU powers `power`, or at its LF allocation
-    where power is None.  A failed trial keeps its NaN samples and
-    unserved verdicts, and its error names the exception; the error entry
-    is None for a trial that ran.
+    Each part is served by one _serve_part call.  A failed trial keeps
+    its NaN samples and unserved verdicts, and its error names the
+    exception; the error entry is None for a trial that ran.
     With settle_at set, it stops after the part, failed or not, that
     settles whether p_served >= settle_at: the s trials served among the
     first m pass it once s / n does, and fail it once n - (m - s), the
@@ -241,15 +261,8 @@ def _serve(parts, n, config, scheme, power, settle_at=None) -> dict:
         if isinstance(links, str):
             out["error"][rows] = links
         else:
-            if power is None:
-                p, solver_ok = _lf_block(links, scheme, config)
-            else:
-                p = np.broadcast_to(power, (rows.stop - rows.start, config.k_su))
-                solver_ok = True
-
-            est, true = slack_from_links(links, p, config)
-            out["served"][rows] = solver_ok & est.all_met()
-            out["served_true"][rows] = solver_ok & true.all_met()
+            _, est, true, out["served"][rows], out["served_true"][rows] = _serve_part(
+                links, scheme, config, power)
             for flavor, report in (("est", est), ("true", true)):
                 out[f"sinr_{flavor}"][rows] = report.sinr
                 out[f"int_to_pu_{flavor}"][rows] = report.int_to_pu

@@ -11,7 +11,8 @@ coefficients, so p* decides the whole system (Zander 1992; Foschini and
 Miljanic 1993; Yates 1995).  solve_lf_zfb computes the powers that make
 every SU's estimated rate exactly r0 under ZF beams, which is the same
 point once ZF removes F; its kernel decides a block of trials in one
-call.  solve_lf picks the solver by scheme.
+call.  _lf_block, the one LF entry of the program, picks the solver by
+scheme for a block of trials.
 lf_meb_constraints stacks the rows for export and for independent LP
 audits.  slack_from_links and verify_allocation audit any powers against
 the constraints, on estimated and true channels.
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .beamforming import MEB, ZFB, BeamformingSolution
+from .beamforming import ZFB, BeamformingSolution
 from .network import ChannelRealization, LinkMetrics, NetworkConfig, evaluate_links
 
 __all__ = [
@@ -35,7 +36,6 @@ __all__ = [
     "load_constraints",
     "solve_lf_meb",
     "solve_lf_zfb",
-    "solve_lf",
     "equal_power",
     "slack_from_links",
     "verify_allocation",
@@ -204,15 +204,6 @@ def solve_lf_zfb(links: LinkMetrics, config: NetworkConfig) -> PowerAllocation:
         p=p, feasible=feasible,
         blocking=None if feasible else ("power" if over_budget else "interference"),
     )
-
-
-def solve_lf(links: LinkMetrics, scheme: str, config: NetworkConfig) -> PowerAllocation:
-    """Decide the LF problem of one beam choice with its scheme's solver."""
-    if scheme == MEB:
-        return solve_lf_meb(links, config)
-    if scheme == ZFB:
-        return solve_lf_zfb(links, config)
-    raise ValueError(f"unknown scheme {scheme!r}")
 
 
 def _lf_block(links: LinkMetrics, scheme: str, config: NetworkConfig):

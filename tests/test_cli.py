@@ -18,9 +18,12 @@ from crmimo.cli import (
     emit_plot_data,
     main,
 )
-from crmimo.analytics import optimize_equal_power
-from crmimo.montecarlo import POLICY_EQUAL_POWER, max_sus_at_confidence, run_trials
-from crmimo.network import NetworkConfig, db_to_linear, linear_to_db
+from crmimo.analytics import laws, optimize_equal_power
+from crmimo.beamforming import AntennaShortageError, compute_meb, compute_zfb
+from crmimo.montecarlo import POLICY_EQUAL_POWER, empirical_cdf, max_sus_at_confidence, run_trials
+from crmimo.network import (NetworkConfig, db_to_linear, evaluate_links, generate_channels,
+                            linear_to_db)
+from crmimo.power import equal_power, slack_from_links, solve_lf_meb, solve_lf_zfb
 
 TINY = ["--set", "m_b=16", "--set", "m_u=2", "--set", "k_su=3"]
 
@@ -106,6 +109,21 @@ class TestMainExitCodes:
                      "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
         assert "trials must be positive" in capsys.readouterr().err
+
+    def test_single_solve_takes_no_trial_count(self, tmp_path, capsys, monkeypatch):
+        # single_solve solves one realization: a count of several would
+        # silently run one
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a realization was drawn")
+
+        monkeypatch.setattr(crmimo.cli, "generate_channels", no_draw)
+        for n in ("2", "5"):
+            code = main(["--experiment", "single_solve", *TINY, "--trials", n,
+                         "--out", str(tmp_path)])
+            assert code == EXIT_CONFIG
+            assert (f"error: single_solve solves one realization, got {n} trials\n"
+                    == capsys.readouterr().err)
+        assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("flag,value,message", [
         ("--seed", "-1", "seed must be nonnegative"),
@@ -368,6 +386,48 @@ class TestSingleSolve:
             [("EQUAL_POWER", repr(float(db_to_linear(-3.0))))] * 3 + \
             [("EQUAL_POWER_OPT", repr(opt.p_eq))] * 3
 
+    @pytest.mark.parametrize("overrides, seed", [
+        (TINY, 1),  # LF feasible and equal power met under both schemes
+        (TINY, 0),  # equal power misses a MEB rate floor
+        ([*TINY, "--set", "r0=3", "--set", "p0=1"], 0),  # nothing feasible
+        (["--set", "m_b=3", "--set", "m_u=2", "--set", "k_su=3"], 1),  # no ZF null space
+    ], ids=["feasible", "meb-equal-power-misses", "infeasible", "antenna-shortage"])
+    def test_rows_match_the_per_trial_oracle(self, overrides, seed, tmp_path, capsys):
+        # the one realization generate_channels(config, seed) solved trial by
+        # trial: LF by the scheme's solver, equal power by its estimated slack
+        policies = ("LF", "EQUAL_POWER", "EQUAL_POWER_OPT")
+        code = main(["--experiment", "single_solve", *overrides, "--seed", str(seed),
+                     "--policies", ",".join(policies), "--p-eq-db", "-5",
+                     "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        out = capsys.readouterr().out
+        config = NetworkConfig().with_items(dict(pair.split("=") for pair in overrides[1::2]))
+        real = generate_channels(config, seed)
+        expected = []
+        for scheme, solver in (("MEB", solve_lf_meb), ("ZFB", solve_lf_zfb)):
+            try:
+                beams = compute_meb(real) if scheme == "MEB" else compute_zfb(real)
+            except AntennaShortageError as exc:
+                for policy in policies:
+                    assert (f"single_solve scheme={scheme} policy={policy} "
+                            f"error=AntennaShortageError: {exc}\n") in out
+                    expected.append(["", "", "", scheme, policy, "", "AntennaShortageError"])
+                continue
+            links = evaluate_links(real, beams.v, beams.u, config)
+            for policy in policies:
+                if policy == "LF":
+                    alloc = solver(links, config)
+                    p, feasible = alloc.p, alloc.feasible
+                else:
+                    p = equal_power(config, optimize_equal_power(scheme, config).p_eq
+                                    if policy == "EQUAL_POWER_OPT" else db_to_linear(-5.0))
+                    feasible = slack_from_links(links, p, config)[0].all_met()
+                expected += [[str(k), repr(float(pk)),
+                              repr(float(linear_to_db(pk))) if pk > 0 else "-inf",
+                              scheme, policy, str(bool(feasible)), ""]
+                             for k, pk in enumerate(p)]
+        assert read_csv(tmp_path / "single_solve.csv")[1] == expected
+
 
 class TestSweepExperiments:
     def test_fig2_tiny(self, tmp_path, capsys):
@@ -556,21 +616,40 @@ class TestSweepExperiments:
         csvs = [(tmp_path / w / f"{experiment}.csv").read_bytes() for w in ("w1", "w2")]
         assert csvs[0] == csvs[1]
 
-    def test_cdf_validation_runs_outside_any_scope(self, tmp_path, capsys, monkeypatch,
-                                                   default_store):
-        # cdf_validation opens no scope: its MEB and ZFB runs share a draw only
-        # through the store outside any scope, when both schemes' gains fit it
-        scopes = []
+    def test_cdf_validation_shares_one_scope(self, tmp_path, capsys, monkeypatch,
+                                             default_store):
+        # both schemes' runs sit in run's one scope, so each of the 20 trials is
+        # drawn once for both (not once per scheme), and each row equals that of
+        # a run_trials call made on its own, outside any scope
+        stores, draws = [], []
+        original = crmimo.montecarlo.generate_channels
+
+        def counted(config, seed):
+            draws.append(seed.entropy)
+            return original(config, seed)
 
         def recorded(*args, **kwargs):
-            scopes.append(crmimo.montecarlo._GAINS.get() is default_store)
+            stores.append(crmimo.montecarlo._GAINS.get())
             return run_trials(*args, **kwargs)
 
         monkeypatch.setattr(crmimo.cli, "run_trials", recorded)
+        monkeypatch.setattr(crmimo.montecarlo, "generate_channels", counted)
         code = main(["--experiment", "cdf_validation", *TINY, "--trials", "20",
                      "--out", str(tmp_path)])
+        monkeypatch.setattr(crmimo.montecarlo, "generate_channels", original)
         assert code == EXIT_OK
-        assert scopes == [True, True]
+        assert len(draws) == 20
+        assert len(stores) == 2 and stores[0] is stores[1] is not default_store
+        config = NetworkConfig(m_b=16, m_u=2, k_su=3)
+        p_eq = config.p0 / config.k_su
+        expected = []
+        for scheme in ("MEB", "ZFB"):
+            res = run_trials(config, scheme, POLICY_EQUAL_POWER, 20, 1, p_eq=p_eq)
+            for quantity, field, law, _ in laws(scheme, config, p_eq):
+                cdf = empirical_cdf(getattr(res, field))
+                expected.append([scheme, quantity, repr(cdf.ks_distance(law)), str(cdf.n),
+                                 "20", repr(float(linear_to_db(p_eq))), ""])
+        assert read_csv(tmp_path / "cdf_validation.csv")[1] == expected
 
     def test_fig5_tiny(self, tmp_path, capsys):
         code = main(["--experiment", "fig5_max_sus", *TINY,

@@ -449,12 +449,15 @@ class TestBlocks:
 
     def test_ill_conditioned_trial_fails_alone(self, monkeypatch):
         # a duplicated receiving-PU estimate makes trial 3 rank deficient; its
-        # block falls back to one trial at a time and loses only that trial
+        # block is solved again one trial at a time from the channels it drew,
+        # so it loses only that trial and draws no trial twice
         cfg = SMALL.replace(l_rx=2)
         trials_per_block(monkeypatch, cfg, 6)
         clean = run_trials(cfg, ZFB, POLICY_EQUAL_POWER, 8, seed=1, p_eq=0.3)
         ill_conditioned_trial(monkeypatch, 3)
+        draws = counted_draws(monkeypatch)
         res = run_trials(cfg, ZFB, POLICY_EQUAL_POWER, 8, seed=1, p_eq=0.3)
+        assert draws == [(1, i) for i in range(8)]
         assert res.n_failed == 1
         ok = np.arange(8) != 3
         for name in ("sinr_true", "int_to_pu_est"):
@@ -508,11 +511,10 @@ def run_variants(config, scheme, variants, n_trials=9, seed=5, n_workers=1):
 
 
 def expect_shared(case, draws, results, fresh):
-    """The first call drew and the others reused (draws is None where a pool
-    drew): the block of trials 0-3 is drawn again one trial at a time when
-    trial 3 is ill-conditioned."""
+    """The first call drew each trial once and the others reused (draws is
+    None where a pool drew), an ill-conditioned trial's block included."""
     if draws is not None:
-        assert len(draws) == (9 + 4 if case == "ill-conditioned" else 9)
+        assert len(draws) == 9
     expect_failed = {"ill-conditioned": 1, "antenna shortage": 9}.get(case, 0)
     for a, b in zip(fresh, results, strict=True):
         assert a.n_failed == expect_failed

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import linprog
 
-from crmimo.beamforming import MEB, ZFB, compute_meb, compute_zfb
+from crmimo.beamforming import compute_meb, compute_zfb
 from crmimo.network import LinkMetrics, NetworkConfig, evaluate_links, generate_channels
 from crmimo.power import (
     PowerAllocation,
@@ -16,7 +16,6 @@ from crmimo.power import (
     lf_meb_constraints,
     load_constraints,
     slack_from_links,
-    solve_lf,
     solve_lf_meb,
     solve_lf_zfb,
     verify_allocation,
@@ -230,23 +229,6 @@ class TestEqualRateZfb:
         broken = dataclasses.replace(links, cross=np.zeros_like(links.cross))
         with pytest.raises(ZeroGainError):
             solve_lf_zfb(broken, cfg)
-
-
-class TestSolveLf:
-    def test_dispatch_follows_beam_scheme(self):
-        cfg, real = scenario()
-        for scheme, beams, solver in ((MEB, compute_meb(real), solve_lf_meb),
-                                      (ZFB, compute_zfb(real), solve_lf_zfb)):
-            links = links_of(real, beams, cfg)
-            got, want = solve_lf(links, scheme, cfg), solver(links, cfg)
-            assert got.feasible == want.feasible and got.blocking == want.blocking
-            assert np.array_equal(got.p, want.p)
-
-    def test_unknown_scheme_rejected(self):
-        cfg, real = scenario()
-        links = links_of(real, compute_meb(real), cfg)
-        with pytest.raises(ValueError, match="unknown scheme"):
-            solve_lf(links, "MRT", cfg)
 
 
 class TestAudits:

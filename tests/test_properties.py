@@ -13,8 +13,8 @@ from scipy.optimize import linprog
 from crmimo.analytics import equal_power_bounds, laws, optimize_equal_power, q_k
 from crmimo.beamforming import MEB, ZFB, compute_meb, compute_zfb
 from crmimo.network import NetworkConfig, evaluate_links, generate_channels
-from crmimo.power import (_lf_block, _lf_zfb, lf_meb_constraints, slack_from_links, solve_lf,
-                          solve_lf_zfb)
+from crmimo.power import (_lf_block, _lf_zfb, lf_meb_constraints, slack_from_links,
+                          solve_lf_meb, solve_lf_zfb)
 
 from crmimo.montecarlo import _gains, empirical_cdf
 
@@ -76,10 +76,10 @@ def lf_configs(draw):
 def test_lf_verdict(case):
     config, seed, p_eq = case
     real = generate_channels(config, seed)
-    for scheme in (MEB, ZFB):
-        beams = compute_meb(real) if scheme == MEB else compute_zfb(real)
+    for scheme, beams, solver in ((MEB, compute_meb(real), solve_lf_meb),
+                                  (ZFB, compute_zfb(real), solve_lf_zfb)):
         links = evaluate_links(real, beams.v, beams.u, config)
-        alloc = solve_lf(links, scheme, config)
+        alloc = solver(links, config)
         a, b, _ = lf_meb_constraints(links, config)
         oracle = linprog(np.zeros(a.shape[1]), A_ub=a, b_ub=b, bounds=(0, None), method="highs")
         assert alloc.feasible == (oracle.status == 0)
